@@ -268,6 +268,11 @@ def write_report(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
+def _xml_text(text: str) -> str:
+    """Text escaped for an XML element body."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
     """Minimal SVG log-log line chart: curves are (label, t, values)."""
     W, H, M = 640, 440, 56
@@ -276,8 +281,12 @@ def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
     pos = ys > 0
     if loglog:
         xs, ys = np.log10(xs), np.log10(ys[pos])
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+
+    def extent(v):
+        # nothing to draw (for example all-zero data on log axes): empty axes
+        return (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 1.0)
+
+    (x_lo, x_hi), (y_lo, y_hi) = extent(xs), extent(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -293,7 +302,7 @@ def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
              f'<rect x="{M}" y="{M}" width="{W-2*M}" height="{H-2*M}" '
              f'fill="none" stroke="#444"/>',
              f'<text x="{W/2:.0f}" y="24" text-anchor="middle" '
-             f'font-family="monospace" font-size="14">{title}</text>']
+             f'font-family="monospace" font-size="14">{_xml_text(title)}</text>']
     for i, (label, t, v) in enumerate(curves):
         t = np.asarray(t, float)
         v = np.asarray(v, float)
@@ -308,7 +317,7 @@ def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{W-M+4}" y="{M+16*(i+1)}" font-size="11" '
-                     f'font-family="monospace" fill="{color}">{label}</text>')
+                     f'font-family="monospace" fill="{color}">{_xml_text(label)}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 

@@ -4,17 +4,21 @@ Three integration regimes appear throughout the solver and the estimate
 machinery, and each gets a dedicated routine here:
 
 * smooth integrands on panels  -> vectorized Gauss-Legendre (``gauss_panels``),
-* oscillatory spectral integrands with phase t*|xi|^s -> panels aligned to
-  half-periods of the phase (``oscillatory_integral``), with the first few
-  half-periods handed to adaptive quadrature because the integrand has an
-  algebraic |xi|^(2s) kink at the origin,
+* oscillatory spectral integrands with phase w = t*|xi|^s -> Gauss panels in
+  the phase variable w itself (``oscillatory_integral``), with the first few
+  half-periods handed to adaptive quadrature in xi because the integrand has
+  an algebraic |xi|^(2s) kink at the origin,
 * power-law singularities at the origin -> dyadic descent with geometric
   tail extrapolation and divergence detection (``singular_origin_integral``).
 
-The phase-panel rule is the workhorse: a degree-12 Gauss rule on a panel
-covering one half-period of sin(t*xi^s) resolves the trigonometric factors to
-near machine precision, so the cost is O(number of oscillations) with a tiny
-constant, which keeps t = 1e6 sweeps in seconds.
+The phase-panel rule is the workhorse.  After the substitution
+xi = (w/t)^(1/s) every panel is a half-period [k*pi, (k+1)*pi] of w, so the
+Gauss nodes sit at the same offsets in every panel and sin w, cos w there are
+one fixed vector times (-1)^k.  A node then costs one power (to recover xi)
+and the integrand's own amplitude; no trigonometric function is evaluated in
+the body.  A degree-12 rule per half-period resolves the trigonometric
+factors to near machine precision, so the cost is O(number of oscillations)
+with a tiny constant, which keeps t = 1e6 sweeps well under a second.
 """
 
 from __future__ import annotations
@@ -25,6 +29,15 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DivergenceError, NumericalFailureError
+
+# Panels per block of the phase-panel body.  At order 12 the largest per-node
+# temporary (complex, 96 KiB) stays below glibc's initial 128 KiB mmap
+# threshold, so the allocator reuses heap memory from block to block.  With
+# temporaries above it, every block mapped or trimmed and then faulted its
+# memory in again, depending on what the process had allocated before: on a
+# 2-core x86 VM one t = 1e6 norm at s = 0.9 took 1.0-1.2 s at 512-768 panels
+# in every process state tried, and 1.1-2.3 s at 1024-4096 panels.
+PHASE_BLOCK = 512
 
 # Cache of Gauss-Legendre rules keyed by order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -53,7 +66,7 @@ def gauss_panels(f, edges: np.ndarray, order: int = 12,
         Gauss-Legendre order per panel.
     block : int
         Panels are processed in blocks of this size to bound the peak
-        memory of million-panel oscillatory sweeps.
+        memory of long panel sweeps.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
@@ -105,20 +118,35 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
                          xi_lo: float = 0.0, order: int = 12,
                          lead_halfperiods: int = 4,
                          rel_tol: float = 1e-11) -> float:
-    """Integrate f(xi) over [xi_lo, xi_hi] where f carries phase t*xi^s.
+    """Integrate an integrand with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
-    Panels are placed so the phase w = t*xi^s advances by pi per panel; every
-    trigonometric factor built from sin(w) and cos(w) then completes at most
-    one full period per panel, which the Gauss rule resolves.  The first
-    ``lead_halfperiods`` half-periods (where xi^(2s)-type kinks live when the
-    interval starts at 0) go to adaptive quadrature instead.
+    The routine owns the phase: it calls ``f(xi, xi_s, sin_w, cos_w)`` with
+    arrays (or scalars) of the abscissae xi > 0, of xi_s = xi^s and of sin w,
+    cos w at w = t*xi_s, and f returns the integrand values in xi.
+
+    The first ``lead_halfperiods`` half-periods of w (where xi^(2s)-type kinks
+    live when the interval starts at 0) go to adaptive quadrature in xi, which
+    computes the phase from xi at each point.  The rest, the body, is
+    integrated in w: the Jacobian is d xi/dw = xi/(s*w), every full panel is
+    [k*pi, (k+1)*pi], and the trigonometric values at its Gauss nodes are the
+    fixed vector (sin, cos)(pi*(1+x_j)/2) times (-1)^k, which is exact where
+    sin or cos of a large w would carry the rounding of w.  Only the final
+    partial panel [k_end*pi, w_hi] takes sin and cos of its own nodes.
+
+    Panels are processed ``PHASE_BLOCK`` at a time.
     """
     if xi_hi <= xi_lo:
         return 0.0
+
+    def pointwise(xi):
+        xi_s = xi ** s
+        w = t * xi_s
+        return f(xi, xi_s, np.sin(w), np.cos(w))
+
     if t <= 0:
-        # no oscillation at all: one adaptive sweep, helped by a few panels
+        # no oscillation at all: a few wide panels resolve the amplitude
         edges = np.linspace(xi_lo, xi_hi, 33)
-        return gauss_panels(f, edges, order=max(order, 16))
+        return gauss_panels(pointwise, edges, order=max(order, 16))
 
     w_lo = t * xi_lo ** s
     w_hi = t * xi_hi ** s
@@ -126,19 +154,39 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     k_hi = int(np.ceil(w_hi / np.pi))
 
     if k_hi - k_lo <= lead_halfperiods + 1:
-        return adaptive(f, xi_lo, xi_hi, rel_tol=rel_tol)
+        return adaptive(pointwise, xi_lo, xi_hi, rel_tol=rel_tol)
 
     k_lead = k_lo + lead_halfperiods
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    head = adaptive(f, xi_lo, xi_lead, rel_tol=rel_tol)
+    total = adaptive(pointwise, xi_lo, xi_lead, rel_tol=rel_tol)
 
-    ks = np.arange(k_lead, k_hi + 1, dtype=float)
-    edges = (ks * np.pi / t) ** (1.0 / s)
-    edges[0] = xi_lead
-    edges = edges[edges < xi_hi]
-    edges = np.append(edges, xi_hi)
-    body = gauss_panels(f, edges, order=order)
-    return head + body
+    x, wts = gauss_rule(order)
+    phi = 0.5 * np.pi * (1.0 + x)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    k_end = int(np.floor(w_hi / np.pi))
+    for start in range(k_lead, k_end, PHASE_BLOCK):
+        ks = np.arange(start, min(start + PHASE_BLOCK, k_end), dtype=float)
+        total += _phase_panels(f, t, s, ks, phi, sin_phi, cos_phi,
+                               0.5 * np.pi * wts)
+    tail = w_hi - k_end * np.pi
+    if tail > 0.0:
+        phi = 0.5 * tail * (1.0 + x)
+        total += _phase_panels(f, t, s, np.array([float(k_end)]), phi,
+                               np.sin(phi), np.cos(phi), 0.5 * tail * wts)
+    return total
+
+
+def _phase_panels(f, t, s, ks, phi, sin_phi, cos_phi, wts) -> float:
+    """Gauss sum of f * d xi/dw over the w-panels with nodes k*pi + phi.
+
+    ``ks`` holds the panels' k, ``phi`` the node offsets within a panel and
+    ``wts`` the matching weights in w.
+    """
+    sign = (1.0 - 2.0 * (ks % 2.0))[:, None]
+    xi_s = (ks[:, None] * np.pi + phi) / t
+    xi = xi_s ** (1.0 / s)
+    vals = f(xi, xi_s, sign * sin_phi, sign * cos_phi)
+    return float(np.sum((vals * (xi / xi_s)) @ wts)) / (s * t)
 
 
 def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9,

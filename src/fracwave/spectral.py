@@ -208,16 +208,41 @@ class QuadratureSnapshot(Snapshot):
         self.u1 = u1
         self.rel_tol = rel_tol
         self.order = order
+        # spectral_mass per (lo, hi, field, weight_exp): the norm methods and
+        # energy() share integrals instead of recomputing them
+        self._masses: dict[tuple, float] = {}
 
-    def u_hat_at(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        r1, cos_w, _, _ = _bin_multipliers(self.params.s, self.t, xi)
-        return r1 * self.u1.fourier(xi) + cos_w * self.u0.fourier(xi)
+    def _multipliers(self, xi, phase):
+        """sin(w)/|xi|^s, cos w and |xi|^s sin w at w = t|xi|^s.
 
-    def ut_hat_at(self, xi) -> np.ndarray:
+        ``phase`` is (|xi|^s, sin w, cos w) when the caller already has it;
+        then sin(w)/|xi|^s is a plain quotient, exact for every xi > 0.
+        Without it the phase is computed from xi, and ``sine_multiplier``
+        keeps the series that makes xi = 0 admissible.
+        """
+        if phase is None:
+            r1, cos_w, omega, w = _bin_multipliers(self.params.s, self.t, xi)
+            return r1, cos_w, omega * np.sin(w)
+        xi_s, sin_w, cos_w = phase
+        return sin_w / xi_s, cos_w, xi_s * sin_w
+
+    def _combine(self, xi, m1, m0):
+        """m1 * u1hat + m0 * u0hat, skipping the transform of a zero profile."""
+        if self.u0.is_zero:
+            return m1 * self.u1.fourier(xi)
+        if self.u1.is_zero:
+            return m0 * self.u0.fourier(xi)
+        return m1 * self.u1.fourier(xi) + m0 * self.u0.fourier(xi)
+
+    def u_hat_at(self, xi, phase=None) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        _, cos_w, omega, w = _bin_multipliers(self.params.s, self.t, xi)
-        return cos_w * self.u1.fourier(xi) - omega * np.sin(w) * self.u0.fourier(xi)
+        r1, cos_w, _ = self._multipliers(xi, phase)
+        return self._combine(xi, r1, cos_w)
+
+    def ut_hat_at(self, xi, phase=None) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        _, cos_w, sin_term = self._multipliers(xi, phase)
+        return self._combine(xi, cos_w, -sin_term)
 
     def _frequency_cutoff(self, weight_exp: float) -> float:
         radii = [p.frequency_radius(1e-18) for p in (self.u0, self.u1) if not p.is_zero]
@@ -228,12 +253,12 @@ class QuadratureSnapshot(Snapshot):
         return r * (1.0 + 0.25 * weight_exp)
 
     def _field_density(self, field: str, weight_exp: float):
-        def density(xi):
-            if field == "u":
-                vals = self.u_hat_at(xi)
-            else:
-                vals = self.ut_hat_at(xi)
-            out = np.abs(vals) ** 2
+        """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract."""
+        field_at = self.u_hat_at if field == "u" else self.ut_hat_at
+
+        def density(xi, xi_s, sin_w, cos_w):
+            vals = field_at(xi, (xi_s, sin_w, cos_w))
+            out = vals.real ** 2 + vals.imag ** 2
             if weight_exp != 0.0:
                 out = out * np.abs(xi) ** weight_exp
             return out
@@ -245,7 +270,7 @@ class QuadratureSnapshot(Snapshot):
         """Integral of |fieldhat(t,xi)|^2 |xi|^weight over lo <= |xi| <= hi.
 
         Real initial data make the density even in xi, so the line integral
-        is twice the half-line one.
+        is twice the half-line one.  Each value is computed once per snapshot.
         """
         if hi is None:
             hi = self._frequency_cutoff(weight_exp)
@@ -253,10 +278,15 @@ class QuadratureSnapshot(Snapshot):
             return 0.0
         if self.u0.is_zero and self.u1.is_zero:
             return 0.0
-        density = self._field_density(field, weight_exp)
-        val = oscillatory_integral(density, self.t, self.params.s, hi, xi_lo=lo,
-                                   order=self.order, rel_tol=self.rel_tol)
-        return 2.0 * val
+        key = (lo, hi, field, weight_exp)
+        mass = self._masses.get(key)
+        if mass is None:
+            density = self._field_density(field, weight_exp)
+            mass = 2.0 * oscillatory_integral(
+                density, self.t, self.params.s, hi, xi_lo=lo,
+                order=self.order, rel_tol=self.rel_tol)
+            self._masses[key] = mass
+        return mass
 
     def spectral_l2(self):
         return float(np.sqrt(self.spectral_mass(0.0)))

@@ -1,6 +1,7 @@
 """Experiment configs, runners, file outputs, CLI contract."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ class TestCli:
         rc = main(["energy", "--config", self._write(tmp_path, cfg),
                    "--out", str(tmp_path / "out"), "--backend", "grid"])
         assert rc == 0
+
+    def test_solve_zero_data_with_plot(self, tmp_path, capsys):
+        # nothing positive to draw on log axes: empty axes, not a traceback
+        cfg = ("s = 0.75\nu0 = none\nu1 = none\nplot = true\n"
+               "t_grid = log 1e1 1e3 4\n")
+        rc = main(["solve", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        svg = ET.parse(tmp_path / "out" / "plot.svg").getroot()
+        assert svg.tag.endswith("svg")
+
+    def test_plot_escapes_experiment_name(self, tmp_path):
+        cfg = ("experiment = a<b&c\ns = 0.75\nplot = true\n"
+               "t_grid = log 1e1 1e2 3\n")
+        rc = main(["solve", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        svg = ET.parse(tmp_path / "out" / "plot.svg").getroot()
+        texts = [el.text for el in svg.iter() if el.tag.endswith("text")]
+        assert texts[0] == "a<b&c"
 
     def test_wrong_regime_is_reported_not_raised(self, tmp_path, capsys):
         cfg = "s = 0.75\nbounds = log\nt_grid = log 1e2 1e3 10\n"

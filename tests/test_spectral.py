@@ -263,6 +263,45 @@ class TestNormsAndEnergy:
         e_large = evolve_state(data, params, 1e4, QuadratureBackend()).energy()
         assert e_large == pytest.approx(e_small, rel=1e-8)
 
+    def test_field_values_from_xi_or_from_supplied_phase(self):
+        s, t = 0.6, 40.0
+        u0, u1 = Gaussian(0.5, 1.0, 0.3), Gaussian()
+        snap = evolve_state((u0, u1), Parameters(s), t, QuadratureBackend())
+        xi = np.array([0.0, 0.3, 2.0])
+        # from xi alone, xi = 0 is admissible: uhat(0) = t u1hat(0) + u0hat(0)
+        assert snap.u_hat_at(xi)[0] == pytest.approx(
+            t * u1.fourier(0.0) + u0.fourier(0.0), rel=1e-15)
+        xs = xi[1:]
+        xi_s = xs ** s
+        phase = (xi_s, np.sin(t * xi_s), np.cos(t * xi_s))
+        np.testing.assert_allclose(snap.u_hat_at(xs, phase), snap.u_hat_at(xs),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(snap.ut_hat_at(xs, phase), snap.ut_hat_at(xs),
+                                   rtol=1e-14)
+
+    def test_quadrature_snapshot_shares_integrals(self, monkeypatch):
+        # the five norm functionals of one sample need three spectral masses:
+        # |uhat|^2, |uthat|^2 and |uhat|^2 |xi|^(2s)
+        from fracwave import spectral
+        calls = []
+        original = spectral.oscillatory_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "oscillatory_integral", counted)
+        params = Parameters(0.75)
+        snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), params, 1e3,
+                            QuadratureBackend())
+        first = (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
+                 snap.hs_seminorm(params.s), snap.energy())
+        assert len(calls) == 3
+        again = (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
+                 snap.hs_seminorm(params.s), snap.energy())
+        assert again == first and len(calls) == 3
+        assert snap.energy() == 0.5 * (first[2] ** 2 + first[3] ** 2)
+
     def test_energy_functional_guards_order(self):
         from fracwave import energy
         snap = evolve_state((ZERO, Gaussian()), Parameters(0.5), 1.0, BACKEND)
