@@ -22,7 +22,7 @@ from .ratefit import (NormSeries, RateReport, fit_log_rate,
                       fit_power_exponent, sample_norm_curve, sandwich_check)
 from .spectral import (GridBackend, GridSnapshot, Parameters,
                        QuadratureBackend, QuadratureSnapshot, Snapshot,
-                       SpectralField, energy, evolve_state, hs_norm,
-                       hs_seminorm, l2_norm, sine_multiplier)
+                       SpectralField, evolve_state, hs_norm, hs_seminorm,
+                       l2_norm, sine_multiplier)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,26 +33,22 @@ from .spectral import GridBackend, Parameters, QuadratureBackend, evolve_state
 
 SCHEMA_VERSION = 1
 
-_KNOWN_KEYS = {
-    "experiment", "s", "n", "u0", "u1", "t_grid", "backend",
-    "grid_half_width", "grid_points", "bounds", "theta0_threshold",
-    "gamma", "seed", "out", "plot",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the enumerated fields take the values in ``_CHOICES``."""
+
     experiment: str = "unnamed"
     s: float = 0.75
     n: int = 1
     u0: Profile = ZERO
     u1: Profile = Gaussian()
-    t_mode: str = "log"            # log | lin | list
+    t_mode: str = "log"
     t_args: tuple = (1e2, 1e5, 40)
-    backend: str = "quadrature"    # quadrature | grid
+    backend: str = "quadrature"
     grid_half_width: float = 40.0
     grid_points: int = 4096
-    bounds: str = "auto"           # auto | power | log | none
+    bounds: str = "auto"
     theta0_threshold: float = 0.5
     gamma: float = 0.5
     seed: int = 0
@@ -67,7 +63,7 @@ class ExperimentConfig:
             return np.asarray(self.t_args, dtype=float)
         lo, hi, count = self.t_args
         count = int(count)
-        if count < 1 or hi <= lo:
+        if count < 1 or hi <= lo or (self.t_mode == "log" and lo <= 0):
             raise ConfigError(f"bad time grid ({self.t_mode} {lo} {hi} {count})")
         if self.t_mode == "log":
             return np.logspace(np.log10(lo), np.log10(hi), count)
@@ -80,23 +76,31 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config text format
+# config text format: one key per ExperimentConfig field, except that
+# ``t_grid`` stands for the t_mode and t_args pair
 # ---------------------------------------------------------------------------
 
-def _parse_profile(text: str, key: str, lineno: int) -> Profile:
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_KNOWN_KEYS = tuple("t_grid" if name == "t_mode" else name
+                    for name in _FIELD_TYPES if name != "t_args")
+_CHOICES = {"t_mode": ("log", "lin", "list"), "backend": ("quadrature", "grid"),
+            "bounds": ("auto", "power", "log", "none")}
+
+
+def _parse_profile(text: str, where: str) -> Profile:
     parts = text.split()
     if not parts:
-        raise ConfigError(f"line {lineno}: empty profile for {key}")
+        raise ConfigError(f"{where}: empty profile")
     name, kv = parts[0], parts[1:]
     args = {}
     for item in kv:
         if "=" not in item:
-            raise ConfigError(f"line {lineno}: bad profile argument {item!r}")
+            raise ConfigError(f"{where}: bad profile argument {item!r}")
         k, v = item.split("=", 1)
         try:
             args[k] = float(v)
         except ValueError:
-            raise ConfigError(f"line {lineno}: non-numeric value {v!r} for {k}")
+            raise ConfigError(f"{where}: non-numeric value {v!r} for {k}")
     makers = {
         "gaussian": (Gaussian, {"a": "amplitude", "sigma": "width", "c": "center"}),
         "gaussian_derivative": (GaussianDerivative,
@@ -105,22 +109,21 @@ def _parse_profile(text: str, key: str, lineno: int) -> Profile:
     }
     if name in ("none", "zero"):
         if args:
-            raise ConfigError(f"line {lineno}: the zero profile takes no arguments")
+            raise ConfigError(f"{where}: the zero profile takes no arguments")
         return ZERO
     if name not in makers:
-        raise ConfigError(f"line {lineno}: unknown profile kind {name!r}")
+        raise ConfigError(f"{where}: unknown profile kind {name!r}")
     cls, mapping = makers[name]
     kwargs = {}
     for short, field_name in mapping.items():
         if short in args:
             kwargs[field_name] = args.pop(short)
     if args:
-        raise ConfigError(
-            f"line {lineno}: unexpected profile arguments {sorted(args)}")
+        raise ConfigError(f"{where}: unexpected profile arguments {sorted(args)}")
     try:
         return cls(**kwargs)
     except Exception as exc:
-        raise ConfigError(f"line {lineno}: invalid profile parameters: {exc}")
+        raise ConfigError(f"{where}: invalid profile parameters: {exc}")
 
 
 def _profile_text(p: Profile) -> str:
@@ -135,110 +138,83 @@ def _profile_text(p: Profile) -> str:
     raise ConfigError(f"profile {type(p).__name__} is not declarable in configs")
 
 
+def _parse_value(key: str, text: str, where: str) -> dict:
+    """The ExperimentConfig fields one ``key = text`` line sets."""
+    if key == "t_grid":
+        parts = text.split()
+        if len(parts) < 2:
+            raise ConfigError(f"{where}: t_grid needs a mode and values")
+        mode = parts[0]
+        if mode not in _CHOICES["t_mode"]:
+            raise ConfigError(f"{where}: unknown t_grid mode {mode!r}")
+        args = tuple(float(x) for x in parts[1:])
+        if mode != "list" and len(args) != 3:
+            raise ConfigError(f"{where}: {mode} grids need lo hi count")
+        return {"t_mode": mode, "t_args": args}
+    kind = _FIELD_TYPES[key]
+    if kind == "Profile":
+        value = _parse_profile(text, where)
+    elif kind == "bool":
+        value = text.lower() in ("true", "1", "yes")
+    else:
+        value = {"str": str, "int": int, "float": float}[kind](text)
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"{where}: unknown {key} {value!r}")
+    return {key: value}
+
+
+def _value_text(cfg: ExperimentConfig, key: str) -> str:
+    if key == "t_grid":
+        return " ".join([cfg.t_mode, *(f"{a:.17g}" for a in cfg.t_args)])
+    value, kind = getattr(cfg, key), _FIELD_TYPES[key]
+    if kind == "Profile":
+        return _profile_text(value)
+    if kind == "bool":
+        return "true" if value else "false"
+    return f"{value:.17g}" if kind == "float" else str(value)
+
+
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     """Parse the key-value config format, rejecting unknown keys."""
-    values: dict = {}
+    kwargs: dict = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = (val, lineno)
-
-    kwargs = {}
-    def take(key, conv, default):
-        if key not in values:
-            return default
-        val, lineno = values.pop(key)
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        seen.add(key)
         try:
-            return conv(val)
+            kwargs.update(_parse_value(key, val, where))
         except ConfigError:
             raise
         except Exception as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
-
-    kwargs["experiment"] = take("experiment", str, "unnamed")
-    kwargs["s"] = take("s", float, 0.75)
-    kwargs["n"] = take("n", int, 1)
-    if "u0" in values:
-        val, lineno = values.pop("u0")
-        kwargs["u0"] = _parse_profile(val, "u0", lineno)
-    if "u1" in values:
-        val, lineno = values.pop("u1")
-        kwargs["u1"] = _parse_profile(val, "u1", lineno)
-    if "t_grid" in values:
-        val, lineno = values.pop("t_grid")
-        parts = val.split()
-        if len(parts) < 2:
-            raise ConfigError(f"{path}:{lineno}: t_grid needs a mode and values")
-        mode, rest = parts[0], parts[1:]
-        if mode not in ("log", "lin", "list"):
-            raise ConfigError(f"{path}:{lineno}: unknown t_grid mode {mode!r}")
-        try:
-            args = tuple(float(x) for x in rest)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad t_grid value: {exc}")
-        if mode in ("log", "lin") and len(args) != 3:
-            raise ConfigError(f"{path}:{lineno}: {mode} grids need lo hi count")
-        if not args:
-            raise ConfigError(f"{path}:{lineno}: empty time grid")
-        kwargs["t_mode"], kwargs["t_args"] = mode, args
-    backend = take("backend", str, "quadrature")
-    if backend not in ("quadrature", "grid"):
-        raise ConfigError(f"{path}: unknown backend {backend!r}")
-    kwargs["backend"] = backend
-    kwargs["grid_half_width"] = take("grid_half_width", float, 40.0)
-    kwargs["grid_points"] = take("grid_points", int, 4096)
-    bounds = take("bounds", str, "auto")
-    if bounds not in ("auto", "power", "log", "none"):
-        raise ConfigError(f"{path}: unknown bounds mode {bounds!r}")
-    kwargs["bounds"] = bounds
-    kwargs["theta0_threshold"] = take("theta0_threshold", float, 0.5)
-    kwargs["gamma"] = take("gamma", float, 0.5)
-    kwargs["seed"] = take("seed", int, 0)
-    kwargs["out"] = take("out", str, "")
-    kwargs["plot"] = take("plot", lambda v: v.lower() in ("true", "1", "yes"), False)
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}")
     try:
         cfg = ExperimentConfig(**kwargs)
         cfg.params()          # validates s and n eagerly
         GridSpec(cfg.grid_half_width, cfg.grid_points)
-        if cfg.t_mode != "list":
-            cfg.t_grid()
-        return cfg
+        times = cfg.t_grid()
     except ConfigError:
         raise
     except (ValueError, FracwaveError) as exc:
         raise ConfigError(f"{path}: invalid configuration: {exc}")
+    if np.min(times) < 0:
+        raise ConfigError(f"{path}: times must be nonnegative, got {np.min(times):g}")
+    return cfg
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Canonical config text; parsing it reproduces the config exactly."""
-    t_args = " ".join(f"{a:.17g}" for a in cfg.t_args)
-    lines = [
-        f"experiment = {cfg.experiment}",
-        f"s = {cfg.s:.17g}",
-        f"n = {cfg.n}",
-        f"u0 = {_profile_text(cfg.u0)}",
-        f"u1 = {_profile_text(cfg.u1)}",
-        f"t_grid = {cfg.t_mode} {t_args}",
-        f"backend = {cfg.backend}",
-        f"grid_half_width = {cfg.grid_half_width:.17g}",
-        f"grid_points = {cfg.grid_points}",
-        f"bounds = {cfg.bounds}",
-        f"theta0_threshold = {cfg.theta0_threshold:.17g}",
-        f"gamma = {cfg.gamma:.17g}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        f"plot = {'true' if cfg.plot else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_value_text(cfg, key)}\n" for key in _KNOWN_KEYS)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -276,11 +252,18 @@ def _xml_text(text: str) -> str:
 def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
     """Minimal SVG log-log line chart: curves are (label, t, values)."""
     W, H, M = 640, 440, 56
-    xs = np.concatenate([np.asarray(t, float) for _, t, _ in curves])
-    ys = np.concatenate([np.asarray(v, float) for _, _, v in curves])
-    pos = ys > 0
-    if loglog:
-        xs, ys = np.log10(xs), np.log10(ys[pos])
+
+    def drawn(t, v):
+        # log axes show only the points with t > 0 and v > 0
+        t, v = np.asarray(t, float), np.asarray(v, float)
+        if not loglog:
+            return t, v
+        keep = (t > 0) & (v > 0)
+        return np.log10(t[keep]), np.log10(v[keep])
+
+    points = [drawn(t, v) for _, t, v in curves]
+    xs = np.concatenate([px for px, _ in points])
+    ys = np.concatenate([py for _, py in points])
 
     def extent(v):
         # nothing to draw (for example all-zero data on log axes): empty axes
@@ -303,15 +286,9 @@ def write_svg_plot(path: Path, curves, title: str, loglog: bool = True) -> None:
              f'fill="none" stroke="#444"/>',
              f'<text x="{W/2:.0f}" y="24" text-anchor="middle" '
              f'font-family="monospace" font-size="14">{_xml_text(title)}</text>']
-    for i, (label, t, v) in enumerate(curves):
-        t = np.asarray(t, float)
-        v = np.asarray(v, float)
-        keep = v > 0 if loglog else np.full(v.shape, True)
-        t, v = t[keep], v[keep]
-        if t.size == 0:
+    for i, ((label, _, _), (px, py)) in enumerate(zip(curves, points)):
+        if px.size == 0:
             continue
-        px = np.log10(t) if loglog else t
-        py = np.log10(v) if loglog else v
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(px, py))
         color = palette[i % len(palette)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -366,6 +343,18 @@ def _base_report(cfg: ExperimentConfig) -> dict:
             "seed": cfg.seed}
 
 
+def _finish(cfg: ExperimentConfig, out: Path, plot, header: list[str],
+            columns: list, report: dict, curves=()) -> RunResult:
+    """Write norms.csv and report.json, and plot.svg of ``curves`` if asked."""
+    files = [out / "norms.csv", out / "report.json"]
+    write_csv(files[0], header, columns)
+    write_report(files[1], report)
+    if curves and (cfg.plot if plot is None else plot):
+        files.append(out / "plot.svg")
+        write_svg_plot(files[2], curves, cfg.experiment)
+    return RunResult(verdicts=report["verdicts"], files=files, report=report)
+
+
 def run_solve(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
     """Evolve the data over the grid and tabulate every norm functional."""
     out = _prepare(cfg, out_dir)
@@ -378,21 +367,11 @@ def run_solve(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
         return (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
                 snap.hs_seminorm(params.s), snap.energy())
 
-    rows = map_times(one, ts)
-    cols = list(zip(*rows))
-    csv_path = out / "norms.csv"
-    write_csv(csv_path, ["t", "u_hat_l2", "u_l2", "ut_l2", "hs_seminorm", "energy"],
-              [ts, *cols])
-    report = _base_report(cfg)
-    report["verdicts"] = {}
-    report_path = out / "report.json"
-    write_report(report_path, report)
-    result = RunResult(verdicts={}, files=[csv_path, report_path], report=report)
-    if cfg.plot if plot is None else plot:
-        svg = out / "plot.svg"
-        write_svg_plot(svg, [("u_hat_l2", ts, cols[0])], cfg.experiment)
-        result.files.append(svg)
-    return result
+    cols = list(zip(*map_times(one, ts)))
+    return _finish(cfg, out, plot,
+                   ["t", "u_hat_l2", "u_l2", "ut_l2", "hs_seminorm", "energy"],
+                   [ts, *cols], {**_base_report(cfg), "verdicts": {}},
+                   [("u_hat_l2", ts, cols[0])])
 
 
 def run_energy(cfg: ExperimentConfig, out_dir=None, plot=None,
@@ -407,16 +386,10 @@ def run_energy(cfg: ExperimentConfig, out_dir=None, plot=None,
         lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend).energy(),
         ts))
     drift = float(np.max(np.abs(energies - e0) / e0)) if e0 > 0 else 0.0
-    csv_path = out / "norms.csv"
-    write_csv(csv_path, ["t", "energy", "relative_drift"],
-              [ts, energies, np.abs(energies - e0) / (e0 or 1.0)])
-    report = _base_report(cfg)
-    report.update({"energy_t0": e0, "max_relative_drift": drift,
-                   "verdicts": {"energy_conserved": drift <= drift_tolerance}})
-    report_path = out / "report.json"
-    write_report(report_path, report)
-    return RunResult(verdicts=report["verdicts"], files=[csv_path, report_path],
-                     report=report)
+    report = {**_base_report(cfg), "energy_t0": e0, "max_relative_drift": drift,
+              "verdicts": {"energy_conserved": drift <= drift_tolerance}}
+    return _finish(cfg, out, plot, ["t", "energy", "relative_drift"],
+                   [ts, energies, np.abs(energies - e0) / (e0 or 1.0)], report)
 
 
 def _growth_bounds(cfg: ExperimentConfig):
@@ -464,19 +437,10 @@ def run_rates(cfg: ExperimentConfig, out_dir=None, plot=None,
         target = 1.0 - 1.0 / (2.0 * cfg.s) if cfg.s > 0.5 else 0.0
         verdicts["exponent_matches"] = abs(fit.exponent - target) <= exponent_tolerance
         report.update({"fit": fit.to_dict(), "target_exponent": target})
-    csv_path = out / "norms.csv"
-    write_csv(csv_path, ["t", "u_hat_l2", "u_l2"],
-              [series.t, series.values, series.values / np.sqrt(2 * np.pi)])
     report["verdicts"] = verdicts
-    report_path = out / "report.json"
-    write_report(report_path, report)
-    result = RunResult(verdicts=verdicts, files=[csv_path, report_path],
-                       report=report)
-    if cfg.plot if plot is None else plot:
-        svg = out / "plot.svg"
-        write_svg_plot(svg, [("u_hat_l2", series.t, series.values)], cfg.experiment)
-        result.files.append(svg)
-    return result
+    return _finish(cfg, out, plot, ["t", "u_hat_l2", "u_l2"],
+                   [series.t, series.values, series.values / np.sqrt(2 * np.pi)],
+                   report, [("u_hat_l2", series.t, series.values)])
 
 
 def run_sandwich(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
@@ -490,27 +454,16 @@ def run_sandwich(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
         raise ConfigError("sandwich experiments need bounds enabled")
     check = ratefit.sandwich_check(series, lower, upper)
     verdicts = {"sandwich_holds": check.passed and check.t0 is not None}
-    csv_path = out / "norms.csv"
     lo_vals = lower.evaluate(series.t)
     hi_vals = upper.evaluate(series.t)
-    write_csv(csv_path, ["t", "u_hat_l2", "u_l2", "lower", "upper"],
-              [series.t, series.values, series.values / np.sqrt(2 * np.pi),
-               lo_vals, hi_vals])
-    report = _base_report(cfg)
-    report.update({"theta0": theta0, "moment": P,
-                   "lower": lower.to_dict(), "upper": upper.to_dict(),
-                   "sandwich": check.to_dict(), "verdicts": verdicts})
-    report_path = out / "report.json"
-    write_report(report_path, report)
-    result = RunResult(verdicts=verdicts, files=[csv_path, report_path],
-                       report=report)
-    if cfg.plot if plot is None else plot:
-        svg = out / "plot.svg"
-        write_svg_plot(svg, [("u_hat_l2", series.t, series.values),
-                             ("lower", series.t, lo_vals),
-                             ("upper", series.t, hi_vals)], cfg.experiment)
-        result.files.append(svg)
-    return result
+    report = {**_base_report(cfg), "theta0": theta0, "moment": P,
+              "lower": lower.to_dict(), "upper": upper.to_dict(),
+              "sandwich": check.to_dict(), "verdicts": verdicts}
+    return _finish(cfg, out, plot, ["t", "u_hat_l2", "u_l2", "lower", "upper"],
+                   [series.t, series.values, series.values / np.sqrt(2 * np.pi),
+                    lo_vals, hi_vals], report,
+                   [("u_hat_l2", series.t, series.values),
+                    ("lower", series.t, lo_vals), ("upper", series.t, hi_vals)])
 
 
 def run_lemmas(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
@@ -532,17 +485,11 @@ def run_lemmas(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
             checks.append(lemmas.check_riesz_bound_zero_mean(
                 p, theta=0.9, gamma=cfg.gamma, n=1))
     verdicts = {"all_inequalities_hold": all(c.passed for c in checks)}
-    report = _base_report(cfg)
-    report.update({"checks": [c.to_dict() for c in checks], "verdicts": verdicts})
-    report_path = out / "report.json"
-    write_report(report_path, report)
-    csv_path = out / "norms.csv"
-    write_csv(csv_path, ["check", "ratio", "passed"],
-              [[c.check_id for c in checks],
-               [c.ratio for c in checks],
-               [int(c.passed) for c in checks]])
-    return RunResult(verdicts=verdicts, files=[csv_path, report_path],
-                     report=report)
+    report = {**_base_report(cfg), "checks": [c.to_dict() for c in checks],
+              "verdicts": verdicts}
+    return _finish(cfg, out, plot, ["check", "ratio", "passed"],
+                   [[c.check_id for c in checks], [c.ratio for c in checks],
+                    [int(c.passed) for c in checks]], report)
 
 
 RUNNERS = {

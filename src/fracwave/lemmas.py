@@ -5,7 +5,8 @@ Three families of checks back the boundedness results:
 * Riesz energy integrals int |fhat(xi)|^2 / |xi|^(2 theta) dxi, finite for
   theta < n/2 (any integrable f) and up to theta < gamma + n/2 once the mean
   of f vanishes; the hypothesis boundary is exercised by actually detecting
-  the divergence numerically.
+  the divergence numerically.  They use the package's one static spectral
+  rule, ``quadrature.static_integral``, up to ``quadrature.frequency_cutoff``.
 * The pointwise transform bound |fhat(xi)| <= C_gamma |xi|^gamma ||f||_{1,gamma}
   + |integral f|, which this package instantiates with the provable constant
   C_gamma = 2 (from |e^{i a} - 1| <= min(2, |a|) <= 2 |a|^gamma).
@@ -27,13 +28,14 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import PreconditionError
 from .profiles import (Profile, l1_norm, l2_norm, moment0, weighted_l1_norm)
-from .quadrature import adaptive, gauss_panels, singular_origin_integral
+from .quadrature import (adaptive, frequency_cutoff, panel_width,
+                         static_integral)
 
 __all__ = [
     "InequalityCheck", "RadialGaussian", "RadialGaussianLaplacian",
     "riesz_energy", "check_riesz_bound", "check_riesz_bound_zero_mean",
     "check_pointwise_bound", "gagliardo_seminorm", "gagliardo_constant",
-    "spectral_weighted_l2", "sphere_area",
+    "sphere_area",
 ]
 
 POINTWISE_CONSTANT = 2.0
@@ -153,21 +155,19 @@ class RadialGaussianLaplacian:
 
 
 def _radial_density(p, n: int):
-    """|fhat|^2 as a function of rho = |xi|, plus the decay radius."""
+    """|fhat|^2 as a function of rho = |xi|."""
     if n == 1:
         if isinstance(p, Profile):
             if not p.has_analytic_fourier:
                 raise PreconditionError(
                     "Riesz energy needs an analytic transform in n = 1")
-            return (lambda rho: np.abs(p.fourier(rho)) ** 2,
-                    p.frequency_radius(1e-20))
+            return lambda rho: np.abs(p.fourier(rho)) ** 2
         raise PreconditionError("n = 1 Riesz energy expects a Profile")
     if isinstance(p, (RadialGaussian, RadialGaussianLaplacian)):
         if p.dimension != n:
             raise PreconditionError(
                 f"profile dimension {p.dimension} does not match n = {n}")
-        return (lambda rho: np.abs(p.fourier_radial(rho)) ** 2,
-                p.frequency_radius(1e-20))
+        return lambda rho: np.abs(p.fourier_radial(rho)) ** 2
     raise PreconditionError(
         "dimensions n >= 2 admit closed-form radial Gaussian families only")
 
@@ -175,24 +175,23 @@ def _radial_density(p, n: int):
 def riesz_energy(p, theta: float, n: int = 1) -> float:
     """The singular spectral integral int |fhat(xi)|^2 |xi|^(-2 theta) dxi.
 
-    The |xi|^(-2 theta) endpoint is handled by dyadic descent toward the
-    origin with geometric tail extrapolation; a non-integrable singularity
-    (theta >= n/2 with nonvanishing mean) raises DivergenceError, which is
-    the numerical face of the hypothesis boundary.
+    The |xi|^(-2 theta) endpoint is handled by the static rule's dyadic
+    descent toward the origin with geometric tail extrapolation; a
+    non-integrable singularity (theta >= n/2 with nonvanishing mean) raises
+    DivergenceError, which is the numerical face of the hypothesis boundary.
     """
     if theta < 0:
         raise PreconditionError("theta must be nonnegative")
-    density, radius = _radial_density(p, n)
+    density = _radial_density(p, n)
     area = 2.0 if n == 1 else sphere_area(n)
     power = n - 1 - 2.0 * theta
 
     def integrand(rho):
         return density(rho) * rho ** power
 
-    head = singular_origin_integral(integrand, 1.0, rel_tol=1e-10)
-    edges = np.linspace(1.0, max(radius, 2.0), 64)
-    body = gauss_panels(integrand, edges, order=16)
-    return area * (head + body)
+    width = panel_width([p]) if n == 1 else np.inf
+    return area * static_integral(integrand, frequency_cutoff([p], -2.0 * theta),
+                                  width=width)
 
 
 def _norms_any(p, n: int):
@@ -348,16 +347,3 @@ def gagliardo_constant(s: float, tail_start: float = 500.0) -> float:
     integral = 2.0 * (i_head + i_plain - i_cos + t_plain - t_cos)
     return float(1.0 / integral)
 
-
-def spectral_weighted_l2(p: Profile, weight_exp: float) -> float:
-    """int |fhat(xi)|^2 |xi|^weight_exp dxi for a nonnegative weight power."""
-    if weight_exp < 0:
-        raise ValueError("use riesz_energy for negative weight powers")
-    radius = p.frequency_radius(1e-20) * (1.0 + 0.25 * weight_exp)
-
-    def integrand(xi):
-        return np.abs(p.fourier(xi)) ** 2 * xi ** weight_exp
-
-    head = adaptive(integrand, 0.0, 1.0, rel_tol=1e-11)
-    body = gauss_panels(integrand, np.linspace(1.0, max(radius, 2.0), 64), order=16)
-    return 2.0 * (head + body)

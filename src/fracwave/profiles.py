@@ -9,7 +9,8 @@ non-unitary convention fhat(xi) = integral e^{-i x xi} f(x) dx:
 * ``GaussianDerivative(a, sigma, c)``  a * d/dx exp(-((x-c)/sigma)^2)
       fhat(xi) = (i xi) * [Gaussian transform]  -- zero integral, exactly
 * ``CompactBump(a, radius)``           a * exp(-1/(1-(x/r)^2)) on |x| < r
-      transform by quadrature (no closed form), cached per request grid
+      transform by quadrature (no closed form), cached for a few request
+      grids
 * ``SampledProfile(values, grid)``     grid-bound data, FFT transforms only
 
 Profiles are immutable value objects; linear combinations are built with
@@ -37,6 +38,13 @@ __all__ = [
 ]
 
 SQRT_PI = np.sqrt(np.pi)
+
+#: request grids a CompactBump caches before it starts the cache afresh
+BUMP_CACHE_ENTRIES = 4
+#: largest (x node, frequency) block of one CompactBump transform pass
+BUMP_BLOCK = 1 << 20
+#: relative level below which a quadrature-computed bump transform is rounding noise
+BUMP_FLOOR = 1e-14
 
 
 class TruncationWarning(UserWarning):
@@ -166,45 +174,50 @@ class CompactBump(Profile):
         return out
 
     def fourier(self, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        key = xi.tobytes()
+        xi = np.asarray(xi, dtype=float)
+        key = (xi.shape, xi.tobytes())
         cached = self._fourier_cache.get(key)
         if cached is None:
             cached = self._fourier_uncached(xi)
+            if len(self._fourier_cache) >= BUMP_CACHE_ENTRIES:
+                # whole-dict operations stay safe under map_times threads
+                self._fourier_cache.clear()
             self._fourier_cache[key] = cached
         return cached.copy()
 
     def _fourier_uncached(self, xi):
-        # even real profile: fhat(xi) = 2 * int_0^r cos(x xi) f(x) dx, real
-        r = self.radius
-        xi_max = float(np.max(np.abs(xi)))
-        n_panels = int(np.ceil(r * xi_max / np.pi)) + 8
-        edges = np.linspace(0.0, r, n_panels + 1)
-
-        def integrand(x):
-            # x has shape (panels, order); broadcast against xi
-            fx = self.evaluate(x)
-            return np.cos(x[..., None] * xi) * fx[..., None]
-
+        # even real profile: fhat(xi) = 2 * int_0^r cos(x xi) f(x) dx, real.
+        # Frequencies go in chunks of at most BUMP_BLOCK (node, frequency)
+        # pairs, and each chunk's x panels resolve its own largest frequency.
+        flat = np.abs(xi).ravel()
+        out = np.empty(flat.shape)
+        step = max(1, BUMP_BLOCK // (16 * self._x_panels(np.max(flat))))
         nodes, weights = gauss_rule(16)
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = integrand(x)
-        out = 2.0 * np.einsum("pjk,j,p->k", vals, weights, half)
-        return out.astype(complex)
+        for start in range(0, flat.size, step):
+            chunk = flat[start:start + step]
+            edges = np.linspace(0.0, self.radius, self._x_panels(np.max(chunk)) + 1)
+            half = 0.5 * np.diff(edges)
+            x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+            vals = np.cos(x[..., None] * chunk) * self.evaluate(x)[..., None]
+            out[start:start + step] = 2.0 * np.einsum("pjk,j,p->k", vals, weights, half)
+        return out.reshape(xi.shape).astype(complex)
+
+    def _x_panels(self, xi_max):
+        return int(np.ceil(self.radius * xi_max / np.pi)) + 8
 
     def spatial_radius(self, tol=1e-16):
         return self.radius
 
     def frequency_radius(self, tol=1e-16):
-        # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically
+        # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically.
+        # The computed transform floors near BUMP_FLOOR, so no smaller tol
+        # is ever reached.
         scale = abs(self.fourier(np.array([0.0]))[0]) or 1.0
+        level = max(tol, BUMP_FLOOR) * scale
         xi = 4.0 / self.radius
         for _ in range(64):
             probe = np.abs(self.fourier(np.array([xi, 1.25 * xi, 1.5 * xi])))
-            if np.all(probe < tol * scale):
+            if np.all(probe < level):
                 return 1.5 * xi
             xi *= 2.0
         return xi

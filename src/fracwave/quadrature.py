@@ -1,15 +1,21 @@
 """Quadrature engines shared across the package.
 
-Three integration regimes appear throughout the solver and the estimate
-machinery, and each gets a dedicated routine here:
+Every spectral norm of the quadrature backend and of the lemma oracles is one
+integral, int |fhat|^2 |xi|^p m(t, xi) dxi, cut off at ``frequency_cutoff``.
+It is evaluated by one of two rules, chosen by whether m oscillates:
 
-* smooth integrands on panels  -> vectorized Gauss-Legendre (``gauss_panels``),
-* oscillatory spectral integrands with phase w = t*|xi|^s -> Gauss panels in
-  the phase variable w itself (``oscillatory_integral``), with the first few
+* static integrands (t = 0 norms, Riesz energies with p < 0, H^s seminorms of
+  profiles) -> ``static_integral``: ``singular_origin_integral`` on (0, 1],
+  which resolves the |xi|^p kink or singularity at the origin and detects a
+  divergent one, then equal Gauss-Legendre panels (``gauss_panels``) out to
+  the cutoff;
+* oscillatory integrands with phase w = t*|xi|^s -> Gauss panels in the phase
+  variable w itself (``oscillatory_integral``), with the first few
   half-periods handed to adaptive quadrature in xi because the integrand has
-  an algebraic |xi|^(2s) kink at the origin,
-* power-law singularities at the origin -> dyadic descent with geometric
-  tail extrapolation and divergence detection (``singular_origin_integral``).
+  an algebraic |xi|^(2s) kink at the origin.
+
+``gauss_panels`` and ``adaptive`` also serve the smooth integrands of the
+estimates and the profile norms.
 
 The phase-panel rule is the workhorse.  After the substitution
 xi = (w/t)^(1/s) every panel is a half-period [k*pi, (k+1)*pi] of w, so the
@@ -38,6 +44,10 @@ from .errors import DivergenceError, NumericalFailureError
 # 2-core x86 VM one t = 1e6 norm at s = 0.9 took 1.0-1.2 s at 512-768 panels
 # in every process state tried, and 1.1-2.3 s at 1024-4096 panels.
 PHASE_BLOCK = 512
+
+#: spectral integrals stop where every transform is below this fraction of
+#: its peak
+CUTOFF_TOL = 1e-18
 
 # Cache of Gauss-Legendre rules keyed by order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -114,24 +124,79 @@ def log_spaced_panels(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
     return np.geomspace(lo, hi, n + 1)
 
 
+def frequency_cutoff(profiles, weight_exp: float = 0.0) -> float:
+    """Upper limit of int |fhat|^2 |xi|^weight_exp dxi over the given profiles.
+
+    The largest ``frequency_radius(CUTOFF_TOL)``, widened by
+    (1 + max(weight_exp, 0)/4): a polynomial weight only nudges the
+    Gaussian-type decay radius.  With no profiles the limit is 1.
+    """
+    radii = [p.frequency_radius(CUTOFF_TOL) for p in profiles]
+    if not radii:
+        return 1.0
+    return max(radii) * (1.0 + 0.25 * max(weight_exp, 0.0))
+
+
+def panel_width(profiles) -> float:
+    """Widest panel in xi that resolves |fhat|^2 of the given 1-d profiles.
+
+    Data inside |x| <= R make |fhat|^2 oscillate with period pi/R or longer
+    (for example the transform of a compact bump), and one Gauss-16 panel
+    resolves two such periods.
+    """
+    radii = [p.spatial_radius(CUTOFF_TOL) for p in profiles]
+    return 2.0 * np.pi / max(radii) if radii else np.inf
+
+
+def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
+                    width: float = np.inf) -> float:
+    """Integrate a non-oscillatory f over [xi_lo, xi_hi].
+
+    The part in (0, 1] goes to ``singular_origin_integral``, which resolves a
+    power-law kink or singularity at the origin and raises DivergenceError
+    for a non-integrable one.  [1, xi_hi] gets 63 equal Gauss-16 panels, or
+    more where that keeps each no wider than ``width`` (``panel_width``).
+    An interval starting at xi_lo > 0 never reaches the origin, so its part
+    below 1 uses geometric panels toward xi_lo instead.
+    """
+    if xi_hi <= xi_lo:
+        return 0.0
+    split = min(1.0, xi_hi)
+    if xi_lo == 0.0:
+        head = singular_origin_integral(f, split, rel_tol=1e-10)
+    elif xi_lo < split:
+        head = gauss_panels(f, log_spaced_panels(xi_lo, split), order=16)
+    else:
+        head = 0.0
+    lo = max(xi_lo, 1.0)
+    if xi_hi <= lo:
+        return head
+    n = max(63, int(np.ceil((xi_hi - lo) / width)))
+    return head + gauss_panels(f, np.linspace(lo, xi_hi, n + 1), order=16)
+
+
 def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
                          xi_lo: float = 0.0, order: int = 12,
                          lead_halfperiods: int = 4,
-                         rel_tol: float = 1e-11) -> float:
+                         rel_tol: float = 1e-11,
+                         static_width: float = np.inf) -> float:
     """Integrate an integrand with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
     The routine owns the phase: it calls ``f(xi, xi_s, sin_w, cos_w)`` with
     arrays (or scalars) of the abscissae xi > 0, of xi_s = xi^s and of sin w,
     cos w at w = t*xi_s, and f returns the integrand values in xi.
 
-    The first ``lead_halfperiods`` half-periods of w (where xi^(2s)-type kinks
-    live when the interval starts at 0) go to adaptive quadrature in xi, which
-    computes the phase from xi at each point.  The rest, the body, is
-    integrated in w: the Jacobian is d xi/dw = xi/(s*w), every full panel is
-    [k*pi, (k+1)*pi], and the trigonometric values at its Gauss nodes are the
-    fixed vector (sin, cos)(pi*(1+x_j)/2) times (-1)^k, which is exact where
-    sin or cos of a large w would carry the rounding of w.  Only the final
-    partial panel [k_end*pi, w_hi] takes sin and cos of its own nodes.
+    At t <= 0 nothing oscillates and the integral is ``static_integral``
+    with panels no wider than ``static_width``.
+    Otherwise the first ``lead_halfperiods`` half-periods of w (where
+    xi^(2s)-type kinks live when the interval starts at 0) go to adaptive
+    quadrature in xi, which computes the phase from xi at each point.  The
+    rest, the body, is integrated in w: the Jacobian is d xi/dw = xi/(s*w),
+    every full panel is [k*pi, (k+1)*pi], and the trigonometric values at its
+    Gauss nodes are the fixed vector (sin, cos)(pi*(1+x_j)/2) times (-1)^k,
+    which is exact where sin or cos of a large w would carry the rounding of
+    w.  Only the final partial panel [k_end*pi, w_hi] takes sin and cos of
+    its own nodes.
 
     Panels are processed ``PHASE_BLOCK`` at a time.
     """
@@ -144,9 +209,7 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
         return f(xi, xi_s, np.sin(w), np.cos(w))
 
     if t <= 0:
-        # no oscillation at all: a few wide panels resolve the amplitude
-        edges = np.linspace(xi_lo, xi_hi, 33)
-        return gauss_panels(pointwise, edges, order=max(order, 16))
+        return static_integral(pointwise, xi_hi, xi_lo=xi_lo, width=static_width)
 
     w_lo = t * xi_lo ** s
     w_hi = t * xi_hi ** s

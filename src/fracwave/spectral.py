@@ -8,7 +8,8 @@ per frequency, solved exactly by trigonometric multipliers:
 
 with w = |xi|^s.  No time stepping is involved; t is a plain parameter, and
 the pair conserves |uthat|^2 + |xi|^(2s) |uhat|^2 bin-wise as an exact
-trigonometric identity.
+trigonometric identity.  ``propagate`` is the one place these formulas are
+written; both backends call it.
 
 Two evaluation backends realize this:
 
@@ -17,8 +18,9 @@ Two evaluation backends realize this:
   trustworthy only while the solution's content fits the box, hence the hard
   time cap.
 * ``QuadratureBackend``  keeps everything as closed-form functions of xi and
-  evaluates norms by phase-aware quadrature.  Valid at arbitrary t (1e6 is
-  routine) but requires analytic transforms for the data.
+  evaluates norms by phase-aware quadrature (``oscillatory_integral``; at
+  t = 0 its static rule).  Valid at arbitrary t (1e6 is routine) but
+  requires analytic transforms for the data.
 
 All physical-level norms carry the explicit (2 pi)^(-1/2) Plancherel factor
 of the non-unitary transform convention; ``spectral_l2`` values are the raw
@@ -37,7 +39,8 @@ from .errors import (BackendCapError, BackendMismatchError,
                      UnsupportedDimensionError)
 from .grid import GridSpec
 from .profiles import Profile, SampledProfile, TruncationWarning
-from .quadrature import oscillatory_integral
+from .quadrature import (frequency_cutoff, oscillatory_integral, panel_width,
+                         static_integral)
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,24 +50,16 @@ SERIES_PHASE = 1e-8
 
 @dataclass(frozen=True)
 class Parameters:
-    """Problem parameters: dimension n and fractional order s.
-
-    The transform convention is fixed to the non-unitary pair
-    fhat(xi) = integral e^{-i x xi} f dx; it is recorded here because every
-    spectral norm in the package depends on it.
-    """
+    """Problem parameters: dimension n and fractional order s."""
 
     s: float
     n: int = 1
-    fourier_convention: str = "nonunitary"
 
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
             raise ValueError(f"fractional order s must lie in (0, 1], got {self.s}")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError(f"dimension n must be a positive integer, got {self.n}")
-        if self.fourier_convention != "nonunitary":
-            raise ValueError("only the non-unitary transform convention is supported")
 
     def require_evolution(self):
         if self.n != 1:
@@ -90,12 +85,39 @@ def sine_multiplier(s: float, t: float, xi):
     return out if out.ndim else float(out)
 
 
-def _bin_multipliers(s: float, t: float, xi):
-    """R1, cos(t w), and w = |xi|^s for an array of frequencies."""
-    omega = np.abs(xi) ** s
-    w = t * omega
-    r1 = sine_multiplier(s, t, xi)
-    return r1, np.cos(w), omega, w
+def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None,
+              phase=None):
+    """The exact propagator: (uhat, uthat) at time t from the data transforms.
+
+    ``field`` "u" or "ut" returns that field alone.  A datum given as None is
+    zero data and its term is skipped.  ``phase`` is (|xi|^s, sin w, cos w)
+    when the caller already has it; then sin(w)/|xi|^s is a plain quotient,
+    exact for every xi > 0.  Without it the phase is computed from xi, and
+    ``sine_multiplier`` keeps the series that makes xi = 0 admissible.
+    """
+    if phase is None:
+        r1 = sine_multiplier(s, t, xi)
+        xi_s = np.abs(xi) ** s
+        w = t * xi_s
+        sin_w, cos_w = np.sin(w), np.cos(w)
+        del w   # on a 2^20-point grid every full-length array is 8-16 MB
+    else:
+        xi_s, sin_w, cos_w = phase
+        r1 = None if field == "ut" else sin_w / xi_s
+    u = None if field == "ut" else _superpose(r1, cos_w, u0_hat, u1_hat)
+    if field == "u":
+        return u
+    ut = _superpose(cos_w, -(xi_s * sin_w), u0_hat, u1_hat)
+    return ut if field == "ut" else (u, ut)
+
+
+def _superpose(m1, m0, u0_hat, u1_hat):
+    """m1 * u1hat + m0 * u0hat, skipping the term of a None (zero) datum."""
+    if u0_hat is None:
+        return m1 * u1_hat
+    if u1_hat is None:
+        return m0 * u0_hat
+    return m1 * u1_hat + m0 * u0_hat
 
 
 @dataclass
@@ -121,6 +143,11 @@ class SpectralField:
 
     def physical_l2(self) -> float:
         return self.raw_l2() / np.sqrt(TWO_PI)
+
+    def hs_seminorm(self, s: float) -> float:
+        """Physical-level norm of (-Laplacian)^(s/2) applied to the field."""
+        w = np.abs(self.grid.xi()) ** (2.0 * s) * np.abs(self.values) ** 2
+        return float(np.sqrt(self.grid.dxi * np.sum(w) / TWO_PI))
 
     def hermitian_defect(self) -> float:
         """Max deviation from fhat(-xi) = conj(fhat(xi)), relative to scale."""
@@ -180,19 +207,15 @@ class GridSnapshot(Snapshot):
         return self.ut_hat.physical_l2()
 
     def hs_seminorm(self, s):
-        grid = self.u_hat.grid
-        xi = grid.xi()
-        w = np.abs(xi) ** (2.0 * s) * np.abs(self.u_hat.values) ** 2
-        return float(np.sqrt(grid.dxi * np.sum(w) / TWO_PI))
+        return self.u_hat.hs_seminorm(s)
 
     def advance(self, dt: float) -> "GridSnapshot":
         """Evolve this state by a further dt (exact bin-wise propagator)."""
         if dt < 0:
             raise ValueError("time must be nonnegative")
         grid = self.u_hat.grid
-        r1, cos_w, omega, _ = _bin_multipliers(self.params.s, dt, grid.xi())
-        u_new = r1 * self.ut_hat.values + cos_w * self.u_hat.values
-        ut_new = cos_w * self.ut_hat.values - omega * np.sin(dt * omega) * self.u_hat.values
+        u_new, ut_new = propagate(self.params.s, dt, grid.xi(),
+                                  self.u_hat.values, self.ut_hat.values)
         return GridSnapshot(self.t + dt, self.params,
                             SpectralField(u_new, grid), SpectralField(ut_new, grid))
 
@@ -212,45 +235,19 @@ class QuadratureSnapshot(Snapshot):
         # energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
 
-    def _multipliers(self, xi, phase):
-        """sin(w)/|xi|^s, cos w and |xi|^s sin w at w = t|xi|^s.
-
-        ``phase`` is (|xi|^s, sin w, cos w) when the caller already has it;
-        then sin(w)/|xi|^s is a plain quotient, exact for every xi > 0.
-        Without it the phase is computed from xi, and ``sine_multiplier``
-        keeps the series that makes xi = 0 admissible.
-        """
-        if phase is None:
-            r1, cos_w, omega, w = _bin_multipliers(self.params.s, self.t, xi)
-            return r1, cos_w, omega * np.sin(w)
-        xi_s, sin_w, cos_w = phase
-        return sin_w / xi_s, cos_w, xi_s * sin_w
-
-    def _combine(self, xi, m1, m0):
-        """m1 * u1hat + m0 * u0hat, skipping the transform of a zero profile."""
-        if self.u0.is_zero:
-            return m1 * self.u1.fourier(xi)
-        if self.u1.is_zero:
-            return m0 * self.u0.fourier(xi)
-        return m1 * self.u1.fourier(xi) + m0 * self.u0.fourier(xi)
+    def _field_at(self, field, xi, phase):
+        """``propagate`` at xi; a zero profile's transform is not taken."""
+        xi = np.asarray(xi, dtype=float)
+        u0_hat = None if self.u0.is_zero else self.u0.fourier(xi)
+        u1_hat = (None if self.u1.is_zero and u0_hat is not None
+                  else self.u1.fourier(xi))
+        return propagate(self.params.s, self.t, xi, u0_hat, u1_hat, field, phase)
 
     def u_hat_at(self, xi, phase=None) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        r1, cos_w, _ = self._multipliers(xi, phase)
-        return self._combine(xi, r1, cos_w)
+        return self._field_at("u", xi, phase)
 
     def ut_hat_at(self, xi, phase=None) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        _, cos_w, sin_term = self._multipliers(xi, phase)
-        return self._combine(xi, cos_w, -sin_term)
-
-    def _frequency_cutoff(self, weight_exp: float) -> float:
-        radii = [p.frequency_radius(1e-18) for p in (self.u0, self.u1) if not p.is_zero]
-        if not radii:
-            return 1.0
-        r = max(radii)
-        # polynomial weights only nudge the gaussian-type decay radius
-        return r * (1.0 + 0.25 * weight_exp)
+        return self._field_at("ut", xi, phase)
 
     def _field_density(self, field: str, weight_exp: float):
         """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract."""
@@ -272,11 +269,10 @@ class QuadratureSnapshot(Snapshot):
         Real initial data make the density even in xi, so the line integral
         is twice the half-line one.  Each value is computed once per snapshot.
         """
+        data = [p for p in (self.u0, self.u1) if not p.is_zero]
         if hi is None:
-            hi = self._frequency_cutoff(weight_exp)
-        if hi <= lo:
-            return 0.0
-        if self.u0.is_zero and self.u1.is_zero:
+            hi = frequency_cutoff(data, weight_exp)
+        if hi <= lo or not data:
             return 0.0
         key = (lo, hi, field, weight_exp)
         mass = self._masses.get(key)
@@ -284,7 +280,8 @@ class QuadratureSnapshot(Snapshot):
             density = self._field_density(field, weight_exp)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
-                order=self.order, rel_tol=self.rel_tol)
+                order=self.order, rel_tol=self.rel_tol,
+                static_width=panel_width(data))
             self._masses[key] = mass
         return mass
 
@@ -325,14 +322,10 @@ class GridBackend:
                 f"grid backend is capped at t <= {self.time_cap:g} "
                 f"(requested t={t:g}); use the quadrature backend")
         u0, u1 = data
-        u0_hat = self._spectrum(u0)
-        u1_hat = self._spectrum(u1)
-        r1, cos_w, omega, w = _bin_multipliers(params.s, t, self.grid.xi())
-        u_hat = r1 * u1_hat + cos_w * u0_hat
-        ut_hat = cos_w * u1_hat - omega * np.sin(w) * u0_hat
-        return GridSnapshot(t, params,
-                            SpectralField(u_hat, self.grid),
-                            SpectralField(ut_hat, self.grid))
+        start = GridSnapshot(0.0, params,
+                             SpectralField(self._spectrum(u0), self.grid),
+                             SpectralField(self._spectrum(u1), self.grid))
+        return start.advance(t)
 
     def _spectrum(self, p: Profile) -> np.ndarray:
         if isinstance(p, SampledProfile):
@@ -397,9 +390,7 @@ def _gagliardo_scale(s: float) -> float:
 
 def l2_norm(obj) -> float:
     """Physical-level norm of a snapshot, spectral field, or profile."""
-    if isinstance(obj, Snapshot):
-        return obj.physical_l2()
-    if isinstance(obj, SpectralField):
+    if isinstance(obj, (Snapshot, SpectralField)):
         return obj.physical_l2()
     if isinstance(obj, Profile):
         from . import profiles
@@ -411,15 +402,14 @@ def hs_seminorm(obj, s: float) -> float:
     """Norm of (-Laplacian)^(s/2) applied to the object's physical field."""
     if s < 0:
         raise ValueError("fractional order must be nonnegative")
-    if isinstance(obj, Snapshot):
+    if isinstance(obj, (Snapshot, SpectralField)):
         return obj.hs_seminorm(s)
-    if isinstance(obj, SpectralField):
-        xi = obj.grid.xi()
-        w = np.abs(xi) ** (2.0 * s) * np.abs(obj.values) ** 2
-        return float(np.sqrt(obj.grid.dxi * np.sum(w) / TWO_PI))
     if isinstance(obj, Profile):
-        from .lemmas import spectral_weighted_l2
-        return float(np.sqrt(spectral_weighted_l2(obj, 2.0 * s) / TWO_PI))
+        def density(xi):
+            return np.abs(obj.fourier(xi)) ** 2 * xi ** (2.0 * s)
+        mass = 2.0 * static_integral(density, frequency_cutoff([obj], 2.0 * s),
+                                     width=panel_width([obj]))
+        return float(np.sqrt(mass / TWO_PI))
     raise TypeError(f"cannot take the seminorm of {type(obj).__name__}")
 
 
@@ -434,14 +424,3 @@ def hs_norm(obj, s: float) -> float:
     a = l2_norm(obj)
     b = hs_seminorm(obj, s)
     return float(np.sqrt(a * a + _gagliardo_scale(s) * b * b))
-
-
-def energy(snapshot: Snapshot, s: float | None = None) -> float:
-    """Conserved total energy of a snapshot.
-
-    For fixed data the value is independent of t up to discretization error;
-    on the grid backend the conservation is an exact bin-wise trig identity.
-    """
-    if s is not None and abs(s - snapshot.params.s) > 0:
-        raise ValueError("energy order must match the snapshot's parameters")
-    return snapshot.energy()

@@ -1,5 +1,6 @@
 """Experiment configs, runners, file outputs, CLI contract."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,10 +9,11 @@ import pytest
 
 from fracwave.cli import main
 from fracwave.errors import ConfigError
-from fracwave.experiments import (canonical_text, map_times, parse_config,
-                                  run_energy, run_lemmas, run_rates,
-                                  run_sandwich, run_solve, write_svg_plot)
-from fracwave.profiles import Gaussian, GaussianDerivative
+from fracwave.experiments import (ExperimentConfig, canonical_text, map_times,
+                                  parse_config, run_energy, run_lemmas,
+                                  run_rates, run_sandwich, run_solve,
+                                  write_svg_plot)
+from fracwave.profiles import CompactBump, Gaussian, GaussianDerivative
 
 SANDWICH_CFG = """
 # power-law sandwich at desk scale
@@ -42,6 +44,33 @@ class TestConfigParsing:
         again = parse_config(text)
         assert again == cfg
         assert canonical_text(again) == text
+
+    def test_every_field_is_written_and_every_written_key_accepted(self):
+        # every field away from its default, so a field left unwritten would
+        # come back as the default
+        cfg = ExperimentConfig(
+            experiment="all-fields", s=0.6, n=2, u0=Gaussian(2.0, 1.5, -1.0),
+            u1=CompactBump(0.5, 2.0), t_mode="lin", t_args=(0.0, 5.0, 3.0),
+            backend="grid", grid_half_width=20.0, grid_points=1024,
+            bounds="power", theta0_threshold=0.4, gamma=0.25, seed=5,
+            out="elsewhere", plot=True)
+        default = ExperimentConfig()
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert all(getattr(cfg, n) != getattr(default, n) for n in names)
+        text = canonical_text(cfg)
+        assert parse_config(text) == cfg
+        lines = text.splitlines()
+        for line in lines:
+            parse_config(line + "\n")
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        expected = [n for n in names if n != "t_args"]
+        assert keys == ["t_grid" if n == "t_mode" else n for n in expected]
+
+    def test_negative_and_log_zero_times_rejected(self):
+        for grid in ("list -1 2", "lin -1 2 3", "log 0 10 3"):
+            with pytest.raises(ConfigError):
+                parse_config(f"t_grid = {grid}\n")
+        assert parse_config("t_grid = lin 0 10 3\n").t_grid()[0] == 0.0
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match=":3: unknown key 'sigma'"):
@@ -147,6 +176,16 @@ class TestRunners:
         assert (a / "norms.csv").read_bytes() == (b / "norms.csv").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+    def test_energy_run_quadrature_position_data(self, tmp_path, s):
+        # the t = 0 energy goes through the static rule, t > 0 through the
+        # phase panels; both resolve the |xi|^(2s) kink at the origin
+        cfg = parse_config(f"s = {s}\nu0 = gaussian\nu1 = none\n"
+                           "t_grid = log 1 100 5\nbackend = quadrature\n")
+        result = run_energy(cfg, out_dir=tmp_path)
+        assert result.verdicts["energy_conserved"] is True
+        assert result.report["max_relative_drift"] <= 1e-9
+
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
         cfg = parse_config(ENERGY_CFG)
         serial = tmp_path / "serial"
@@ -223,6 +262,28 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         svg = ET.parse(tmp_path / "out" / "plot.svg").getroot()
         assert svg.tag.endswith("svg")
+
+    def test_plot_with_time_zero_has_finite_points(self, tmp_path):
+        # t = 0 has no place on log axes: it is left out, not drawn at nan
+        cfg = "s = 0.75\nplot = true\nt_grid = lin 0 10 3\n"
+        rc = main(["solve", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        svg = ET.parse(tmp_path / "out" / "plot.svg").getroot()
+        lines = [el for el in svg.iter() if el.tag.endswith("polyline")]
+        assert len(lines) == 1
+        points = [tuple(map(float, p.split(",")))
+                  for p in lines[0].get("points").split()]
+        assert len(points) == 2
+        assert np.all(np.isfinite(points))
+
+    def test_negative_time_exits_two_with_one_line(self, tmp_path, capsys):
+        rc = main(["solve", "--config", self._write(tmp_path, "t_grid = list -1 2\n"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "nonnegative" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_plot_escapes_experiment_name(self, tmp_path):
         cfg = ("experiment = a<b&c\ns = 0.75\nplot = true\n"

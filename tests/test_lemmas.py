@@ -1,10 +1,17 @@
 """Riesz energies, pointwise transform bound, Gagliardo identity, C(1,s)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+import fracwave
 from fracwave import (CompactBump, Gaussian, GaussianDerivative,
                       RadialGaussian, RadialGaussianLaplacian,
                       check_pointwise_bound, check_riesz_bound,
@@ -12,7 +19,7 @@ from fracwave import (CompactBump, Gaussian, GaussianDerivative,
                       gagliardo_seminorm, hs_seminorm, moment0, riesz_energy,
                       scaled)
 from fracwave.errors import DivergenceError, PreconditionError
-from fracwave.lemmas import spectral_weighted_l2, sphere_area
+from fracwave.lemmas import sphere_area
 
 SQPI = np.sqrt(np.pi)
 
@@ -166,11 +173,6 @@ class TestGagliardo:
         assert hs_seminorm(ZERO, 0.5) == 0.0
 
 
-def test_spectral_weighted_l2_guard():
-    with pytest.raises(ValueError):
-        spectral_weighted_l2(Gaussian(), -0.5)
-
-
 def test_radial_gaussian_norms_closed_forms():
     g = RadialGaussian(amplitude=2.0, width=1.5, dimension=3)
     sig = 1.5
@@ -182,3 +184,41 @@ def test_radial_gaussian_norms_closed_forms():
         lambda r: (1 + r ** gamma) * 2.0 * np.exp(-(r / sig) ** 2) * r ** 2,
         0, 20, epsabs=1e-13, epsrel=1e-12)[0]
     assert g.weighted_l1(gamma) == pytest.approx(ref, rel=1e-9)
+
+
+def test_bump_riesz_energy_against_cosine_transform():
+    # independent route: QUADPACK's cosine-weighted transform inside an
+    # adaptive outer integral; |fhat(400)| is 3e-11 |fhat(0)|
+    def bump(x):
+        return np.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1.0 else 0.0
+
+    def fhat_sq(k):
+        return (2.0 * quad(bump, 0.0, 1.0, weight="cos", wvar=k, epsabs=1e-14,
+                           epsrel=1e-12, limit=200)[0]) ** 2
+
+    theta = 0.4
+    head = quad(fhat_sq, 0.0, 1.0, weight="alg", wvar=(-2.0 * theta, 0.0),
+                epsabs=0.0, epsrel=1e-12)[0]
+    body = quad(lambda k: fhat_sq(k) * k ** (-2.0 * theta), 1.0, 400.0,
+                epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    assert riesz_energy(CompactBump(), theta) == pytest.approx(
+        2.0 * (head + body), rel=1e-10)
+
+
+def test_bump_lemmas_run_fits_in_two_gib(tmp_path):
+    cfg = tmp_path / "bump.txt"
+    cfg.write_text("experiment = bump-lemmas\nu0 = none\nu1 = bump a=1 r=1\n")
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from fracwave.cli import main
+        sys.exit(main(["lemmas", "--config", {str(cfg)!r},
+                       "--out", {str(tmp_path / "out")!r}]))
+    """)
+    src = str(Path(fracwave.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS all_inequalities_hold" in proc.stdout

@@ -6,10 +6,12 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridSpec,
-                      SampledProfile, ZERO, combine, fourier_at, l1_norm,
-                      moment0, scaled, weighted_l1_norm)
+                      Parameters, QuadratureSnapshot, SampledProfile, ZERO,
+                      combine, fourier_at, l1_norm, moment0, scaled,
+                      sine_multiplier, weighted_l1_norm)
 from fracwave.errors import BackendMismatchError
 from fracwave.profiles import TruncationWarning, l2_norm
+from fracwave.quadrature import static_integral
 
 SQPI = np.sqrt(np.pi)
 
@@ -114,6 +116,39 @@ def test_bump_fourier_cache_and_quadrature():
                       limit=200)
         assert first[i].real == pytest.approx(ref, abs=1e-13)
         assert abs(first[i].imag) < 1e-15
+
+
+def test_bump_fourier_in_chunks_and_bounded_cache():
+    bump = CompactBump()
+    # 3000 frequencies up to 1500 exceed one block of (node, frequency) pairs
+    xi = np.linspace(0.0, 1500.0, 3000)
+    fhat = bump.fourier(xi)
+    for i in (0, 1, 700, 2999):
+        ref = 2.0 * quad(bump.evaluate, 0.0, 1.0, weight="cos", wvar=xi[i],
+                         epsabs=1e-16, epsrel=1e-12, limit=200)[0]
+        assert fhat[i].real == pytest.approx(ref, abs=1e-13 * fhat[0].real)
+    for k in range(10):
+        bump.fourier(np.array([float(k)]))
+    assert len(bump._fourier_cache) <= 4
+    # the quadrature transform floors near 1e-15 relative: the probe stops
+    assert bump.frequency_radius(1e-18) < 2e3
+
+
+def test_bump_data_on_the_quadrature_backend():
+    # the adaptive head evaluates scalars: the transform keeps the input's
+    # shape, so the snapshot's norm is a plain number
+    bump = CompactBump()
+    assert np.shape(bump.fourier(0.5)) == ()
+    assert bump.fourier(np.array([[0.5, 1.0]])).shape == (1, 2)
+    s, t = 0.75, 1.0
+    got = QuadratureSnapshot(t, Parameters(s), ZERO, bump).spectral_mass(0.0)
+
+    def density(xi):
+        return np.abs(sine_multiplier(s, t, xi) * bump.fourier(xi)) ** 2
+
+    # xi-panels at t = 1 resolve the few oscillations; |fhat(400)| ~ 3e-11
+    ref = 2.0 * static_integral(density, 400.0, width=0.5)
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_scaled_keeps_shape():

@@ -8,7 +8,7 @@ from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import ZERO, Gaussian
 from fracwave.quadrature import (adaptive, gauss_panels, log_spaced_panels,
                                  oscillatory_integral,
-                                 singular_origin_integral)
+                                 singular_origin_integral, static_integral)
 from fracwave.spectral import Parameters, QuadratureSnapshot, sine_multiplier
 
 
@@ -66,6 +66,22 @@ def test_oscillatory_integral_offset_interval():
 def test_oscillatory_integral_no_phase():
     val = oscillatory_integral(lambda xi, xi_s, sin_w, cos_w: xi * xi, 0.0, 0.5, 3.0)
     assert val == pytest.approx(9.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 5.0), (0.0, 0.5), (0.37, 5.0),
+                                   (1.5, 4.0), (1e-9, 2.0)])
+def test_static_integral_vs_scipy(lo, hi):
+    # the xi^0.6 kink at the origin is what the singular-origin head is for
+    def f(xi):
+        return xi ** 0.6 * np.exp(-xi * xi)
+
+    ref, _ = quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert static_integral(f, hi, xi_lo=lo) == pytest.approx(ref, rel=1e-10)
+
+
+def test_static_integral_detects_divergence():
+    with pytest.raises(DivergenceError):
+        static_integral(lambda xi: xi ** -1.2 * np.exp(-xi), 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
+from scipy.special import gamma as gamma_fn
 
 from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       Parameters, QuadratureBackend, SampledProfile, ZERO,
@@ -256,6 +257,17 @@ class TestNormsAndEnergy:
                    + quad(lambda x: density(-x), 0, 16, limit=2000)[0])
             assert value == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.0])
+    def test_static_weighted_mass_at_time_zero(self, s):
+        # int |u0hat|^2 |xi|^(2s) dxi = 2 pi 2^(s - 1/2) Gamma(s + 1/2) for e^(-x^2)
+        exact = 2.0 * np.pi * 2.0 ** (s - 0.5) * gamma_fn(s + 0.5)
+        snap = evolve_state((Gaussian(), ZERO), Parameters(s), 0.0,
+                            QuadratureBackend())
+        assert snap.spectral_mass(0.0, weight_exp=2.0 * s) == pytest.approx(
+            exact, rel=1e-12)
+        assert 2.0 * np.pi * hs_seminorm(Gaussian(), s) ** 2 == pytest.approx(
+            exact, rel=1e-12)
+
     def test_quadrature_energy_constant_at_large_t(self):
         params = Parameters(0.6)
         data = (Gaussian(), Gaussian())
@@ -302,14 +314,6 @@ class TestNormsAndEnergy:
         assert again == first and len(calls) == 3
         assert snap.energy() == 0.5 * (first[2] ** 2 + first[3] ** 2)
 
-    def test_energy_functional_guards_order(self):
-        from fracwave import energy
-        snap = evolve_state((ZERO, Gaussian()), Parameters(0.5), 1.0, BACKEND)
-        assert energy(snap) == pytest.approx(snap.energy())
-        assert energy(snap, 0.5) == pytest.approx(snap.energy())
-        with pytest.raises(ValueError):
-            energy(snap, 0.7)
-
     @pytest.mark.parametrize("t", [5.0, 50.0, 200.0])
     def test_quadrature_norm_against_physical_space_oracle(self, t):
         # s = 1 admits the closed-form wave integral; integrating its square
@@ -337,5 +341,14 @@ def test_parameters_validation():
         Parameters(s=1.2)
     with pytest.raises(ValueError):
         Parameters(s=0.5, n=0)
-    with pytest.raises(ValueError):
-        Parameters(s=0.5, fourier_convention="unitary")
+
+
+@pytest.mark.parametrize("t", [0.1, 5.0, 100.0])
+@pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
+def test_grid_evolve_is_advance_from_time_zero(s, t):
+    data = (Gaussian(0.5, 1.0, 0.3), Gaussian())
+    direct = BACKEND.evolve(data, Parameters(s), t)
+    stepped = BACKEND.evolve(data, Parameters(s), 0.0).advance(t)
+    assert direct.t == stepped.t == t
+    assert np.array_equal(direct.u_hat.values, stepped.u_hat.values)
+    assert np.array_equal(direct.ut_hat.values, stepped.ut_hat.values)
