@@ -4,7 +4,7 @@ numerical laboratory for its conservation, boundedness, and growth laws."""
 from .errors import (BackendCapError, BackendMismatchError, ConfigError,
                      ConventionError, DivergenceError, FracwaveError,
                      InfeasibleThresholdError, NumericalFailureError,
-                     PreconditionError, UnsupportedDimensionError,
+                     PreconditionError, SeriesError, UnsupportedDimensionError,
                      ValidityError, WrongRegimeError)
 from .estimates import (AreaSumReport, BoundSpec, SplitReport, area_sums,
                         fourier_split, log_growth_integral, log_lower_bound,

@@ -52,6 +52,10 @@ class NumericalFailureError(FracwaveError):
     """Quadrature did not converge; the message carries diagnostics."""
 
 
+class SeriesError(FracwaveError, ValueError):
+    """A norm series, fit or sandwich scan got unusable inputs (bad grid, zero data)."""
+
+
 class ConventionError(FracwaveError):
     """Mismatched norm conventions (raw-transform level vs physical level)."""
 

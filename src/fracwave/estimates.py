@@ -31,7 +31,7 @@ from scipy.special import exp1
 from .errors import (InfeasibleThresholdError, NumericalFailureError,
                      ValidityError, WrongRegimeError)
 from .quadrature import gauss_panels
-from .spectral import Parameters, QuadratureBackend
+from .spectral import Parameters, QuadratureBackend, evolve_state
 
 __all__ = [
     "BoundSpec", "SplitReport", "AreaSumReport",
@@ -165,7 +165,7 @@ def fourier_split(data, params: Parameters, t: float, theta0: float,
         raise ValidityError("frequency splitting is defined for t > 1")
     if backend is None:
         backend = QuadratureBackend()
-    snap = backend.evolve(data, params, t)
+    snap = evolve_state(data, params, t, backend)
     cut = theta0 * t ** (-1.0 / params.s)
     i_low = snap.spectral_mass(0.0, cut)
     i_high = snap.spectral_mass(cut, None)
@@ -212,7 +212,7 @@ def log_upper_bound(M2: float) -> BoundSpec:
     return BoundSpec("upper", "sqrtlog", constant=2.0 * M2)
 
 
-def log_growth_integral(t: float, rel_tol: float = 1e-10) -> float:
+def log_growth_integral(t: float) -> float:
     """The damped oscillatory integral 2 int_0^inf e^(-r^2) sin^2(t sqrt(r))/r dr.
 
     Substituting v = t sqrt(r) turns it into 4 int_0^inf e^(-(v/t)^4)

@@ -9,9 +9,11 @@ config round-trips through its canonical text form.  Each runner writes
 * ``plot.svg``    -- optional log-log norm curve with bound envelopes,
   emitted by a built-in writer (no plotting dependency).
 
-Identical config and seed produce byte-identical outputs.  The environment
-variable FRACWAVE_THREADS caps how many time samples are evaluated
-concurrently (default: serial).
+Identical config and seed produce byte-identical outputs.  Every runner that
+evaluates the solution over the time grid (``solve``, ``energy``, ``rates``,
+``sandwich``) goes through ``map_times``, and the environment variable
+FRACWAVE_THREADS caps how many time samples it evaluates concurrently
+(default: serial).
 """
 
 from __future__ import annotations
@@ -85,6 +87,13 @@ _KNOWN_KEYS = tuple("t_grid" if name == "t_mode" else name
                     for name in _FIELD_TYPES if name != "t_args")
 _CHOICES = {"t_mode": ("log", "lin", "list"), "backend": ("quadrature", "grid"),
             "bounds": ("auto", "power", "log", "none")}
+# profile kinds: config name -> (class, {argument letter: field name})
+_PROFILE_KINDS = {
+    "gaussian": (Gaussian, {"a": "amplitude", "sigma": "width", "c": "center"}),
+    "gaussian_derivative": (GaussianDerivative,
+                            {"a": "amplitude", "sigma": "width", "c": "center"}),
+    "bump": (CompactBump, {"a": "amplitude", "r": "radius"}),
+}
 
 
 def _parse_profile(text: str, where: str) -> Profile:
@@ -101,19 +110,13 @@ def _parse_profile(text: str, where: str) -> Profile:
             args[k] = float(v)
         except ValueError:
             raise ConfigError(f"{where}: non-numeric value {v!r} for {k}")
-    makers = {
-        "gaussian": (Gaussian, {"a": "amplitude", "sigma": "width", "c": "center"}),
-        "gaussian_derivative": (GaussianDerivative,
-                                {"a": "amplitude", "sigma": "width", "c": "center"}),
-        "bump": (CompactBump, {"a": "amplitude", "r": "radius"}),
-    }
     if name in ("none", "zero"):
         if args:
             raise ConfigError(f"{where}: the zero profile takes no arguments")
         return ZERO
-    if name not in makers:
+    if name not in _PROFILE_KINDS:
         raise ConfigError(f"{where}: unknown profile kind {name!r}")
-    cls, mapping = makers[name]
+    cls, mapping = _PROFILE_KINDS[name]
     kwargs = {}
     for short, field_name in mapping.items():
         if short in args:
@@ -129,12 +132,10 @@ def _parse_profile(text: str, where: str) -> Profile:
 def _profile_text(p: Profile) -> str:
     if p.is_zero:
         return "none"
-    if isinstance(p, Gaussian):
-        return f"gaussian a={p.amplitude:.17g} sigma={p.width:.17g} c={p.center:.17g}"
-    if isinstance(p, GaussianDerivative):
-        return f"gaussian_derivative a={p.amplitude:.17g} sigma={p.width:.17g} c={p.center:.17g}"
-    if isinstance(p, CompactBump):
-        return f"bump a={p.amplitude:.17g} r={p.radius:.17g}"
+    for name, (cls, mapping) in _PROFILE_KINDS.items():
+        if isinstance(p, cls):
+            return " ".join([name, *(f"{short}={getattr(p, field_name):.17g}"
+                                     for short, field_name in mapping.items())])
     raise ConfigError(f"profile {type(p).__name__} is not declarable in configs")
 
 
@@ -209,6 +210,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid configuration: {exc}")
     if np.min(times) < 0:
         raise ConfigError(f"{path}: times must be nonnegative, got {np.min(times):g}")
+    if cfg.n != 1:
+        raise ConfigError(f"{path}: n must be 1 for 1-d profiles, got n={cfg.n}")
     return cfg
 
 

@@ -260,7 +260,7 @@ def check_pointwise_bound(p: Profile, gamma: float,
                            constant=POINTWISE_CONSTANT)
 
 
-def gagliardo_seminorm(p: Profile, s: float, rel_tol: float = 1e-8) -> float:
+def gagliardo_seminorm(p: Profile, s: float) -> float:
     """Double-integral fractional seminorm of a one-dimensional profile.
 
     Computes ( iint |u(x)-u(y)|^2 / |x-y|^(1+2s) dx dy )^(1/2) through the

@@ -21,6 +21,7 @@ remain available to tests as independent oracles.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,7 +158,9 @@ class CompactBump(Profile):
 
     amplitude: float = 1.0
     radius: float = 1.0
-    _fourier_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # not an init field, so dataclasses.replace gives a copy its own cache
+    _fourier_cache: dict = field(default_factory=dict, init=False, compare=False,
+                                 repr=False)
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -315,12 +318,8 @@ def combine(*weighted: tuple[float, Profile]) -> ProfileSum:
 
 
 def scaled(p: Profile, a: float) -> Profile:
-    if isinstance(p, Gaussian):
-        return Gaussian(a * p.amplitude, p.width, p.center)
-    if isinstance(p, GaussianDerivative):
-        return GaussianDerivative(a * p.amplitude, p.width, p.center)
-    if isinstance(p, CompactBump):
-        return CompactBump(a * p.amplitude, p.radius)
+    if isinstance(p, (Gaussian, GaussianDerivative, CompactBump)):
+        return dataclasses.replace(p, amplitude=a * p.amplitude)
     if isinstance(p, ProfileSum):
         return ProfileSum(tuple((a * c, q) for c, q in p.terms))
     if isinstance(p, SampledProfile):

@@ -7,12 +7,14 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
 * static integrands (t = 0 norms, Riesz energies with p < 0, H^s seminorms of
   profiles) -> ``static_integral``: ``singular_origin_integral`` on (0, 1],
   which resolves the |xi|^p kink or singularity at the origin and detects a
-  divergent one, then equal Gauss-Legendre panels (``gauss_panels``) out to
-  the cutoff;
+  divergent one (settings ORIGIN_ORDER, ORIGIN_MAX_DEPTH, FLAT_RATIO,
+  FLAT_RUNS, MIN_DEPTH), then equal Gauss-Legendre panels (``gauss_panels``)
+  out to the cutoff;
 * oscillatory integrands with phase w = t*|xi|^s -> Gauss panels in the phase
-  variable w itself (``oscillatory_integral``), with the first few
-  half-periods handed to adaptive quadrature in xi because the integrand has
-  an algebraic |xi|^(2s) kink at the origin.
+  variable w itself (``oscillatory_integral``), with the first
+  LEAD_HALFPERIODS half-periods handed to adaptive quadrature in xi (at
+  LEAD_REL_TOL) because the integrand has an algebraic |xi|^(2s) kink at the
+  origin.
 
 ``gauss_panels`` and ``adaptive`` also serve the smooth integrands of the
 estimates and the profile norms.
@@ -22,9 +24,10 @@ xi = (w/t)^(1/s) every panel is a half-period [k*pi, (k+1)*pi] of w, so the
 Gauss nodes sit at the same offsets in every panel and sin w, cos w there are
 one fixed vector times (-1)^k.  A node then costs one power (to recover xi)
 and the integrand's own amplitude; no trigonometric function is evaluated in
-the body.  A degree-12 rule per half-period resolves the trigonometric
-factors to near machine precision, so the cost is O(number of oscillations)
-with a tiny constant, which keeps t = 1e6 sweeps well under a second.
+the body.  A degree-12 rule (PHASE_ORDER) per half-period resolves the
+trigonometric factors to near machine precision, so the cost is O(number of
+oscillations) with a tiny constant, which keeps t = 1e6 sweeps well under a
+second.  These settings are module constants, the same for every norm.
 """
 
 from __future__ import annotations
@@ -48,6 +51,19 @@ PHASE_BLOCK = 512
 #: spectral integrals stop where every transform is below this fraction of
 #: its peak
 CUTOFF_TOL = 1e-18
+
+#: Gauss nodes per half-period of w in the phase-panel body
+PHASE_ORDER = 12
+#: leading half-periods of w, which hold the |xi|^(2s) kink at 0, that go to
+#: ``adaptive`` at relative tolerance LEAD_REL_TOL
+LEAD_HALFPERIODS = 4
+LEAD_REL_TOL = 1e-11
+# settings of ``singular_origin_integral``; its docstring gives their reasons
+ORIGIN_ORDER = 24
+ORIGIN_MAX_DEPTH = 600
+FLAT_RATIO = 0.95
+FLAT_RUNS = 3
+MIN_DEPTH = 8
 
 # Cache of Gauss-Legendre rules keyed by order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -176,9 +192,7 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
 
 
 def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
-                         xi_lo: float = 0.0, order: int = 12,
-                         lead_halfperiods: int = 4,
-                         rel_tol: float = 1e-11,
+                         xi_lo: float = 0.0,
                          static_width: float = np.inf) -> float:
     """Integrate an integrand with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
@@ -188,7 +202,7 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
 
     At t <= 0 nothing oscillates and the integral is ``static_integral``
     with panels no wider than ``static_width``.
-    Otherwise the first ``lead_halfperiods`` half-periods of w (where
+    Otherwise the first LEAD_HALFPERIODS half-periods of w (where
     xi^(2s)-type kinks live when the interval starts at 0) go to adaptive
     quadrature in xi, which computes the phase from xi at each point.  The
     rest, the body, is integrated in w: the Jacobian is d xi/dw = xi/(s*w),
@@ -216,14 +230,14 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     k_lo = int(np.floor(w_lo / np.pi))
     k_hi = int(np.ceil(w_hi / np.pi))
 
-    if k_hi - k_lo <= lead_halfperiods + 1:
-        return adaptive(pointwise, xi_lo, xi_hi, rel_tol=rel_tol)
+    if k_hi - k_lo <= LEAD_HALFPERIODS + 1:
+        return adaptive(pointwise, xi_lo, xi_hi, rel_tol=LEAD_REL_TOL)
 
-    k_lead = k_lo + lead_halfperiods
+    k_lead = k_lo + LEAD_HALFPERIODS
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    total = adaptive(pointwise, xi_lo, xi_lead, rel_tol=rel_tol)
+    total = adaptive(pointwise, xi_lo, xi_lead, rel_tol=LEAD_REL_TOL)
 
-    x, wts = gauss_rule(order)
+    x, wts = gauss_rule(PHASE_ORDER)
     phi = 0.5 * np.pi * (1.0 + x)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     k_end = int(np.floor(w_hi / np.pi))
@@ -252,57 +266,56 @@ def _phase_panels(f, t, s, ks, phi, sin_phi, cos_phi, wts) -> float:
     return float(np.sum((vals * (xi / xi_s)) @ wts)) / (s * t)
 
 
-def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9,
-                             order: int = 24, max_depth: int = 600,
-                             flat_ratio: float = 0.95,
-                             flat_runs: int = 3,
-                             min_depth: int = 8) -> float:
+def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9) -> float:
     """Integrate f over (0, upper] when f may have a power singularity at 0.
 
-    Works down the dyadic panels [upper*2^-(j+1), upper*2^-j].  For an
+    Works down the dyadic panels [upper*2^-(j+1), upper*2^-j], each one
+    Gauss rule of ORIGIN_ORDER nodes, which resolves a power law over a
+    factor of 2; after ORIGIN_MAX_DEPTH panels (down to upper*2^-600, far
+    below where a convergent integrand settles) it gives up.  For an
     integrand ~ c*xi^(-q) near zero the panel increments form a geometric
     sequence with ratio 2^(q-1); the integral converges iff that ratio is
-    below one.  Divergence is declared once ``flat_runs`` successive
-    increments each fail to decay below ``flat_ratio`` times their
-    predecessor (this also catches the marginal q = 1 log-divergence, whose
-    increments are asymptotically constant).  Ratios are only counted past
-    ``min_depth`` panels, deep enough for any smooth envelope to flatten;
-    the flip side is that exponents within ~0.04 of the divergence boundary
-    are conservatively rejected.  For convergent integrals the remaining
-    tail is added by geometric extrapolation.
+    below one.  Divergence is declared once FLAT_RUNS successive increments
+    each fail to decay below FLAT_RATIO times their predecessor (this also
+    catches the marginal q = 1 log-divergence, whose increments are
+    asymptotically constant).  Ratios are only counted past MIN_DEPTH
+    panels, deep enough for any smooth envelope to flatten; the flip side
+    is that exponents within ~0.04 of the divergence boundary are
+    conservatively rejected.  For convergent integrals the remaining tail is
+    added by geometric extrapolation.
     """
     total = 0.0
     prev_inc = None
     flat_count = 0
     last_ratio = None
     b = float(upper)
-    for depth in range(max_depth):
+    for depth in range(ORIGIN_MAX_DEPTH):
         a = 0.5 * b
-        inc = gauss_panels(f, np.array([a, b]), order=order)
+        inc = gauss_panels(f, np.array([a, b]), order=ORIGIN_ORDER)
         total += inc
         if prev_inc is not None and prev_inc > 0 and inc > 0:
             last_ratio = inc / prev_inc
-            if depth >= min_depth and last_ratio >= flat_ratio:
+            if depth >= MIN_DEPTH and last_ratio >= FLAT_RATIO:
                 flat_count += 1
-                if flat_count >= flat_runs:
+                if flat_count >= FLAT_RUNS:
                     raise DivergenceError(
                         f"integral diverges at the origin: dyadic increments "
                         f"stopped decaying (last ratio {last_ratio:.3f} over "
-                        f"{flat_runs} panels, partial sum {total:.6e})"
+                        f"{FLAT_RUNS} panels, partial sum {total:.6e})"
                     )
             else:
                 flat_count = 0
-        if depth >= min_depth and total == 0.0 and inc == 0.0:
+        if depth >= MIN_DEPTH and total == 0.0 and inc == 0.0:
             return 0.0
-        if (depth >= min_depth and total > 0 and inc < rel_tol * total
+        if (depth >= MIN_DEPTH and total > 0 and inc < rel_tol * total
                 and prev_inc is not None and inc <= prev_inc):
             # geometric tail below the last resolved panel
-            if last_ratio is not None and last_ratio < flat_ratio:
+            if last_ratio is not None and last_ratio < FLAT_RATIO:
                 total += inc * last_ratio / (1.0 - last_ratio)
             return total
         prev_inc = inc
         b = a
     raise NumericalFailureError(
-        f"singular-origin integral did not settle within {max_depth} dyadic panels "
+        f"singular-origin integral did not settle within {ORIGIN_MAX_DEPTH} dyadic panels "
         f"(partial sum {total:.6e}, last increment {prev_inc!r})"
     )

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BackendCapError, ConventionError
+from .errors import ConventionError, SeriesError
 from .estimates import BoundSpec
-from .spectral import GridBackend, Parameters, QuadratureBackend
+from .spectral import Parameters, QuadratureBackend, evolve_state
 
 __all__ = ["NormSeries", "RateReport", "sample_norm_curve",
            "fit_power_exponent", "fit_log_rate", "sandwich_check",
@@ -38,18 +38,18 @@ class NormSeries:
         t = np.asarray(self.t, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("time grid and values must be 1-d and equal length")
+            raise SeriesError("time grid and values must be 1-d and equal length")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
-            raise ValueError("time grid must be positive and strictly increasing")
+            raise SeriesError("time grid must be positive and strictly increasing")
         if self.level not in ("u_hat", "u"):
-            raise ValueError(f"unknown norm level {self.level!r}")
+            raise SeriesError(f"unknown norm level {self.level!r}")
         if self.zero:
             if np.any(v != 0):
-                raise ValueError("zero series must be identically zero")
+                raise SeriesError("zero series must be identically zero")
         else:
             if not np.all(np.isfinite(v)) or np.any(v <= 0):
-                raise ValueError("norm values must be finite and positive "
-                                 "(use the zero-series variant for zero data)")
+                raise SeriesError("norm values must be finite and positive "
+                                  "(use the zero-series variant for zero data)")
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -81,9 +81,9 @@ class RateReport:
 
     def __post_init__(self):
         if self.pass_fraction is not None and not 0.0 <= self.pass_fraction <= 1.0:
-            raise ValueError("pass fraction must lie in [0, 1]")
+            raise SeriesError("pass fraction must lie in [0, 1]")
         if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
+            raise SeriesError("residual must be nonnegative")
 
     @property
     def passed(self) -> bool:
@@ -103,29 +103,30 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
                       level: str = "u_hat") -> NormSeries:
     """Evaluate the norm of the evolved solution over a time grid.
 
-    Zero data yields the explicit zero-series variant.  Requesting times
-    beyond the grid backend's cap raises BackendCapError naming the remedy.
+    Every sample is one ``evolve_state`` call, mapped over the grid by
+    ``experiments.map_times`` (so FRACWAVE_THREADS applies).  Zero data
+    yields the explicit zero-series variant.
     """
+    from .experiments import map_times   # experiments imports this module
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
-        raise ValueError("empty time grid")
+        raise SeriesError("empty time grid")
     if backend is None:
         backend = QuadratureBackend()
     u0, u1 = data
     provenance = {"backend": backend.name, "s": params.s,
                   "u0": repr(u0), "u1": repr(u1)}
     if u0.is_zero and u1.is_zero:
+        params.require_evolution()   # zero data never reaches evolve_state
         return NormSeries(t_grid, np.zeros_like(t_grid), level, provenance,
                           zero=True)
-    if isinstance(backend, GridBackend) and float(np.max(t_grid)) > backend.time_cap:
-        raise BackendCapError(
-            f"time grid reaches t={np.max(t_grid):g} beyond the grid backend cap "
-            f"{backend.time_cap:g}; sample with the quadrature backend instead")
-    vals = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        snap = backend.evolve(data, params, float(t))
-        vals[i] = snap.spectral_l2() if level == "u_hat" else snap.physical_l2()
-    return NormSeries(t_grid, vals, level, provenance)
+
+    def norm(t):
+        snap = evolve_state(data, params, float(t), backend)
+        return snap.spectral_l2() if level == "u_hat" else snap.physical_l2()
+
+    return NormSeries(t_grid, np.array(map_times(norm, t_grid)), level,
+                      provenance)
 
 
 def default_window(series: NormSeries, t0: float | None = None) -> tuple:
@@ -138,51 +139,42 @@ def default_window(series: NormSeries, t0: float | None = None) -> tuple:
 
 
 def _windowed(series: NormSeries, window):
+    if series.zero:
+        raise SeriesError("cannot fit a growth law to the zero series")
     if window is None:
         window = default_window(series)
     sub = series.restrict(*window)
     if len(sub) < 8:
-        raise ValueError(f"need at least 8 samples in the fit window, got {len(sub)}")
+        raise SeriesError(f"need at least 8 samples in the fit window, got {len(sub)}")
     return sub, window
 
 
 def fit_power_exponent(series: NormSeries, window=None) -> RateReport:
     """Least-squares exponent of values ~ C t^alpha over the window."""
-    if series.zero:
-        raise ValueError("cannot fit a growth law to the zero series")
     sub, window = _windowed(series, window)
-    x = np.log(sub.t)
-    y = np.log(sub.values)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return RateReport(model="power", exponent=float(slope),
-                      intercept=float(intercept),
-                      residual=float(np.sqrt(np.mean(resid ** 2))),
-                      r_squared=_r_squared(y, resid), window=window)
+    slope, intercept, residual, r2 = _line_fit(np.log(sub.t), np.log(sub.values))
+    return RateReport(model="power", exponent=slope, intercept=intercept,
+                      residual=residual, r_squared=r2, window=window)
 
 
 def fit_log_rate(series: NormSeries, window=None) -> RateReport:
     """Least-squares slope of values^2 against log t over the window."""
-    if series.zero:
-        raise ValueError("cannot fit a growth law to the zero series")
     sub, window = _windowed(series, window)
     if np.any(sub.t <= 1.0):
-        raise ValueError("log-law fits need t > 1 throughout the window")
-    x = np.log(sub.t)
-    y = sub.values ** 2
+        raise SeriesError("log-law fits need t > 1 throughout the window")
+    slope, intercept, residual, r2 = _line_fit(np.log(sub.t), sub.values ** 2)
+    return RateReport(model="log", slope=slope, intercept=intercept,
+                      residual=residual, r_squared=r2, window=window)
+
+
+def _line_fit(x, y) -> tuple:
+    """Slope, intercept, RMS residual and R^2 of the least-squares line."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    return RateReport(model="log", slope=float(slope),
-                      intercept=float(intercept),
-                      residual=float(np.sqrt(np.mean(resid ** 2))),
-                      r_squared=_r_squared(y, resid), window=window)
-
-
-def _r_squared(y, resid) -> float:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return float(1.0 - np.sum(resid ** 2) / ss_tot)
+    r2 = 1.0 if ss_tot == 0.0 else float(1.0 - np.sum(resid ** 2) / ss_tot)
+    return (float(slope), float(intercept),
+            float(np.sqrt(np.mean(resid ** 2))), r2)
 
 
 def sandwich_check(series: NormSeries, lower: BoundSpec,
@@ -195,21 +187,21 @@ def sandwich_check(series: NormSeries, lower: BoundSpec,
     holds from a finite onset inside the sampled range.
     """
     if series.zero:
-        raise ValueError("sandwich checks need a nonzero series")
+        raise SeriesError("sandwich checks need a nonzero series")
     for bound in (lower, upper):
         if bound.level != series.level:
             raise ConventionError(
                 f"bound stated at level {bound.level!r} cannot be checked "
                 f"against a series at level {series.level!r}")
     if lower.kind != "lower" or upper.kind != "upper":
-        raise ValueError("pass the envelopes as (lower, upper)")
+        raise SeriesError("pass the envelopes as (lower, upper)")
 
     t_min = max(lower.min_time(), upper.min_time())
     m = series.t > t_min
     t = series.t[m]
     v = series.values[m]
     if t.size == 0:
-        raise ValueError("no samples inside the bounds' validity region")
+        raise SeriesError("no samples inside the bounds' validity region")
     lo = np.atleast_1d(lower.evaluate(t))
     hi = np.atleast_1d(upper.evaluate(t))
     ok_lower = lo <= v
@@ -221,19 +213,12 @@ def sandwich_check(series: NormSeries, lower: BoundSpec,
     first_bad_t = None
     if not np.all(ok_upper):
         first_bad_t = float(t[np.argmin(ok_upper)])
+    detail = {"lower_ok": int(np.sum(ok_lower)), "upper_ok": int(np.sum(ok_upper)),
+              "n": int(t.size), "first_upper_violation": first_bad_t}
     if idx.size == 0:
         return RateReport(model="sandwich", pass_fraction=0.0, t0=None,
-                          window=(float(t[0]), float(t[-1])),
-                          detail={"lower_ok": int(np.sum(ok_lower)),
-                                  "upper_ok": int(np.sum(ok_upper)),
-                                  "n": int(t.size),
-                                  "first_upper_violation": first_bad_t})
+                          window=(float(t[0]), float(t[-1])), detail=detail)
     i0 = int(idx[0])
-    both = ok_lower[i0:] & ok_upper[i0:]
-    frac = float(np.mean(both))
+    frac = float(np.mean(ok_lower[i0:] & ok_upper[i0:]))
     return RateReport(model="sandwich", pass_fraction=frac, t0=float(t[i0]),
-                      window=(float(t[i0]), float(t[-1])),
-                      detail={"lower_ok": int(np.sum(ok_lower)),
-                              "upper_ok": int(np.sum(ok_upper)),
-                              "n": int(t.size),
-                              "first_upper_violation": first_bad_t})
+                      window=(float(t[i0]), float(t[-1])), detail=detail)

@@ -38,14 +38,16 @@ import numpy as np
 from .errors import (BackendCapError, BackendMismatchError,
                      UnsupportedDimensionError)
 from .grid import GridSpec
-from .profiles import Profile, SampledProfile, TruncationWarning
-from .quadrature import (frequency_cutoff, oscillatory_integral, panel_width,
-                         static_integral)
+from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
+from .quadrature import frequency_cutoff, oscillatory_integral, panel_width
 
 TWO_PI = 2.0 * np.pi
 
 #: below this phase, sin(w)/w switches to its series to dodge cancellation
 SERIES_PHASE = 1e-8
+
+#: latest time the grid backend evolves to (see ``GridBackend``)
+GRID_TIME_CAP = 100.0
 
 
 @dataclass(frozen=True)
@@ -223,14 +225,11 @@ class GridSnapshot(Snapshot):
 class QuadratureSnapshot(Snapshot):
     """Solution state as closed-form spectral functions, valid at any t."""
 
-    def __init__(self, t: float, params: Parameters, u0: Profile, u1: Profile,
-                 rel_tol: float = 1e-11, order: int = 12):
+    def __init__(self, t: float, params: Parameters, u0: Profile, u1: Profile):
         self.t = t
         self.params = params
         self.u0 = u0
         self.u1 = u1
-        self.rel_tol = rel_tol
-        self.order = order
         # spectral_mass per (lo, hi, field, weight_exp): the norm methods and
         # energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
@@ -280,7 +279,6 @@ class QuadratureSnapshot(Snapshot):
             density = self._field_density(field, weight_exp)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
-                order=self.order, rel_tol=self.rel_tol,
                 static_width=panel_width(data))
             self._masses[key] = mass
         return mass
@@ -297,29 +295,27 @@ class QuadratureSnapshot(Snapshot):
     def advance(self, dt: float) -> "QuadratureSnapshot":
         if dt < 0:
             raise ValueError("time must be nonnegative")
-        return QuadratureSnapshot(self.t + dt, self.params, self.u0, self.u1,
-                                  self.rel_tol, self.order)
+        return QuadratureSnapshot(self.t + dt, self.params, self.u0, self.u1)
 
 
 @dataclass(frozen=True)
 class GridBackend:
     """FFT evaluation on a fixed grid; capped in time.
 
-    The cap exists because the periodized problem parts ways with the
-    whole-line one once low-frequency content (group velocity ~ s |xi|^(s-1),
-    unbounded as xi -> 0) wraps around the box; past t ~ 1e2 only the
-    quadrature backend is meaningful on desk-size grids.
+    The cap, ``GRID_TIME_CAP``, exists because the periodized problem parts
+    ways with the whole-line one once low-frequency content (group velocity
+    ~ s |xi|^(s-1), unbounded as xi -> 0) wraps around the box; past t ~ 1e2
+    only the quadrature backend is meaningful on desk-size grids.
     """
 
     grid: GridSpec = GridSpec()
-    time_cap: float = 100.0
 
     name = "grid"
 
     def evolve(self, data, params: Parameters, t: float) -> GridSnapshot:
-        if t > self.time_cap:
+        if t > GRID_TIME_CAP:
             raise BackendCapError(
-                f"grid backend is capped at t <= {self.time_cap:g} "
+                f"grid backend is capped at t <= {GRID_TIME_CAP:g} "
                 f"(requested t={t:g}); use the quadrature backend")
         u0, u1 = data
         start = GridSnapshot(0.0, params,
@@ -347,10 +343,10 @@ class GridBackend:
 
 @dataclass(frozen=True)
 class QuadratureBackend:
-    """Closed-form spectral evaluation; needs analytic transforms."""
+    """Closed-form spectral evaluation; needs analytic transforms.
 
-    rel_tol: float = 1e-11
-    order: int = 12
+    Its quadrature settings are the constants of ``quadrature``.
+    """
 
     name = "quadrature"
 
@@ -361,7 +357,7 @@ class QuadratureBackend:
                 raise BackendMismatchError(
                     "quadrature backend requires analytic transforms; "
                     f"{type(p).__name__} has none (use the grid backend)")
-        return QuadratureSnapshot(t, params, u0, u1, self.rel_tol, self.order)
+        return QuadratureSnapshot(t, params, u0, u1)
 
 
 def evolve_state(data, params: Parameters, t: float, backend=None) -> Snapshot:
@@ -405,11 +401,9 @@ def hs_seminorm(obj, s: float) -> float:
     if isinstance(obj, (Snapshot, SpectralField)):
         return obj.hs_seminorm(s)
     if isinstance(obj, Profile):
-        def density(xi):
-            return np.abs(obj.fourier(xi)) ** 2 * xi ** (2.0 * s)
-        mass = 2.0 * static_integral(density, frequency_cutoff([obj], 2.0 * s),
-                                     width=panel_width([obj]))
-        return float(np.sqrt(mass / TWO_PI))
+        # at t = 0 the evolution order in Parameters plays no part
+        return evolve_state((obj, ZERO), Parameters(1.0), 0.0,
+                            QuadratureBackend()).hs_seminorm(s)
     raise TypeError(f"cannot take the seminorm of {type(obj).__name__}")
 
 

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from fracwave import experiments
 from fracwave.cli import main
 from fracwave.errors import ConfigError
 from fracwave.experiments import (ExperimentConfig, canonical_text, map_times,
@@ -58,7 +59,11 @@ class TestConfigParsing:
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert all(getattr(cfg, n) != getattr(default, n) for n in names)
         text = canonical_text(cfg)
-        assert parse_config(text) == cfg
+        # n = 2 is written but not accepted: configs declare 1-d profiles
+        with pytest.raises(ConfigError, match="n=2"):
+            parse_config(text)
+        text = text.replace("\nn = 2\n", "\nn = 1\n")
+        assert parse_config(text) == dataclasses.replace(cfg, n=1)
         lines = text.splitlines()
         for line in lines:
             parse_config(line + "\n")
@@ -294,6 +299,59 @@ class TestCli:
         svg = ET.parse(tmp_path / "out" / "plot.svg").getroot()
         texts = [el.text for el in svg.iter() if el.tag.endswith("text")]
         assert texts[0] == "a<b&c"
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("sandwich", SANDWICH_CFG),
+        ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e2 1e4 12\n"),
+    ], ids=["sandwich", "rates"])
+    def test_threads_do_not_change_outputs(self, tmp_path, monkeypatch,
+                                           command, cfg):
+        pools = []
+        pool = experiments.ThreadPoolExecutor
+
+        def counting_pool(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool)
+        path = self._write(tmp_path, cfg)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FRACWAVE_THREADS", threads)
+            assert main([command, "--config", path,
+                         "--out", str(tmp_path / threads)]) == 0
+        assert pools == [2]
+        for name in ("norms.csv", "report.json"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["solve", "energy", "rates", "sandwich",
+                                         "lemmas"])
+    def test_dimension_two_exits_two(self, tmp_path, capsys, command):
+        cfg = "n = 2\nt_grid = log 1e2 1e3 10\n"
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "n=2" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("sandwich", "t_grid = list 5 1 3\n"),
+        ("rates", "t_grid = list 0 10 100\n"),
+        ("rates", "s = 0.5\nt_grid = lin 0.5 50 20\n"),
+        ("rates", "t_grid = log 1 10 5\n"),
+        ("rates", "u0 = none\nu1 = none\n"),
+        ("sandwich", "u0 = none\nu1 = none\n"),
+    ], ids=["unordered", "time-zero", "log-law-below-one", "five-samples",
+            "rates-zero-data", "sandwich-zero-data"])
+    def test_unusable_series_exits_with_one_line(self, tmp_path, capsys,
+                                                 command, cfg):
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc in (1, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_wrong_regime_is_reported_not_raised(self, tmp_path, capsys):
         cfg = "s = 0.75\nbounds = log\nt_grid = log 1e2 1e3 10\n"

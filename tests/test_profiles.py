@@ -159,6 +159,18 @@ def test_scaled_keeps_shape():
     assert np.allclose(g.evaluate(x), -3.0 * Gaussian(width=2.0).evaluate(x))
 
 
+def test_scaled_copies_every_field_and_not_the_bump_cache():
+    assert (scaled(GaussianDerivative(1.0, 2.0, 0.5), -3.0)
+            == GaussianDerivative(-3.0, 2.0, 0.5))
+    bump = CompactBump(2.0, 1.5)
+    xi = np.array([0.0, 1.0, 4.0])
+    base = bump.fourier(xi)
+    half = scaled(bump, 0.5)
+    assert half == CompactBump(1.0, 1.5)
+    assert half._fourier_cache is not bump._fourier_cache
+    np.testing.assert_allclose(half.fourier(xi), 0.5 * base, rtol=1e-14)
+
+
 def test_sampled_profile():
     grid = GridSpec(half_width=20.0, points=512)
     samples = Gaussian().evaluate(grid.x())

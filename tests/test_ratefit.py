@@ -1,13 +1,18 @@
 """Norm series, growth-law fits, sandwich scanning."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from fracwave import (BoundSpec, Gaussian, GridBackend, NormSeries,
-                      Parameters, QuadratureBackend, ZERO, fit_log_rate,
-                      fit_power_exponent, log_lower_bound, power_lower_bound,
-                      power_upper_bound, sample_norm_curve, sandwich_check)
-from fracwave.errors import BackendCapError, ConventionError
+from fracwave import (BoundSpec, CompactBump, Gaussian, GridBackend, NormSeries,
+                      Parameters, QuadratureBackend, ZERO, combine, evolve_state,
+                      fit_log_rate, fit_power_exponent, log_lower_bound,
+                      power_lower_bound, power_upper_bound, sample_norm_curve,
+                      sandwich_check)
+from fracwave import experiments
+from fracwave.errors import (BackendCapError, ConventionError, FracwaveError,
+                             SeriesError, UnsupportedDimensionError)
 from fracwave.ratefit import default_window
 
 
@@ -53,6 +58,45 @@ class TestSampling:
             sample_norm_curve((ZERO, Gaussian()), Parameters(0.75),
                               np.array([10.0, 1e4]), GridBackend())
 
+    def test_other_dimensions_rejected(self):
+        # zero data never reaches evolve_state and is checked all the same
+        for u1 in (Gaussian(), ZERO):
+            with pytest.raises(UnsupportedDimensionError):
+                sample_norm_curve((ZERO, u1), Parameters(0.75, n=2),
+                                  np.array([1.0, 2.0]), QuadratureBackend())
+
+    def test_samples_go_through_map_times(self, monkeypatch):
+        calls = []
+        mapper = experiments.map_times
+
+        def counting(fn, ts):
+            calls.append(len(ts))
+            return mapper(fn, ts)
+
+        monkeypatch.setattr(experiments, "map_times", counting)
+        t = np.array([1.0, 4.0, 9.0])
+        data, params = (ZERO, Gaussian()), Parameters(0.75)
+        series = sample_norm_curve(data, params, t, QuadratureBackend())
+        assert calls == [3]
+        direct = [evolve_state(data, params, ti, QuadratureBackend()).spectral_l2()
+                  for ti in t]
+        assert series.values.tolist() == direct
+
+    def test_threaded_samples_equal_serial(self, monkeypatch):
+        # more workers than cores and a short switch interval; the threads
+        # share the backend and the bump's transform cache
+        data = (ZERO, combine((1.0, Gaussian()), (0.5, CompactBump())))
+        t = np.linspace(0.05, 0.4, 8)
+        serial = sample_norm_curve(data, Parameters(0.75), t)
+        monkeypatch.setenv("FRACWAVE_THREADS", "6")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sample_norm_curve(data, Parameters(0.75), t)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.values.tolist() == serial.values.tolist()
+
     def test_levels_differ_by_plancherel(self):
         t = np.array([1.0, 4.0, 9.0])
         hat = sample_norm_curve((ZERO, Gaussian()), Parameters(0.75), t,
@@ -66,6 +110,19 @@ class TestSampling:
         series = sample_norm_curve((ZERO, Gaussian()), Parameters(0.75), t,
                                    QuadratureBackend())
         assert np.all(np.diff(series.values) > 0)
+
+
+def test_bad_inputs_raise_a_fracwave_value_error():
+    bad = [lambda: NormSeries(np.array([2.0, 1.0]), np.array([1.0, 1.0])),
+           lambda: fit_power_exponent(_power_series(n=5)),
+           lambda: fit_log_rate(NormSeries(np.array([1.0, 2.0]), np.zeros(2),
+                                           zero=True)),
+           lambda: sample_norm_curve((ZERO, Gaussian()), Parameters(0.75), [])]
+    for call in bad:
+        with pytest.raises(SeriesError) as info:
+            call()
+        assert isinstance(info.value, FracwaveError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestFits:
