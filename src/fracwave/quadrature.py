@@ -8,52 +8,55 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   profiles) -> ``static_integral``: ``singular_origin_integral`` on (0, 1],
   which resolves the |xi|^p kink or singularity at the origin and detects a
   divergent one (settings ORIGIN_ORDER, ORIGIN_MAX_DEPTH, FLAT_RATIO,
-  FLAT_RUNS, MIN_DEPTH), then equal Gauss-Legendre panels (``gauss_panels``)
-  out to the cutoff;
-* oscillatory integrands with phase w = t*|xi|^s -> Gauss panels in the phase
-  variable w itself (``oscillatory_integral``), with the first
-  LEAD_HALFPERIODS half-periods handed to adaptive quadrature in xi (at
-  LEAD_REL_TOL) because the integrand has an algebraic |xi|^(2s) kink at the
-  origin.
+  FLAT_RUNS, MIN_DEPTH), then EQUAL_PANELS equal Gauss-Legendre panels
+  (``gauss_panels``) out to the cutoff;
+* oscillatory integrands with phase w = t*|xi|^s -> ``oscillatory_integral``:
+  the first LEAD_HALFPERIODS half-periods go to adaptive quadrature in xi
+  (at LEAD_REL_TOL) because the integrand has an algebraic |xi|^(2s) kink at
+  the origin, and the rest, the body, to a Legendre-Filon rule in w.
 
 ``gauss_panels`` and ``adaptive`` also serve the smooth integrands of the
 estimates and the profile norms.
 
-The phase-panel rule is the workhorse.  After the substitution
-xi = (w/t)^(1/s) every panel is a half-period [k*pi, (k+1)*pi] of w, so the
-Gauss nodes sit at the same offsets in every panel and sin w, cos w there are
-one fixed vector times (-1)^k.  A node then costs one power (to recover xi)
-and the integrand's own amplitude; no trigonometric function is evaluated in
-the body.  A degree-12 rule (PHASE_ORDER) per half-period resolves the
-trigonometric factors to near machine precision, so the cost is O(number of
-oscillations) with a tiny constant, which keeps t = 1e6 sweeps well under a
-second.  These settings are module constants, the same for every norm.
+The Filon body makes a norm at t = 1e6 cost about what one at t = 1e2 does.
+Every density here is a quadratic form in (sin w, cos w), so in the variable
+w the body integrand is A0(w) + A1(w) cos 2w + A2(w) sin 2w, whose
+amplitudes do not oscillate.  Its panels are the static rule's xi-panels
+with their edges moved to w = k*pi, so their number does not grow with the
+number of turns of w.  On each panel A0 gets a Gauss sum, and A1 and A2 are
+replaced by their Legendre interpolant at the same FILON_ORDER nodes, whose
+products with e^(2iw) have exact moments (the Filon idea of Iserles &
+Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov
+& Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  These settings are
+module constants, the same for every norm.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import spherical_jn
 
 from .errors import DivergenceError, NumericalFailureError
-
-# Panels per block of the phase-panel body.  At order 12 the largest per-node
-# temporary (complex, 96 KiB) stays below glibc's initial 128 KiB mmap
-# threshold, so the allocator reuses heap memory from block to block.  With
-# temporaries above it, every block mapped or trimmed and then faulted its
-# memory in again, depending on what the process had allocated before: on a
-# 2-core x86 VM one t = 1e6 norm at s = 0.9 took 1.0-1.2 s at 512-768 panels
-# in every process state tried, and 1.1-2.3 s at 1024-4096 panels.
-PHASE_BLOCK = 512
 
 #: spectral integrals stop where every transform is below this fraction of
 #: its peak
 CUTOFF_TOL = 1e-18
 
-#: Gauss nodes per half-period of w in the phase-panel body
-PHASE_ORDER = 12
+#: equal panels of the static rule on [1, cutoff], at least
+EQUAL_PANELS = 63
+#: Gauss nodes per panel of the Filon body; the amplitudes are interpolated
+#: by Legendre polynomials of one degree less.  16 nodes left 1.5e-12 of a
+#: Gaussian norm (power-law amplitudes on the ratio-2 panels at the origin)
+#: and 7e-11 of a CompactBump norm (two periods of |fhat|^2 per panel); 24
+#: leave under 1e-13 of both.
+FILON_ORDER = 24
+#: a Filon panel wider than the data's ``panel_width`` is split unless its
+#: share of the integral is below this
+SPLIT_TOL = 1e-16
 #: leading half-periods of w, which hold the |xi|^(2s) kink at 0, that go to
 #: ``adaptive`` at relative tolerance LEAD_REL_TOL
 LEAD_HALFPERIODS = 4
@@ -164,14 +167,21 @@ def panel_width(profiles) -> float:
     return 2.0 * np.pi / max(radii) if radii else np.inf
 
 
+def _equal_panels(lo: float, hi: float, width: float) -> np.ndarray:
+    """Edges of EQUAL_PANELS equal panels on [lo, hi], or of more where that
+    keeps each no wider than ``width``."""
+    n = max(EQUAL_PANELS, int(np.ceil((hi - lo) / width)))
+    return np.linspace(lo, hi, n + 1)
+
+
 def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
                     width: float = np.inf) -> float:
     """Integrate a non-oscillatory f over [xi_lo, xi_hi].
 
     The part in (0, 1] goes to ``singular_origin_integral``, which resolves a
     power-law kink or singularity at the origin and raises DivergenceError
-    for a non-integrable one.  [1, xi_hi] gets 63 equal Gauss-16 panels, or
-    more where that keeps each no wider than ``width`` (``panel_width``).
+    for a non-integrable one.  [1, xi_hi] gets Gauss-16 panels on
+    ``_equal_panels``, no wider than ``width`` (``panel_width``).
     An interval starting at xi_lo > 0 never reaches the origin, so its part
     below 1 uses geometric panels toward xi_lo instead.
     """
@@ -187,32 +197,27 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
     lo = max(xi_lo, 1.0)
     if xi_hi <= lo:
         return head
-    n = max(63, int(np.ceil((xi_hi - lo) / width)))
-    return head + gauss_panels(f, np.linspace(lo, xi_hi, n + 1), order=16)
+    return head + gauss_panels(f, _equal_panels(lo, xi_hi, width), order=16)
 
 
 def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
-                         xi_lo: float = 0.0,
-                         static_width: float = np.inf) -> float:
-    """Integrate an integrand with phase w = t*xi^s over xi in [xi_lo, xi_hi].
+                         xi_lo: float = 0.0, width: float = np.inf) -> float:
+    """Integrate a density with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
-    The routine owns the phase: it calls ``f(xi, xi_s, sin_w, cos_w)`` with
-    arrays (or scalars) of the abscissae xi > 0, of xi_s = xi^s and of sin w,
-    cos w at w = t*xi_s, and f returns the integrand values in xi.
+    The density is a quadratic form in (sin w, cos w), and the routine owns
+    the phase: ``f(xi, xi_s)`` takes arrays (or scalars) of the abscissae
+    xi > 0 and of xi_s = xi^s and returns the coefficients (alpha, beta,
+    gamma) of the integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w.
 
-    At t <= 0 nothing oscillates and the integral is ``static_integral``
-    with panels no wider than ``static_width``.
-    Otherwise the first LEAD_HALFPERIODS half-periods of w (where
-    xi^(2s)-type kinks live when the interval starts at 0) go to adaptive
-    quadrature in xi, which computes the phase from xi at each point.  The
-    rest, the body, is integrated in w: the Jacobian is d xi/dw = xi/(s*w),
-    every full panel is [k*pi, (k+1)*pi], and the trigonometric values at its
-    Gauss nodes are the fixed vector (sin, cos)(pi*(1+x_j)/2) times (-1)^k,
-    which is exact where sin or cos of a large w would carry the rounding of
-    w.  Only the final partial panel [k_end*pi, w_hi] takes sin and cos of
-    its own nodes.
-
-    Panels are processed ``PHASE_BLOCK`` at a time.
+    At t <= 0 nothing oscillates and the integral is ``static_integral`` of
+    beta, with panels no wider than ``width``.  Otherwise the first
+    LEAD_HALFPERIODS half-periods of w (where xi^(2s)-type kinks live when
+    the interval starts at 0) go to adaptive quadrature in xi, which composes
+    the form with sin and cos of its own points.  The rest, the body, is
+    integrated in w by ``_filon_body``, as A0 + A1 cos 2w + A2 sin 2w with
+    A0 = (alpha + beta)/2, A1 = (beta - alpha)/2 and A2 = gamma/2, each
+    times d xi/dw.  Its panels are the static rule's, so their number grows
+    with t only through the ratio-2 panels below xi = 1, that is as log t.
     """
     if xi_hi <= xi_lo:
         return 0.0
@@ -220,10 +225,13 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     def pointwise(xi):
         xi_s = xi ** s
         w = t * xi_s
-        return f(xi, xi_s, np.sin(w), np.cos(w))
+        sin_w, cos_w = np.sin(w), np.cos(w)
+        alpha, beta, gamma = f(xi, xi_s)
+        return alpha * sin_w ** 2 + beta * cos_w ** 2 + gamma * (sin_w * cos_w)
 
     if t <= 0:
-        return static_integral(pointwise, xi_hi, xi_lo=xi_lo, width=static_width)
+        return static_integral(lambda xi: f(xi, xi ** s)[1], xi_hi,
+                               xi_lo=xi_lo, width=width)
 
     w_lo = t * xi_lo ** s
     w_hi = t * xi_hi ** s
@@ -235,35 +243,97 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
 
     k_lead = k_lo + LEAD_HALFPERIODS
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    total = adaptive(pointwise, xi_lo, xi_lead, rel_tol=LEAD_REL_TOL)
+    head = adaptive(pointwise, xi_lo, xi_lead, rel_tol=LEAD_REL_TOL)
+    return head + _filon_body(f, t, s, k_lead, xi_lead, xi_hi, width, head)
 
-    x, wts = gauss_rule(PHASE_ORDER)
-    phi = 0.5 * np.pi * (1.0 + x)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    k_end = int(np.floor(w_hi / np.pi))
-    for start in range(k_lead, k_end, PHASE_BLOCK):
-        ks = np.arange(start, min(start + PHASE_BLOCK, k_end), dtype=float)
-        total += _phase_panels(f, t, s, ks, phi, sin_phi, cos_phi,
-                               0.5 * np.pi * wts)
-    tail = w_hi - k_end * np.pi
-    if tail > 0.0:
-        phi = 0.5 * tail * (1.0 + x)
-        total += _phase_panels(f, t, s, np.array([float(k_end)]), phi,
-                               np.sin(phi), np.cos(phi), 0.5 * tail * wts)
+
+def _filon_body(f, t, s, k_lead, xi_lead, xi_hi, width, scale) -> float:
+    """Legendre-Filon integral in w of the form f over [k_lead*pi, w_hi].
+
+    Each panel edge is held as w = k*pi + d with integer k and a small offset
+    d, so e^(2iw) = e^(2id) is exact however large w is.  The xi-edges are
+    those of the static rule: ratio-2 panels from xi_lead up to 1, then
+    ``_equal_panels``.  Each is moved to the nearest k*pi (d = 0); the last
+    edge is w_hi itself.  At small t that merges panels into half-periods
+    wider than ``width``; such a panel is split into equal xi-parts unless
+    its share of the integral (``scale`` being the rest of it) is below
+    SPLIT_TOL, where no error of it can show.
+    """
+    w_hi = t * xi_hi ** s
+    xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
+    if xi_lead < 1.0:
+        xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
+    k = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
+    k = k[(k > k_lead) & (k * np.pi < w_hi)]
+    k_end = np.floor(w_hi / np.pi)
+    ks = np.concatenate([[float(k_lead)], k, [k_end]])
+    ds = np.zeros_like(ks)
+    ds[-1] = w_hi - k_end * np.pi
+
+    parts = _filon_panels(f, t, s, ks[:-1], ds[:-1], ks[1:], ds[1:])
+    xi = ((ks * np.pi + ds) / t) ** (1.0 / s)
+    pieces = np.ceil(np.diff(xi) / width)
+    split = (pieces > 1) & (np.abs(parts) > SPLIT_TOL * (abs(scale) + np.sum(np.abs(parts))))
+    total = float(np.sum(parts[~split]))
+    if np.any(split):
+        ka, da, kb, db = [], [], [], []
+        for i in np.nonzero(split)[0]:
+            w = t * np.linspace(xi[i], xi[i + 1], int(pieces[i]) + 1)[1:-1] ** s
+            k = np.concatenate([[ks[i]], np.floor(w / np.pi), [ks[i + 1]]])
+            d = np.concatenate([[ds[i]], w - k[1:-1] * np.pi, [ds[i + 1]]])
+            ka.append(k[:-1])
+            da.append(d[:-1])
+            kb.append(k[1:])
+            db.append(d[1:])
+        total += float(np.sum(_filon_panels(
+            f, t, s, *map(np.concatenate, (ka, da, kb, db)))))
     return total
 
 
-def _phase_panels(f, t, s, ks, phi, sin_phi, cos_phi, wts) -> float:
-    """Gauss sum of f * d xi/dw over the w-panels with nodes k*pi + phi.
+def _filon_panels(f, t, s, ka, da, kb, db) -> np.ndarray:
+    """Integrals of the form f over the w-panels [ka*pi + da, kb*pi + db].
 
-    ``ks`` holds the panels' k, ``phi`` the node offsets within a panel and
-    ``wts`` the matching weights in w.
+    On a panel [a, b] with half-width h, w = (a + b)/2 + h*x and
+
+        int_a^b G(w) e^(2iw) dw = h e^(i(a+b)) int_{-1}^{1} G e^(i(b-a)x) dx,
+
+    whose right-hand side is the sum of the Legendre coefficients of G times
+    the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
+    j_k the spherical Bessel function and omega = b - a.  The integrand is
+    A0 + Re((A1 - i A2) e^(2iw)) times the Jacobian d xi/dw = xi/(s*w).
     """
-    sign = (1.0 - 2.0 * (ks % 2.0))[:, None]
-    xi_s = (ks[:, None] * np.pi + phi) / t
+    omega = (kb - ka) * np.pi + (db - da)
+    half = 0.5 * omega
+    sign = 1.0 - 2.0 * ((ka + kb) % 2.0)
+    phase = sign * np.exp(1j * (da + db))
+
+    x, wts = gauss_rule(FILON_ORDER)
+    w = (ka * np.pi + da)[:, None] + half[:, None] * (1.0 + x)
+    xi_s = w / t
     xi = xi_s ** (1.0 / s)
-    vals = f(xi, xi_s, sign * sin_phi, sign * cos_phi)
-    return float(np.sum((vals * (xi / xi_s)) @ wts)) / (s * t)
+    jac = xi / (s * w)
+    alpha, beta, gamma = f(xi, xi_s)
+    mean = (0.5 * (alpha + beta) * jac) @ wts
+    wave = (0.5 * (beta - alpha) - 0.5j * gamma) * jac
+
+    filon_wts = spherical_jn(np.arange(FILON_ORDER), omega[:, None]) @ _moment_map(FILON_ORDER)
+    osc = (phase * np.einsum("pj,pj->p", filon_wts, wave)).real
+    return half * (mean + osc)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_map(order: int) -> np.ndarray:
+    """Matrix taking j_k(omega), k < order, to Filon weights at the nodes.
+
+    Row k is 2 i^k times (k + 1/2) w_j P_k(x_j), the Gauss sum that projects
+    values at the nodes onto P_k: exact for their degree-(order - 1)
+    interpolant.
+    """
+    nodes, weights = gauss_rule(order)
+    degree = np.arange(order)
+    analysis = (degree + 0.5)[:, None] * (
+        np.polynomial.legendre.legvander(nodes, order - 1) * weights[:, None]).T
+    return (2.0 * 1j ** (degree % 4))[:, None] * analysis
 
 
 def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9) -> float:

@@ -39,8 +39,7 @@ class NormSeries:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise SeriesError("time grid and values must be 1-d and equal length")
-        if np.any(np.diff(t) <= 0) or np.any(t <= 0):
-            raise SeriesError("time grid must be positive and strictly increasing")
+        _check_time_grid(t)
         if self.level not in ("u_hat", "u"):
             raise SeriesError(f"unknown norm level {self.level!r}")
         if self.zero:
@@ -99,18 +98,26 @@ class RateReport:
         return out
 
 
+def _check_time_grid(t: np.ndarray) -> None:
+    """Raise SeriesError unless the times are positive and strictly increasing."""
+    if np.any(np.diff(t) <= 0) or np.any(t <= 0):
+        raise SeriesError("time grid must be positive and strictly increasing")
+
+
 def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
                       level: str = "u_hat") -> NormSeries:
     """Evaluate the norm of the evolved solution over a time grid.
 
     Every sample is one ``evolve_state`` call, mapped over the grid by
-    ``experiments.map_times`` (so FRACWAVE_THREADS applies).  Zero data
-    yields the explicit zero-series variant.
+    ``experiments.map_times`` (so FRACWAVE_THREADS applies), once the grid
+    has passed ``_check_time_grid``.  Zero data yields the explicit
+    zero-series variant.
     """
     from .experiments import map_times   # experiments imports this module
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise SeriesError("empty time grid")
+    _check_time_grid(t_grid)
     if backend is None:
         backend = QuadratureBackend()
     u0, u1 = data

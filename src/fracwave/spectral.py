@@ -18,9 +18,10 @@ Two evaluation backends realize this:
   trustworthy only while the solution's content fits the box, hence the hard
   time cap.
 * ``QuadratureBackend``  keeps everything as closed-form functions of xi and
-  evaluates norms by phase-aware quadrature (``oscillatory_integral``; at
-  t = 0 its static rule).  Valid at arbitrary t (1e6 is routine) but
-  requires analytic transforms for the data.
+  evaluates norms by phase-aware quadrature (``oscillatory_integral``, whose
+  cost does not grow with the number of oscillations; at t = 0 its static
+  rule).  Valid at arbitrary t (1e6 is routine) but requires analytic
+  transforms for the data.
 
 All physical-level norms carry the explicit (2 pi)^(-1/2) Plancherel factor
 of the non-unitary transform convention; ``spectral_l2`` values are the raw
@@ -93,7 +94,8 @@ def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None,
 
     ``field`` "u" or "ut" returns that field alone.  A datum given as None is
     zero data and its term is skipped.  ``phase`` is (|xi|^s, sin w, cos w)
-    when the caller already has it; then sin(w)/|xi|^s is a plain quotient,
+    when the caller supplies it (the quadrature densities pass the unit
+    phases (1, 0) and (0, 1)); then sin(w)/|xi|^s is a plain quotient,
     exact for every xi > 0.  Without it the phase is computed from xi, and
     ``sine_multiplier`` keeps the series that makes xi = 0 admissible.
     """
@@ -234,30 +236,43 @@ class QuadratureSnapshot(Snapshot):
         # energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
 
-    def _field_at(self, field, xi, phase):
-        """``propagate`` at xi; a zero profile's transform is not taken."""
-        xi = np.asarray(xi, dtype=float)
+    def _transforms(self, xi):
+        """(u0hat, u1hat) at xi; a zero profile's transform is not taken."""
         u0_hat = None if self.u0.is_zero else self.u0.fourier(xi)
         u1_hat = (None if self.u1.is_zero and u0_hat is not None
                   else self.u1.fourier(xi))
-        return propagate(self.params.s, self.t, xi, u0_hat, u1_hat, field, phase)
+        return u0_hat, u1_hat
 
-    def u_hat_at(self, xi, phase=None) -> np.ndarray:
-        return self._field_at("u", xi, phase)
+    def _field_at(self, field, xi):
+        xi = np.asarray(xi, dtype=float)
+        return propagate(self.params.s, self.t, xi, *self._transforms(xi), field)
 
-    def ut_hat_at(self, xi, phase=None) -> np.ndarray:
-        return self._field_at("ut", xi, phase)
+    def u_hat_at(self, xi) -> np.ndarray:
+        return self._field_at("u", xi)
+
+    def ut_hat_at(self, xi) -> np.ndarray:
+        return self._field_at("ut", xi)
 
     def _field_density(self, field: str, weight_exp: float):
-        """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract."""
-        field_at = self.u_hat_at if field == "u" else self.ut_hat_at
+        """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract.
 
-        def density(xi, xi_s, sin_w, cos_w):
-            vals = field_at(xi, (xi_s, sin_w, cos_w))
-            out = vals.real ** 2 + vals.imag ** 2
+        The field is sin w * a + cos w * b, with a and b the propagator at
+        the unit phases (sin w, cos w) = (1, 0) and (0, 1); its squared
+        modulus has the coefficients (|a|^2, |b|^2, 2 Re(a conj(b))).
+        """
+        s, t = self.params.s, self.t
+
+        def density(xi, xi_s):
+            xi = np.asarray(xi, dtype=float)
+            u0_hat, u1_hat = self._transforms(xi)
+            a = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 1.0, 0.0))
+            b = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 0.0, 1.0))
+            coeffs = (a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2,
+                      2.0 * (a.real * b.real + a.imag * b.imag))
             if weight_exp != 0.0:
-                out = out * np.abs(xi) ** weight_exp
-            return out
+                weight = np.abs(xi) ** weight_exp
+                coeffs = tuple(c * weight for c in coeffs)
+            return coeffs
 
         return density
 
@@ -279,7 +294,7 @@ class QuadratureSnapshot(Snapshot):
             density = self._field_density(field, weight_exp)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
-                static_width=panel_width(data))
+                width=panel_width(data))
             self._masses[key] = mass
         return mass
 

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: randomized data and invariant sweeps."""
+"""Shared helpers for the test suite: randomized data, invariant sweeps and
+the xi-panel reference for oscillatory spectral integrals."""
 
 import numpy as np
 
 from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       Parameters, combine, evolve_state)
+from fracwave.quadrature import (adaptive, frequency_cutoff, gauss_panels,
+                                 oscillatory_integral, panel_width)
+from fracwave.spectral import QuadratureSnapshot, sine_multiplier
 
 INVARIANT_BACKEND = GridBackend(GridSpec(24.0, 1024))
 
@@ -69,3 +73,62 @@ def run_solver_invariant_cases(n_cases: int, seed: int,
                 and np.array_equal(snap.ut_hat.values, again.ut_hat.values)):
             failures.append(f"case {case}: determinism violated")
     return failures
+
+
+def xi_panel_reference(g, t, s, xi_hi, xi_lo=0.0, order=12, lead_halfperiods=4,
+                       rel_tol=1e-11, width=np.inf):
+    """Integral of g(xi) on Gauss panels in xi, one half-period of t*xi^s each.
+
+    The same adaptive head as ``oscillatory_integral``, then panel edges
+    xi_k = (k*pi/t)^(1/s) and the integrand's own sin/cos at every node.
+    A half-period wider than ``width`` is split into equal parts.
+    """
+    k_lo = int(np.floor(t * xi_lo ** s / np.pi))
+    k_hi = int(np.ceil(t * xi_hi ** s / np.pi))
+    if k_hi - k_lo <= lead_halfperiods + 1:
+        return adaptive(g, xi_lo, xi_hi, rel_tol=rel_tol)
+    k_lead = k_lo + lead_halfperiods
+    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
+    head = adaptive(g, xi_lo, xi_lead, rel_tol=rel_tol)
+    edges = (np.arange(k_lead, k_hi + 1, dtype=float) * np.pi / t) ** (1.0 / s)
+    edges[0] = xi_lead
+    edges = np.append(edges[edges < xi_hi], xi_hi)
+    if np.isfinite(width):
+        parts = np.ceil(np.diff(edges) / width).astype(int)
+        edges = np.concatenate([np.linspace(a, b, n + 1)[:-1] for a, b, n
+                                in zip(edges[:-1], edges[1:], parts)] + [[xi_hi]])
+    return head + gauss_panels(g, edges, order=order)
+
+
+def reference_density(s, t, u0, u1, field, weight_exp):
+    """|fieldhat(t, xi)|^2 |xi|^weight computed from xi alone."""
+    def g(xi):
+        xi = np.asarray(xi, dtype=float)
+        w = t * xi ** s
+        if field == "u":
+            vals = sine_multiplier(s, t, xi) * u1.fourier(xi) + np.cos(w) * u0.fourier(xi)
+        else:
+            vals = np.cos(w) * u1.fourier(xi) - xi ** s * np.sin(w) * u0.fourier(xi)
+        return np.abs(vals) ** 2 * xi ** weight_exp
+    return g
+
+
+def body_nodes(u0, u1, s, t):
+    """Density nodes of the Filon body in one |uhat|^2 mass at time t.
+
+    The body evaluates the density on (panels, nodes) arrays; the adaptive
+    head evaluates scalars.
+    """
+    snap = QuadratureSnapshot(t, Parameters(s), u0, u1)
+    density = snap._field_density("u", 0.0)
+    nodes = []
+
+    def counted(xi, xi_s):
+        if np.ndim(xi) == 2:
+            nodes.append(np.size(xi))
+        return density(xi, xi_s)
+
+    data = [p for p in (u0, u1) if not p.is_zero]
+    oscillatory_integral(counted, t, s, frequency_cutoff(data),
+                         width=panel_width(data))
+    return sum(nodes)

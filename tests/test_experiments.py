@@ -184,7 +184,8 @@ class TestRunners:
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
     def test_energy_run_quadrature_position_data(self, tmp_path, s):
         # the t = 0 energy goes through the static rule, t > 0 through the
-        # phase panels; both resolve the |xi|^(2s) kink at the origin
+        # oscillatory rule's adaptive head; both resolve the |xi|^(2s) kink
+        # at the origin
         cfg = parse_config(f"s = {s}\nu0 = gaussian\nu1 = none\n"
                            "t_grid = log 1 100 5\nbackend = quadrature\n")
         result = run_energy(cfg, out_dir=tmp_path)
@@ -352,6 +353,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_decreasing_grid_exits_before_solving(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from fracwave import ratefit
+        solved = []
+        monkeypatch.setattr(ratefit, "evolve_state",
+                            lambda *args: solved.append(args[2]))
+        cfg = "s = 0.9\nu0 = none\nu1 = gaussian\nt_grid = list 1e6 1e5\n"
+        rc = main(["sandwich", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err
+        assert len(err.strip().splitlines()) == 1
+        assert solved == []
 
     def test_wrong_regime_is_reported_not_raised(self, tmp_path, capsys):
         cfg = "s = 0.75\nbounds = log\nt_grid = log 1e2 1e3 10\n"

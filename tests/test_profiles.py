@@ -12,6 +12,7 @@ from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridSpec,
 from fracwave.errors import BackendMismatchError
 from fracwave.profiles import TruncationWarning, l2_norm
 from fracwave.quadrature import static_integral
+from support import body_nodes, reference_density, xi_panel_reference
 
 SQPI = np.sqrt(np.pi)
 
@@ -149,6 +150,24 @@ def test_bump_data_on_the_quadrature_backend():
     # xi-panels at t = 1 resolve the few oscillations; |fhat(400)| ~ 3e-11
     ref = 2.0 * static_integral(density, 400.0, width=0.5)
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_bump_mass_matches_xi_panels(t):
+    # the snapshot integrates to its cutoff, 1536; past |xi| = 400, where
+    # the reference stops, |fhat|^2 is below 1e-21 of its peak.  At t = 10
+    # moving the edges to w = k*pi widens panels near the mass past the
+    # bump's panel width, 2*pi, and they must be split
+    s, bump = 0.75, CompactBump()
+    got = QuadratureSnapshot(t, Parameters(s), ZERO, bump).spectral_mass(0.0)
+    ref = 2.0 * xi_panel_reference(reference_density(s, t, ZERO, bump, "u", 0.0),
+                                   t, s, 400.0, width=0.5)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_bump_mass_nodes_do_not_grow_with_t():
+    bump = CompactBump()
+    assert body_nodes(ZERO, bump, 0.75, 1e4) <= body_nodes(ZERO, bump, 0.75, 10.0)
 
 
 def test_scaled_keeps_shape():

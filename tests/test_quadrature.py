@@ -1,15 +1,17 @@
-"""Quadrature engines: phase panels, singular origins, divergence detection."""
+"""Quadrature engines: Filon panels, singular origins, divergence detection."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import ZERO, Gaussian
 from fracwave.quadrature import (adaptive, gauss_panels, log_spaced_panels,
                                  oscillatory_integral,
                                  singular_origin_integral, static_integral)
-from fracwave.spectral import Parameters, QuadratureSnapshot, sine_multiplier
+from fracwave.spectral import Parameters, QuadratureSnapshot
+from support import body_nodes, reference_density, xi_panel_reference
 
 
 def test_gauss_panels_blocking_matches_unblocked():
@@ -38,8 +40,9 @@ def test_adaptive_matches_closed_form():
 
 @pytest.mark.parametrize("t,s", [(10.0, 0.75), (200.0, 0.5), (50.0, 0.9)])
 def test_oscillatory_integral_vs_scipy(t, s):
-    def f(xi, xi_s, sin_w, cos_w):
-        return sin_w ** 2 * np.exp(-xi * xi / 2.0)
+    def f(xi, xi_s):
+        amp = np.exp(-xi * xi / 2.0)
+        return amp, 0.0 * amp, 0.0 * amp      # sin^2 w times amp
 
     def g(xi):
         return np.sin(t * xi ** s) ** 2 * np.exp(-xi * xi / 2.0)
@@ -52,8 +55,9 @@ def test_oscillatory_integral_vs_scipy(t, s):
 def test_oscillatory_integral_offset_interval():
     t, s = 300.0, 0.6
 
-    def f(xi, xi_s, sin_w, cos_w):
-        return cos_w ** 2 / (1.0 + xi ** 2)
+    def f(xi, xi_s):
+        amp = 1.0 / (1.0 + xi ** 2)
+        return 0.0 * amp, amp, 0.0 * amp      # cos^2 w times amp
 
     def g(xi):
         return np.cos(t * xi ** s) ** 2 / (1.0 + xi ** 2)
@@ -64,7 +68,9 @@ def test_oscillatory_integral_offset_interval():
 
 
 def test_oscillatory_integral_no_phase():
-    val = oscillatory_integral(lambda xi, xi_s, sin_w, cos_w: xi * xi, 0.0, 0.5, 3.0)
+    # at t = 0, sin w = 0 and cos w = 1: only the cos^2 coefficient counts
+    val = oscillatory_integral(lambda xi, xi_s: (1.0 / xi, xi * xi, 1.0 / xi),
+                               0.0, 0.5, 3.0)
     assert val == pytest.approx(9.0, rel=1e-12)
 
 
@@ -85,41 +91,8 @@ def test_static_integral_detects_divergence():
 
 
 # ---------------------------------------------------------------------------
-# phase-variable panels against the xi-panel rule they replaced
+# the Filon body against the xi-panel rule it replaced
 # ---------------------------------------------------------------------------
-
-def xi_panel_reference(g, t, s, xi_hi, xi_lo=0.0, order=12, lead_halfperiods=4,
-                       rel_tol=1e-11):
-    """Integral of g(xi) on Gauss panels in xi, one half-period of t*xi^s each.
-
-    The same adaptive head as ``oscillatory_integral``, then panel edges
-    xi_k = (k*pi/t)^(1/s) and the integrand's own sin/cos at every node.
-    """
-    k_lo = int(np.floor(t * xi_lo ** s / np.pi))
-    k_hi = int(np.ceil(t * xi_hi ** s / np.pi))
-    if k_hi - k_lo <= lead_halfperiods + 1:
-        return adaptive(g, xi_lo, xi_hi, rel_tol=rel_tol)
-    k_lead = k_lo + lead_halfperiods
-    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    head = adaptive(g, xi_lo, xi_lead, rel_tol=rel_tol)
-    edges = (np.arange(k_lead, k_hi + 1, dtype=float) * np.pi / t) ** (1.0 / s)
-    edges[0] = xi_lead
-    edges = np.append(edges[edges < xi_hi], xi_hi)
-    return head + gauss_panels(g, edges, order=order)
-
-
-def reference_density(s, t, u0, u1, field, weight_exp):
-    """|fieldhat(t, xi)|^2 |xi|^weight computed from xi alone."""
-    def g(xi):
-        xi = np.asarray(xi, dtype=float)
-        w = t * xi ** s
-        if field == "u":
-            vals = sine_multiplier(s, t, xi) * u1.fourier(xi) + np.cos(w) * u0.fourier(xi)
-        else:
-            vals = np.cos(w) * u1.fourier(xi) - xi ** s * np.sin(w) * u0.fourier(xi)
-        return np.abs(vals) ** 2 * xi ** weight_exp
-    return g
-
 
 def phase_rule_vs_reference(s, t, u0, u1, field="u", weight_exp=0.0,
                             lo=0.0, hi=12.0):
@@ -159,19 +132,59 @@ def test_phase_panels_match_xi_panels_offset_and_mid_panel_end(s, t):
 
 
 @pytest.mark.parametrize("s,t", [(0.5, 1e4), (0.75, 1e3), (1.0, 1e2)])
-def test_phase_panels_keep_the_sign_of_sin_and_cos(s, t):
-    # odd powers of sin w and cos w: a lost (-1)^k would flip whole panels
-    def f(xi, xi_s, sin_w, cos_w):
-        return (sin_w + 0.5 * cos_w) * np.exp(-xi * xi / 4.0)
+def test_filon_body_keeps_the_sign_of_the_cross_term(s, t):
+    # the sin w cos w coefficient dominates, and its xi^-s rise at the origin
+    # keeps its share of the integral well above rounding: a lost sign of
+    # gamma, or of the sin 2w moments, would flip that share
+    def coefficients(xi):
+        amp = np.exp(-xi * xi / 4.0)
+        return 0.1 * amp, 0.05 * amp, xi ** -s * amp
 
-    def g(xi):
+    def f(xi, xi_s):
+        return coefficients(xi)
+
+    def form(xi, sign):
         w = t * xi ** s
-        return (np.sin(w) + 0.5 * np.cos(w)) * np.exp(-xi * xi / 4.0)
+        alpha, beta, gamma = coefficients(xi)
+        return (alpha * np.sin(w) ** 2 + beta * np.cos(w) ** 2
+                + sign * gamma * np.sin(w) * np.cos(w))
 
     scale = np.sqrt(np.pi)     # integral of the amplitude over the half-line
-    ref = xi_panel_reference(g, t, s, 12.5)
+    ref = xi_panel_reference(lambda xi: form(xi, 1.0), t, s, 12.5)
+    flipped = xi_panel_reference(lambda xi: form(xi, -1.0), t, s, 12.5)
+    assert abs(flipped - ref) > 1e-6 * scale
     assert oscillatory_integral(f, t, s, 12.5) == pytest.approx(
         ref, rel=1e-13, abs=1e-13 * scale)
+
+
+def two_term_sq_norm(s, t):
+    """||uhat(t)||^2 for u0 = 0, u1 = e^(-x^2) up to o(1) as t -> inf.
+
+    P^2 c_s^2 t^(2-1/s) + D with P^2 = pi, mu = 1/s - 2,
+    c_s^2 = (2/s)(-Gamma(mu) cos(mu pi/2)/2^(mu+1)) and
+    D = (pi/2) 2^((1-2s)/2) Gamma((1-2s)/2); at s = 1/2 it is
+    2 P^2 log t + 2 pi (5/4 log 2 + 3/4 gamma_Euler).
+    """
+    if s == 0.5:
+        return 2.0 * np.pi * (np.log(t) + 1.25 * np.log(2.0) + 0.75 * np.euler_gamma)
+    mu = 1.0 / s - 2.0
+    c_sq = (2.0 / s) * (-gamma_fn(mu) * np.cos(mu * np.pi / 2.0) / 2.0 ** (mu + 1.0))
+    d = (np.pi / 2.0) * 2.0 ** ((1.0 - 2.0 * s) / 2.0) * gamma_fn((1.0 - 2.0 * s) / 2.0)
+    return np.pi * c_sq * t ** (2.0 - 1.0 / s) + d
+
+
+@pytest.mark.parametrize("t", [1e5, 1e6])
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
+def test_long_time_mass_matches_two_term_expansion(s, t):
+    snap = QuadratureSnapshot(t, Parameters(s), ZERO, Gaussian())
+    assert snap.spectral_mass(0.0) == pytest.approx(two_term_sq_norm(s, t),
+                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 0.9, 1.0])
+def test_filon_nodes_do_not_grow_with_t(s):
+    assert body_nodes(Gaussian(0.7, 1.3, 0.8), Gaussian(), s, 1e6) <= (
+        2 * body_nodes(Gaussian(0.7, 1.3, 0.8), Gaussian(), s, 1e2))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 0.8])

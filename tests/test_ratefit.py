@@ -65,6 +65,23 @@ class TestSampling:
                 sample_norm_curve((ZERO, u1), Parameters(0.75, n=2),
                                   np.array([1.0, 2.0]), QuadratureBackend())
 
+    def test_bad_grid_rejected_before_any_sample(self, monkeypatch):
+        from fracwave import ratefit
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return evolve_state(*args)
+
+        monkeypatch.setattr(ratefit, "evolve_state", counting)
+        data, params = (ZERO, Gaussian()), Parameters(0.9)
+        for bad in ([1e6, 1e5], [0.0, 1.0], [1.0, 1.0]):
+            with pytest.raises(SeriesError, match="strictly increasing"):
+                sample_norm_curve(data, params, np.array(bad))
+        assert calls == []
+        sample_norm_curve(data, params, np.array([1.0, 2.0]))
+        assert calls == [1.0, 2.0]
+
     def test_samples_go_through_map_times(self, monkeypatch):
         calls = []
         mapper = experiments.map_times

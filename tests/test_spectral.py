@@ -283,13 +283,16 @@ class TestNormsAndEnergy:
         # from xi alone, xi = 0 is admissible: uhat(0) = t u1hat(0) + u0hat(0)
         assert snap.u_hat_at(xi)[0] == pytest.approx(
             t * u1.fourier(0.0) + u0.fourier(0.0), rel=1e-15)
+        # the densities take the propagator at the unit phases; their form
+        # at the true (sin w, cos w) is the squared field from xi alone
         xs = xi[1:]
         xi_s = xs ** s
-        phase = (xi_s, np.sin(t * xi_s), np.cos(t * xi_s))
-        np.testing.assert_allclose(snap.u_hat_at(xs, phase), snap.u_hat_at(xs),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(snap.ut_hat_at(xs, phase), snap.ut_hat_at(xs),
-                                   rtol=1e-14)
+        sin_w, cos_w = np.sin(t * xi_s), np.cos(t * xi_s)
+        for field, values in (("u", snap.u_hat_at(xs)), ("ut", snap.ut_hat_at(xs))):
+            alpha, beta, gamma = snap._field_density(field, 2 * s)(xs, xi_s)
+            np.testing.assert_allclose(
+                alpha * sin_w ** 2 + beta * cos_w ** 2 + gamma * sin_w * cos_w,
+                np.abs(values) ** 2 * xs ** (2 * s), rtol=1e-14)
 
     def test_quadrature_snapshot_shares_integrals(self, monkeypatch):
         # the five norm functionals of one sample need three spectral masses:
