@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import (InfeasibleThresholdError, NumericalFailureError,
                      ValidityError, WrongRegimeError)
-from .quadrature import gauss_panels
+from .quadrature import oscillatory_integral
 from .spectral import Parameters, QuadratureBackend, evolve_state
 
 __all__ = [
@@ -43,6 +42,10 @@ __all__ = [
 ]
 
 _LOG_EPS = 1e-12
+#: upper limit in r of the log-growth integral
+LOG_GROWTH_CUTOFF = 7.8
+#: terms of the power series of E1 on (0, 1]
+EXP1_SERIES_TERMS = 25
 
 
 @dataclass(frozen=True)
@@ -215,26 +218,23 @@ def log_upper_bound(M2: float) -> BoundSpec:
 def log_growth_integral(t: float) -> float:
     """The damped oscillatory integral 2 int_0^inf e^(-r^2) sin^2(t sqrt(r))/r dr.
 
-    Substituting v = t sqrt(r) turns it into 4 int_0^inf e^(-(v/t)^4)
-    sin^2(v)/v dv, whose integrand is entire; panels of length pi then
-    resolve every oscillation.  Grows like log t; the relative quadrature
-    error is far below the 1e-6 the estimate checks need.
+    In the contract of ``oscillatory_integral`` it is the form
+    alpha sin^2 w with phase w = t r^(1/2) and alpha = 2 e^(-r^2)/r, cut off
+    at r = LOG_GROWTH_CUTOFF where e^(-r^2) < 1e-26, so its cost does not
+    grow with t.  Grows like 2 log(2t) + 3 gamma_Euler/2, with a remainder
+    that decays faster than any power of 1/t.
     """
     if t <= 1.0:
         raise ValidityError("the log-growth integral is evaluated for t > 1")
-    v_max = 2.8 * t  # e^-(v/t)^4 < 1e-26 beyond
-    n_panels = int(np.ceil(v_max / np.pi))
-    edges = np.pi * np.arange(n_panels + 1, dtype=float)
 
-    def integrand(v):
-        sinv = np.sin(v)
-        return np.exp(-(v / t) ** 4) * sinv * sinv / v
+    def form(r, r_s):
+        alpha = 2.0 * np.exp(-r * r) / r
+        return alpha, 0.0, 0.0
 
-    val = 4.0 * gauss_panels(integrand, edges, order=12)
+    val = oscillatory_integral(form, t, 0.5, LOG_GROWTH_CUTOFF)
     if not np.isfinite(val) or val <= 0:
         raise NumericalFailureError(
-            f"log-growth integral at t={t:g} returned {val!r} "
-            f"over {n_panels} phase panels")
+            f"log-growth integral at t={t:g} returned {val!r}")
     return val
 
 
@@ -267,7 +267,7 @@ class AreaSumReport:
     @property
     def full_integral(self) -> float:
         """int_{a_0}^inf e^(-r^2)/r dr, exactly 0.5 * E1(a_0^2)."""
-        return float(0.5 * exp1(self.a[0] ** 2))
+        return float(0.5 * _exp1(self.a[0] ** 2))
 
     def to_dict(self) -> dict:
         return {"t": self.t, "panels": int(self.truncation_index + 1),
@@ -277,9 +277,36 @@ class AreaSumReport:
                 "tolerance": self.tolerance}
 
 
-def _exp_integral_panel(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # int_lo^hi e^(-r^2)/r dr = (E1(lo^2) - E1(hi^2)) / 2
-    return 0.5 * (exp1(lo * lo) - exp1(hi * hi))
+def _exp1(x) -> np.ndarray:
+    """Exponential integral E1(x) = int_x^inf e^(-u)/u du for x > 0.
+
+    Abramowitz & Stegun 5.1.11 on (0, 1]:
+    E1 = -gamma_Euler - log x + x sum_(k>=0) (-x)^k / ((k+1) (k+1)!),
+    with EXP1_SERIES_TERMS terms.  Above 1, 5.1.22: the continued fraction
+    E1 = e^(-x) / (x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))), evaluated
+    from its (20 + 80/x)-th level down, which has converged to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 1.0
+    z = x[small]
+    term, total = np.ones_like(z), np.ones_like(z)
+    for k in range(1, EXP1_SERIES_TERMS + 1):
+        term = -term * k * z / (k + 1) ** 2
+        total += term
+    out[small] = -np.euler_gamma - np.log(z) + z * total
+
+    order = np.argsort(x[~small])
+    z = x[~small][order]
+    levels = 20 + (80.0 / z).astype(int)           # non-increasing along z
+    ks = np.arange(levels[0] if z.size else 0, 0, -1)
+    tail = np.zeros_like(z)
+    for k, n in zip(ks.tolist(), np.searchsorted(-levels, -ks, side="right").tolist()):
+        tail[:n] = k / (1.0 + k / (z[:n] + tail[:n]))      # the n with levels >= k
+    big = np.empty_like(z)
+    big[order] = np.exp(-z) / (z + tail)
+    out[~small] = big
+    return out
 
 
 def area_sums(t: float, tolerance: float = 1e-10) -> AreaSumReport:
@@ -306,9 +333,12 @@ def area_sums(t: float, tolerance: float = 1e-10) -> AreaSumReport:
         a = ((i + 0.25) * np.pi / t) ** 2
         b = ((i + 0.75) * np.pi / t) ** 2
         a_next = ((i + 1.25) * np.pi / t) ** 2
-        A = _exp_integral_panel(a, b)
-        B = _exp_integral_panel(b, a_next)
-        tails = 0.5 * exp1(a_next * a_next)
+        # int_lo^hi e^(-r^2)/r dr = (E1(lo^2) - E1(hi^2)) / 2
+        edges = np.concatenate([a, b, a_next])
+        e_a, e_b, e_next = np.split(0.5 * _exp1(edges * edges), 3)
+        A = e_a - e_b
+        B = e_b - e_next
+        tails = e_next
         sums = sum_A + np.cumsum(A)
         done = tails <= tolerance * sums
         if np.any(done):

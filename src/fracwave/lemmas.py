@@ -20,16 +20,15 @@ families, which reduce every integral to one radial dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .errors import PreconditionError
 from .profiles import (Profile, l1_norm, l2_norm, moment0, weighted_l1_norm)
-from .quadrature import (adaptive, frequency_cutoff, panel_width,
-                         static_integral)
+from .quadrature import (adaptive, frequency_cutoff, oscillatory_integral,
+                         panel_width, static_integral)
 
 __all__ = [
     "InequalityCheck", "RadialGaussian", "RadialGaussianLaplacian",
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 POINTWISE_CONSTANT = 2.0
+#: derivatives of z^-p in the by-parts tail of ``gagliardo_constant``
+TAIL_DERIVATIVES = 6
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class InequalityCheck:
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in n dimensions."""
-    return float(2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0))
+    return float(2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class RadialGaussian:
 
     def weighted_l1(self, gamma: float) -> float:
         n, sig = self.dimension, self.width
-        radial = sphere_area(n) * sig ** (n + gamma) * gamma_fn((n + gamma) / 2.0) / 2.0
+        radial = sphere_area(n) * sig ** (n + gamma) * math.gamma((n + gamma) / 2.0) / 2.0
         return abs(self.amplitude) * ((sig * np.sqrt(np.pi)) ** n + radial)
 
     def frequency_radius(self, tol=1e-18) -> float:
@@ -317,33 +318,41 @@ def gagliardo_seminorm(p: Profile, s: float) -> float:
 def gagliardo_constant(s: float, tail_start: float = 500.0) -> float:
     """Normalizing constant C(1,s) = ( int (1-cos z) |z|^(-1-2s) dz )^(-1).
 
-    The integrand is split at 1 (stable 2 sin^2(z/2) form near the origin),
-    integrated with an oscillatory-weight rule out to ``tail_start``, and
-    finished with a two-term integration-by-parts expansion whose remainder
-    is below 1e-11 there.  At s = 1/2 the integral is pi, so C = 1/pi.
+    With p = 1 + 2s, the half-line integral is split at 1 and at
+    ``tail_start`` = Z:
+
+    * on [0, 1], the power series of 1 - cos z integrates term by term to
+      sum_n (-1)^(n+1) / ((2n)! (2n - 2s)), summed until its terms vanish;
+    * on [1, Z], 1 - cos z = 2 sin^2(z/2) is the form alpha sin^2 w of
+      ``oscillatory_integral`` with phase w = z/2 (t = 1/2, s = 1) and
+      alpha = 2 z^-p;
+    * past Z, int z^-p dz is exact, and the cosine part is integrated by
+      parts through TAIL_DERIVATIVES derivatives g_m of g = z^-p, leaving a
+      remainder of order p(p+1)...(p+5) Z^(-p-6), below 1e-16 at Z = 500.
+
+    At s = 1/2 the integral is pi, so C = 1/pi.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
     p = 1.0 + 2.0 * s
 
-    def head(z):
-        return 2.0 * np.sin(z / 2.0) ** 2 * z ** (-p)
+    i_head, n, term = 0.0, 1, 1.0
+    while abs(term) > 1e-18 * abs(i_head):
+        term = (-1.0) ** (n + 1) / (math.factorial(2 * n) * (2 * n - 2.0 * s))
+        i_head += term
+        n += 1
 
-    i_head = adaptive(head, 0.0, 1.0, rel_tol=1e-12)
-
-    # middle: int_1^Z (1 - cos z) z^-p dz, the cosine part via QAWO
     z_hi = tail_start
-    i_plain = (1.0 - z_hi ** (-2.0 * s)) / (2.0 * s)
-    i_cos, _ = quad(lambda z: z ** (-p), 1.0, z_hi, weight="cos", wvar=1.0,
-                    epsabs=1e-13, epsrel=1e-12, limit=2000)
+    i_middle = oscillatory_integral(
+        lambda z, z_s: (2.0 * z ** -p, 0.0, 0.0), 0.5, 1.0, z_hi, xi_lo=1.0)
 
-    # tail: int_Z^inf z^-p dz exactly, minus the cosine tail by parts
+    # int_Z^inf cos(z) g dz = -sin Z (g_0 - g_2 + g_4) - cos Z (g_1 - g_3 + g_5)
     t_plain = z_hi ** (-2.0 * s) / (2.0 * s)
-    g0 = z_hi ** (-p)
-    g1 = -p * z_hi ** (-p - 1.0)
-    g2 = p * (p + 1.0) * z_hi ** (-p - 2.0)
-    t_cos = -np.sin(z_hi) * (g0 - g2) - np.cos(z_hi) * g1
+    t_cos, g = 0.0, z_hi ** -p
+    for m in range(TAIL_DERIVATIVES):
+        trig = np.sin(z_hi) if m % 2 == 0 else np.cos(z_hi)
+        t_cos -= (-1.0) ** (m // 2) * trig * g
+        g *= -(p + m) / z_hi
 
-    integral = 2.0 * (i_head + i_plain - i_cos + t_plain - t_cos)
+    integral = 2.0 * (i_head + i_middle + t_plain - t_cos)
     return float(1.0 / integral)
-

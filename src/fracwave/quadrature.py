@@ -10,13 +10,17 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   divergent one (settings ORIGIN_ORDER, ORIGIN_MAX_DEPTH, FLAT_RATIO,
   FLAT_RUNS, MIN_DEPTH), then EQUAL_PANELS equal Gauss-Legendre panels
   (``gauss_panels``) out to the cutoff;
-* oscillatory integrands with phase w = t*|xi|^s -> ``oscillatory_integral``:
-  the first LEAD_HALFPERIODS half-periods go to adaptive quadrature in xi
-  (at LEAD_REL_TOL) because the integrand has an algebraic |xi|^(2s) kink at
-  the origin, and the rest, the body, to a Legendre-Filon rule in w.
+* oscillatory integrands with phase w = t*|xi|^s -> ``oscillatory_integral``,
+  integrated in w.  The first LEAD_HALFPERIODS half-periods, the head, hold
+  the algebraic |xi|^(2s) kink at the origin: there w is cut into the
+  half-periods [k*pi, (k+1)*pi] and, below pi, into HEAD_DYADIC dyadic panels
+  [pi*2^-(j+1), pi*2^-j], on which the integrand is a power of w times a
+  smooth function, and each panel gets one Gauss rule of FILON_ORDER nodes.
+  The rest, the body, goes to a Legendre-Filon rule in w.
 
-``gauss_panels`` and ``adaptive`` also serve the smooth integrands of the
-estimates and the profile norms.
+``gauss_panels`` also serves smooth integrands of the profiles and lemmas;
+``adaptive``, a Gauss-Kronrod rule with global bisection, serves integrands
+with kinks at places only it finds (|x - c|, the sign changes of a sum).
 
 The Filon body makes a norm at t = 1e6 cost about what one at t = 1e2 does.
 Every density here is a quadratic form in (sin w, cos w), so in the variable
@@ -27,18 +31,16 @@ number of turns of w.  On each panel A0 gets a Gauss sum, and A1 and A2 are
 replaced by their Legendre interpolant at the same FILON_ORDER nodes, whose
 products with e^(2iw) have exact moments (the Filon idea of Iserles &
 Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov
-& Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  These settings are
+& Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  The moments are
+spherical Bessel functions, from ``_spherical_jn``.  These settings are
 module constants, the same for every norm.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import spherical_jn
 
 from .errors import DivergenceError, NumericalFailureError
 
@@ -48,19 +50,27 @@ CUTOFF_TOL = 1e-18
 
 #: equal panels of the static rule on [1, cutoff], at least
 EQUAL_PANELS = 63
-#: Gauss nodes per panel of the Filon body; the amplitudes are interpolated
-#: by Legendre polynomials of one degree less.  16 nodes left 1.5e-12 of a
-#: Gaussian norm (power-law amplitudes on the ratio-2 panels at the origin)
-#: and 7e-11 of a CompactBump norm (two periods of |fhat|^2 per panel); 24
-#: leave under 1e-13 of both.
+#: Gauss nodes per panel of the oscillatory rule, head and body; the body's
+#: amplitudes are interpolated by Legendre polynomials of one degree less.
+#: 16 nodes left 1.5e-12 of a Gaussian norm (power-law amplitudes on the
+#: ratio-2 panels at the origin) and 7e-11 of a CompactBump norm (two periods
+#: of |fhat|^2 per panel); 24 leave under 1e-13 of both.
 FILON_ORDER = 24
-#: a Filon panel wider than the data's ``panel_width`` is split unless its
-#: share of the integral is below this
+#: a panel of the oscillatory rule wider than the data's ``panel_width`` is
+#: split unless its share of the integral is below this
 SPLIT_TOL = 1e-16
-#: leading half-periods of w, which hold the |xi|^(2s) kink at 0, that go to
-#: ``adaptive`` at relative tolerance LEAD_REL_TOL
+#: leading half-periods of w, which hold the |xi|^(2s) kink at 0: the head
 LEAD_HALFPERIODS = 4
-LEAD_REL_TOL = 1e-11
+#: dyadic head panels below w = pi; the part below pi*2^-HEAD_DYADIC is a
+#: share of about 2^(-HEAD_DYADIC (1 + p)/s) of an |xi|^p-weighted spectral
+#: integral, and is extrapolated from the panels above it
+HEAD_DYADIC = 61
+#: below this omega, the Filon moments j_k(omega) come from their power
+#: series, with this many terms
+BESSEL_SERIES_MAX = 1.0
+BESSEL_SERIES_TERMS = 9
+#: Miller's backward recurrence starts this many orders above the highest
+BESSEL_MILLER_EXTRA = 20
 # settings of ``singular_origin_integral``; its docstring gives their reasons
 ORIGIN_ORDER = 24
 ORIGIN_MAX_DEPTH = 600
@@ -81,8 +91,7 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def gauss_panels(f, edges: np.ndarray, order: int = 12,
-                 block: int = 262144) -> float:
+def gauss_panels(f, edges: np.ndarray, order: int = 12) -> float:
     """Integrate a vectorized function over consecutive panels.
 
     Parameters
@@ -93,46 +102,96 @@ def gauss_panels(f, edges: np.ndarray, order: int = 12,
         Strictly increasing panel boundaries, shape (n+1,).
     order : int
         Gauss-Legendre order per panel.
-    block : int
-        Panels are processed in blocks of this size to bound the peak
-        memory of long panel sweeps.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         return 0.0
     nodes, weights = gauss_rule(order)
-    total = 0.0
-    for start in range(0, edges.size - 1, block):
-        stop = min(start + block, edges.size - 1)
-        a = edges[start:stop]
-        b = edges[start + 1:stop + 1]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = f(x)
-        total += float(np.einsum("pj,j,p->", vals, weights, half))
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    vals = f(mid[:, None] + half[:, None] * nodes[None, :])
+    return float(np.einsum("pj,j,p->", vals, weights, half))
+
+
+# Kronrod-15 nodes on [0, 1] (descending, the last is 0), their weights, and
+# the weights of the Gauss-7 rule on the odd-numbered ones (QUADPACK's qk15).
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GAUSS7_W = np.array([0.0, 0.129484966168869693270611432679082,
+                      0.0, 0.279705391489276667901467771423780,
+                      0.0, 0.381830050505118944950369775488975,
+                      0.0, 0.417959183673469387755102040816327])
+_K15_X = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
+_K15_W = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
+_G7_W = np.concatenate([_GAUSS7_W[:-1], _GAUSS7_W[::-1]])
+
+
+def _kronrod(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod-15 integrals of f over the intervals [lo, hi], with QUADPACK's
+    error estimates: the Gauss-7 difference, sharpened by the integrand's
+    spread on the interval and floored at 50 rounding units of |f|'s
+    integral."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _K15_X
+    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    kronrod = vals @ _K15_W
+    spread = np.abs(vals - 0.5 * kronrod[:, None]) @ _K15_W * np.abs(half)
+    absolute = np.abs(vals) @ _K15_W * np.abs(half)
+    err = np.abs((kronrod - vals @ _G7_W) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((spread > 0) & (err > 0),
+                       spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5), err)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * absolute)
+    return kronrod * half, err
 
 
 def adaptive(f, a: float, b: float, rel_tol: float = 1e-11, limit: int = 400,
              points=None) -> float:
-    """Adaptive Gauss-Kronrod integration of a scalar-callable on [a, b].
+    """Adaptive Gauss-Kronrod integration of a vectorized f on [a, b].
 
-    Raises NumericalFailureError when the reported error estimate is not
-    consistent with the requested relative tolerance.
+    [a, b] is first cut at the interior ``points``.  Each interval gets a
+    Kronrod-15 rule and an error estimate (``_kronrod``); while the summed
+    estimate exceeds rel_tol times the value, every interval whose estimate
+    is above its even share of that target is bisected, worst first, up to
+    ``limit`` intervals in all.  Raises NumericalFailureError when the
+    estimate is not consistent with the requested relative tolerance.
     """
-    with warnings.catch_warnings():
-        # non-convergence is converted to NumericalFailureError below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, limit=limit,
-                        points=points)
+    inner = sorted(p for p in (points or ()) if a < p < b)
+    edges = np.array([a, *inner, b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _kronrod(f, lo, hi)
+    while True:
+        val, err = float(np.sum(vals)), float(np.sum(errs))
+        target = rel_tol * abs(val)
+        room = limit - lo.size
+        if not np.isfinite(val) or err <= target or room <= 0:
+            break
+        worst = np.argsort(errs)[::-1]
+        split = worst[errs[worst] > target / lo.size][:room]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_vals, new_errs = _kronrod(f, np.concatenate([lo[split], mid]),
+                                      np.concatenate([mid, hi[split]]))
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
     scale = max(abs(val), 1e-300)
     if not np.isfinite(val) or err > max(1e3 * rel_tol * scale, 1e-290):
         raise NumericalFailureError(
             f"adaptive quadrature on [{a:g}, {b:g}] did not converge: "
             f"value={val:.6e}, error estimate={err:.2e}"
         )
-    return float(val)
+    return val
 
 
 def log_spaced_panels(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
@@ -205,61 +264,104 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     """Integrate a density with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
     The density is a quadratic form in (sin w, cos w), and the routine owns
-    the phase: ``f(xi, xi_s)`` takes arrays (or scalars) of the abscissae
-    xi > 0 and of xi_s = xi^s and returns the coefficients (alpha, beta,
-    gamma) of the integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w.
+    the phase: ``f(xi, xi_s)`` takes arrays of the abscissae xi > 0 and of
+    xi_s = xi^s and returns the coefficients (alpha, beta, gamma) of the
+    integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w.
 
     At t <= 0 nothing oscillates and the integral is ``static_integral`` of
-    beta, with panels no wider than ``width``.  Otherwise the first
-    LEAD_HALFPERIODS half-periods of w (where xi^(2s)-type kinks live when
-    the interval starts at 0) go to adaptive quadrature in xi, which composes
-    the form with sin and cos of its own points.  The rest, the body, is
-    integrated in w by ``_filon_body``, as A0 + A1 cos 2w + A2 sin 2w with
-    A0 = (alpha + beta)/2, A1 = (beta - alpha)/2 and A2 = gamma/2, each
-    times d xi/dw.  Its panels are the static rule's, so their number grows
-    with t only through the ratio-2 panels below xi = 1, that is as log t.
+    beta, with panels no wider than ``width``.  Otherwise the integral is
+    taken in w, times d xi/dw = xi/(s*w), on panels held as edges
+    w = k*pi + d with integer k, so that the phase is known exactly however
+    large w is.  The head, the first LEAD_HALFPERIODS half-periods of w,
+    gets ``_head_edges`` and a Gauss rule on the form itself; the body
+    gets ``_body_edges`` and the Legendre-Filon rule.  Both are in
+    ``_form_panels``.  A panel that spans more than ``width`` in xi is split
+    into equal xi-parts unless its share of the integral is below SPLIT_TOL,
+    where no error of it can show.
     """
     if xi_hi <= xi_lo:
         return 0.0
-
-    def pointwise(xi):
-        xi_s = xi ** s
-        w = t * xi_s
-        sin_w, cos_w = np.sin(w), np.cos(w)
-        alpha, beta, gamma = f(xi, xi_s)
-        return alpha * sin_w ** 2 + beta * cos_w ** 2 + gamma * (sin_w * cos_w)
-
     if t <= 0:
         return static_integral(lambda xi: f(xi, xi ** s)[1], xi_hi,
                                xi_lo=xi_lo, width=width)
 
     w_lo = t * xi_lo ** s
     w_hi = t * xi_hi ** s
-    k_lo = int(np.floor(w_lo / np.pi))
-    k_hi = int(np.ceil(w_hi / np.pi))
+    k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
+    edges = [_head_edges(w_lo, w_hi, k_lead)]
+    if w_hi > k_lead * np.pi:
+        edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
+    ka, da, kb, db = (np.concatenate(e) for e in zip(*edges))
+    parts = _form_panels(f, t, s, ka, da, kb, db, k_lead)
+    total = _below_head(parts) if w_lo == 0 else 0.0
 
-    if k_hi - k_lo <= LEAD_HALFPERIODS + 1:
-        return adaptive(pointwise, xi_lo, xi_hi, rel_tol=LEAD_REL_TOL)
+    xa = ((ka * np.pi + da) / t) ** (1.0 / s)
+    xb = ((kb * np.pi + db) / t) ** (1.0 / s)
+    pieces = np.ceil((xb - xa) / width)
+    split = (pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
+    total += float(np.sum(parts[~split]))
+    if np.any(split):
+        sub = []
+        for i in np.nonzero(split)[0]:
+            w = t * np.linspace(xa[i], xb[i], int(pieces[i]) + 1)[1:-1] ** s
+            k = np.concatenate([[ka[i]], np.floor(w / np.pi), [kb[i]]])
+            d = np.concatenate([[da[i]], w - k[1:-1] * np.pi, [db[i]]])
+            sub.append((k[:-1], d[:-1], k[1:], d[1:]))
+        total += float(np.sum(_form_panels(
+            f, t, s, *(np.concatenate(e) for e in zip(*sub)), k_lead)))
+    return total
 
-    k_lead = k_lo + LEAD_HALFPERIODS
-    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    head = adaptive(pointwise, xi_lo, xi_lead, rel_tol=LEAD_REL_TOL)
-    return head + _filon_body(f, t, s, k_lead, xi_lead, xi_hi, width, head)
 
+def _below_head(parts: np.ndarray) -> float:
+    """The integral below the head's first edge, w = pi*2^-HEAD_DYADIC.
 
-def _filon_body(f, t, s, k_lead, xi_lead, xi_hi, width, scale) -> float:
-    """Legendre-Filon integral in w of the form f over [k_lead*pi, w_hi].
-
-    Each panel edge is held as w = k*pi + d with integer k and a small offset
-    d, so e^(2iw) = e^(2id) is exact however large w is.  The xi-edges are
-    those of the static rule: ratio-2 panels from xi_lead up to 1, then
-    ``_equal_panels``.  Each is moved to the nearest k*pi (d = 0); the last
-    edge is w_hi itself.  At small t that merges panels into half-periods
-    wider than ``width``; such a panel is split into equal xi-parts unless
-    its share of the integral (``scale`` being the rest of it) is below
-    SPLIT_TOL, where no error of it can show.
+    There the integrand is c*w^(q-1) for some q > 0, so the dyadic panels'
+    integrals fall geometrically with ratio 2^-q, read off the lowest two;
+    the rest of the series is their geometric tail.  It is far below
+    rounding for every weight |xi|^p with p >= 0, and makes up the part
+    that an integrable singularity (p near -1) keeps close to w = 0.
     """
-    w_hi = t * xi_hi ** s
+    ratio = parts[0] / parts[1] if parts[1] != 0 else 0.0
+    return float(parts[0] * ratio / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 0.0
+
+
+def _head_edges(w_lo: float, w_hi: float, k_lead: int):
+    """(ka, da, kb, db) of the head panels, edges k*pi + d.
+
+    The head runs from w_lo to w_end = min(w_hi, k_lead*pi).  Its edges are
+    the whole half-periods k*pi and, below b = min(pi, w_end), the dyadic
+    points b*2^-j for j <= HEAD_DYADIC.  A head that starts at w = 0 starts
+    at the last of these instead, and ``_below_head`` adds what lies below.
+    """
+    if w_hi >= k_lead * np.pi:
+        w_end, k_end = k_lead * np.pi, float(k_lead)
+    else:
+        w_end, k_end = w_hi, np.floor(w_hi / np.pi)
+    top = min(np.pi, w_end)
+    dyadic = top * 0.5 ** np.arange(HEAD_DYADIC, 0, -1)
+    whole = np.arange(np.floor(w_lo / np.pi) + 1.0, k_lead + 1.0)
+    w = np.concatenate([dyadic, np.pi * whole])
+    k = np.concatenate([np.zeros(HEAD_DYADIC), whole])
+    first = w_lo if w_lo > 0 else dyadic[0]
+    inner = (w > first) & (w < w_end)
+    k_first = np.floor(first / np.pi)
+    ks = np.concatenate([[k_first], k[inner], [k_end]])
+    ds = np.concatenate([[first - k_first * np.pi],
+                         w[inner] - k[inner] * np.pi,
+                         [w_end - k_end * np.pi]])
+    return ks[:-1], ds[:-1], ks[1:], ds[1:]
+
+
+def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
+    """(ka, da, kb, db) of the Filon panels on [k_lead*pi, w_hi].
+
+    The xi-edges are those of the static rule: ratio-2 panels from the head's
+    end up to 1, then ``_equal_panels``.  Each is moved to the nearest k*pi
+    (d = 0); the last edge is w_hi itself.  At small t that merges panels
+    into half-periods wider than ``width``, which ``oscillatory_integral``
+    splits.
+    """
+    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
     xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
     if xi_lead < 1.0:
         xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
@@ -269,56 +371,56 @@ def _filon_body(f, t, s, k_lead, xi_lead, xi_hi, width, scale) -> float:
     ks = np.concatenate([[float(k_lead)], k, [k_end]])
     ds = np.zeros_like(ks)
     ds[-1] = w_hi - k_end * np.pi
-
-    parts = _filon_panels(f, t, s, ks[:-1], ds[:-1], ks[1:], ds[1:])
-    xi = ((ks * np.pi + ds) / t) ** (1.0 / s)
-    pieces = np.ceil(np.diff(xi) / width)
-    split = (pieces > 1) & (np.abs(parts) > SPLIT_TOL * (abs(scale) + np.sum(np.abs(parts))))
-    total = float(np.sum(parts[~split]))
-    if np.any(split):
-        ka, da, kb, db = [], [], [], []
-        for i in np.nonzero(split)[0]:
-            w = t * np.linspace(xi[i], xi[i + 1], int(pieces[i]) + 1)[1:-1] ** s
-            k = np.concatenate([[ks[i]], np.floor(w / np.pi), [ks[i + 1]]])
-            d = np.concatenate([[ds[i]], w - k[1:-1] * np.pi, [ds[i + 1]]])
-            ka.append(k[:-1])
-            da.append(d[:-1])
-            kb.append(k[1:])
-            db.append(d[1:])
-        total += float(np.sum(_filon_panels(
-            f, t, s, *map(np.concatenate, (ka, da, kb, db)))))
-    return total
+    return ks[:-1], ds[:-1], ks[1:], ds[1:]
 
 
-def _filon_panels(f, t, s, ka, da, kb, db) -> np.ndarray:
+def _form_panels(f, t, s, ka, da, kb, db, k_lead) -> np.ndarray:
     """Integrals of the form f over the w-panels [ka*pi + da, kb*pi + db].
 
-    On a panel [a, b] with half-width h, w = (a + b)/2 + h*x and
+    The integrand is the form times the Jacobian d xi/dw = xi/(s*w), at
+    FILON_ORDER Gauss nodes per panel.  On the head's panels (ka < k_lead),
+    at most a half-period wide, the Gauss rule takes the form itself, with
+    sin w and cos w from the offset w - ka*pi (the form is unchanged by the
+    sign (-1)^ka).  There the amplitudes can be as singular as xi^(-2s)
+    while the form stays bounded, so they are never integrated apart.
+
+    On the body's panels the form is A0 + Re((A1 - i A2) e^(2iw)).  On a
+    panel [a, b] with half-width h, w = (a + b)/2 + h*x and
 
         int_a^b G(w) e^(2iw) dw = h e^(i(a+b)) int_{-1}^{1} G e^(i(b-a)x) dx,
 
     whose right-hand side is the sum of the Legendre coefficients of G times
     the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
-    j_k the spherical Bessel function and omega = b - a.  The integrand is
-    A0 + Re((A1 - i A2) e^(2iw)) times the Jacobian d xi/dw = xi/(s*w).
+    j_k the spherical Bessel function and omega = b - a.
     """
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
-    sign = 1.0 - 2.0 * ((ka + kb) % 2.0)
-    phase = sign * np.exp(1j * (da + db))
-
     x, wts = gauss_rule(FILON_ORDER)
-    w = (ka * np.pi + da)[:, None] + half[:, None] * (1.0 + x)
+    offset = da[:, None] + half[:, None] * (1.0 + x)
+    w = ka[:, None] * np.pi + offset
     xi_s = w / t
     xi = xi_s ** (1.0 / s)
     jac = xi / (s * w)
-    alpha, beta, gamma = f(xi, xi_s)
-    mean = (0.5 * (alpha + beta) * jac) @ wts
-    wave = (0.5 * (beta - alpha) - 0.5j * gamma) * jac
+    alpha, beta, gamma = (np.broadcast_to(c, xi.shape) for c in f(xi, xi_s))
+    out = np.empty(ka.shape)
 
-    filon_wts = spherical_jn(np.arange(FILON_ORDER), omega[:, None]) @ _moment_map(FILON_ORDER)
-    osc = (phase * np.einsum("pj,pj->p", filon_wts, wave)).real
-    return half * (mean + osc)
+    head = ka < k_lead
+    sin_w, cos_w = np.sin(offset[head]), np.cos(offset[head])
+    form = (alpha[head] * sin_w ** 2 + beta[head] * cos_w ** 2
+            + gamma[head] * (sin_w * cos_w))
+    out[head] = half[head] * ((form * jac[head]) @ wts)
+
+    body = ~head
+    if np.any(body):
+        jac = jac[body]
+        mean = (0.5 * (alpha[body] + beta[body]) * jac) @ wts
+        wave = (0.5 * (beta[body] - alpha[body]) - 0.5j * gamma[body]) * jac
+        sign = 1.0 - 2.0 * ((ka[body] + kb[body]) % 2.0)
+        phase = sign * np.exp(1j * (da[body] + db[body]))
+        filon_wts = _spherical_jn(FILON_ORDER, omega[body]) @ _moment_map(FILON_ORDER)
+        osc = (phase * np.einsum("pj,pj->p", filon_wts, wave)).real
+        out[body] = half[body] * (mean + osc)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,6 +436,60 @@ def _moment_map(order: int) -> np.ndarray:
     analysis = (degree + 0.5)[:, None] * (
         np.polynomial.legendre.legvander(nodes, order - 1) * weights[:, None]).T
     return (2.0 * 1j ** (degree % 4))[:, None] * analysis
+
+
+def _spherical_jn(order: int, omega: np.ndarray) -> np.ndarray:
+    """j_k(omega) for k < order and omega >= 0, shape omega.shape + (order,).
+
+    Three classical rules, each where it is stable:
+
+    * omega >= order - 1: the upward recurrence
+      j_(k+1) = (2k + 1)/omega j_k - j_(k-1) from j_0 = sin(omega)/omega and
+      j_1 = (j_0 - cos omega)/omega, stable while k <= omega;
+    * BESSEL_SERIES_MAX <= omega < order - 1: Miller's backward recurrence
+      from BESSEL_MILLER_EXTRA orders above the highest, scaled to the closed
+      forms of j_0 and j_1 by least squares (j_0 alone has zeros);
+    * omega < BESSEL_SERIES_MAX, where the backward recurrence would
+      overflow: the power series
+      j_k = omega^k/(2k+1)!! sum_m (-omega^2/2)^m / (m! (2k+3)...(2k+2m+1)).
+    """
+    omega = np.asarray(omega, dtype=float)
+    out = np.empty(omega.shape + (order,))
+    series = omega < BESSEL_SERIES_MAX
+    upward = omega >= order - 1
+    miller = ~series & ~upward
+    if np.any(upward):
+        x = omega[upward]
+        j = np.empty(x.shape + (order,))
+        j[:, 0] = np.sin(x) / x
+        j[:, 1] = (j[:, 0] - np.cos(x)) / x
+        for k in range(1, order - 1):
+            j[:, k + 1] = (2 * k + 1) / x * j[:, k] - j[:, k - 1]
+        out[upward] = j
+    if np.any(miller):
+        x = omega[miller]
+        j = np.empty(x.shape + (order,))
+        ahead, here = np.zeros_like(x), np.ones_like(x)
+        for k in range(order + BESSEL_MILLER_EXTRA, 0, -1):
+            ahead, here = here, (2 * k + 1) / x * here - ahead
+            if k <= order:
+                j[:, k - 1] = here
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+        scale = (j0 * j[:, 0] + j1 * j[:, 1]) / (j[:, 0] ** 2 + j[:, 1] ** 2)
+        out[miller] = j * scale[:, None]
+    if np.any(series):
+        x = omega[series][:, None]
+        k = np.arange(order)
+        term = np.ones((x.size, order))
+        total = term.copy()
+        for m in range(1, BESSEL_SERIES_TERMS):
+            term = term * (-0.5 * x * x) / (m * (2 * k + 2 * m + 1))
+            total += term
+        lead = np.cumprod(np.concatenate(
+            [np.ones((x.size, 1)), x / (2 * k[1:] + 1)], axis=1), axis=1)
+        out[series] = lead * total
+    return out
 
 
 def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9) -> float:

@@ -1,12 +1,16 @@
 """Shared helpers for the test suite: randomized data, invariant sweeps and
 the xi-panel reference for oscillatory spectral integrals."""
 
+import warnings
+
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       Parameters, combine, evolve_state)
-from fracwave.quadrature import (adaptive, frequency_cutoff, gauss_panels,
-                                 oscillatory_integral, panel_width)
+from fracwave.quadrature import (LEAD_HALFPERIODS, frequency_cutoff,
+                                 gauss_panels, oscillatory_integral,
+                                 panel_width)
 from fracwave.spectral import QuadratureSnapshot, sine_multiplier
 
 INVARIANT_BACKEND = GridBackend(GridSpec(24.0, 1024))
@@ -75,21 +79,29 @@ def run_solver_invariant_cases(n_cases: int, seed: int,
     return failures
 
 
+def quad_reference(g, lo, hi, rel_tol=2e-14):
+    """QUADPACK's adaptive integral of a scalar function g on [lo, hi]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(g, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=1000)[0]
+
+
 def xi_panel_reference(g, t, s, xi_hi, xi_lo=0.0, order=12, lead_halfperiods=4,
-                       rel_tol=1e-11, width=np.inf):
+                       width=np.inf):
     """Integral of g(xi) on Gauss panels in xi, one half-period of t*xi^s each.
 
-    The same adaptive head as ``oscillatory_integral``, then panel edges
+    The first ``lead_halfperiods`` half-periods, which hold the kink at the
+    origin, go to ``quad_reference``; then panel edges
     xi_k = (k*pi/t)^(1/s) and the integrand's own sin/cos at every node.
     A half-period wider than ``width`` is split into equal parts.
     """
     k_lo = int(np.floor(t * xi_lo ** s / np.pi))
     k_hi = int(np.ceil(t * xi_hi ** s / np.pi))
     if k_hi - k_lo <= lead_halfperiods + 1:
-        return adaptive(g, xi_lo, xi_hi, rel_tol=rel_tol)
+        return quad_reference(g, xi_lo, xi_hi)
     k_lead = k_lo + lead_halfperiods
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    head = adaptive(g, xi_lo, xi_lead, rel_tol=rel_tol)
+    head = quad_reference(g, xi_lo, xi_lead)
     edges = (np.arange(k_lead, k_hi + 1, dtype=float) * np.pi / t) ** (1.0 / s)
     edges[0] = xi_lead
     edges = np.append(edges[edges < xi_hi], xi_hi)
@@ -98,6 +110,18 @@ def xi_panel_reference(g, t, s, xi_hi, xi_lo=0.0, order=12, lead_halfperiods=4,
         edges = np.concatenate([np.linspace(a, b, n + 1)[:-1] for a, b, n
                                 in zip(edges[:-1], edges[1:], parts)] + [[xi_hi]])
     return head + gauss_panels(g, edges, order=order)
+
+
+def log_growth_sweep(t, order=12, block=65536):
+    """K1(t) = 4 int_0^inf e^(-(v/t)^4) sin^2(v)/v dv on Gauss panels of
+    length pi in v = t sqrt(r) out to 2.8 t, in blocks of panels."""
+    edges = np.pi * np.arange(int(np.ceil(2.8 * t / np.pi)) + 1, dtype=float)
+
+    def integrand(v):
+        return np.exp(-(v / t) ** 4) * np.sin(v) ** 2 / v
+
+    return 4.0 * sum(gauss_panels(integrand, edges[i:i + block + 1], order=order)
+                     for i in range(0, edges.size - 1, block))
 
 
 def reference_density(s, t, u0, u1, field, weight_exp):
@@ -114,18 +138,14 @@ def reference_density(s, t, u0, u1, field, weight_exp):
 
 
 def body_nodes(u0, u1, s, t):
-    """Density nodes of the Filon body in one |uhat|^2 mass at time t.
-
-    The body evaluates the density on (panels, nodes) arrays; the adaptive
-    head evaluates scalars.
-    """
+    """Density nodes of the Filon body in one |uhat|^2 mass at time t: the
+    nodes past the head's LEAD_HALFPERIODS half-periods of w."""
     snap = QuadratureSnapshot(t, Parameters(s), u0, u1)
     density = snap._field_density("u", 0.0)
     nodes = []
 
     def counted(xi, xi_s):
-        if np.ndim(xi) == 2:
-            nodes.append(np.size(xi))
+        nodes.append(np.count_nonzero(t * xi_s > LEAD_HALFPERIODS * np.pi))
         return density(xi, xi_s)
 
     data = [p for p in (u0, u1) if not p.is_zero]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from fracwave import (AreaSumReport, BoundSpec, Gaussian, Parameters, ZERO,
                       area_sums, fourier_split, log_growth_integral,
@@ -12,7 +13,9 @@ from fracwave import (AreaSumReport, BoundSpec, Gaussian, Parameters, ZERO,
 from fracwave.errors import (InfeasibleThresholdError,
                              UnsupportedDimensionError, ValidityError,
                              WrongRegimeError)
+from fracwave.estimates import _exp1
 from fracwave.profiles import weighted_l1_norm
+from support import log_growth_sweep
 
 SQPI = np.sqrt(np.pi)
 
@@ -165,15 +168,23 @@ class TestLogGrowthIntegral:
         assert log_growth_integral(t) == pytest.approx(ref, rel=1e-9)
 
     def test_self_convergence_at_large_t(self):
-        from fracwave.quadrature import gauss_panels
         t = 1e6
         v12 = log_growth_integral(t)
-        # independent evaluation at doubled order
-        v_max = 2.8 * t
-        edges = np.pi * np.arange(int(np.ceil(v_max / np.pi)) + 1, dtype=float)
-        v24 = 4.0 * gauss_panels(
-            lambda v: np.exp(-(v / t) ** 4) * np.sin(v) ** 2 / v, edges, order=24)
+        # independent evaluation: Gauss-24 on pi-panels in v = t sqrt(r)
+        v24 = log_growth_sweep(t, order=24)
         assert v12 == pytest.approx(v24, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [1e3, 1e4, 1e6])
+    def test_matches_closed_form_asymptotics(self, t):
+        # K1(t) = 2 log(2t) + 3 gamma/2 up to a remainder that decays faster
+        # than any power of 1/t (4e-14 relative at t = 1e3)
+        exact = 2.0 * np.log(2.0 * t) + 1.5 * np.euler_gamma
+        assert log_growth_integral(t) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [10.0, 100.0])
+    def test_matches_panel_sweep(self, t):
+        assert log_growth_integral(t) == pytest.approx(log_growth_sweep(t), rel=1e-12,
+                                                       abs=0.0)
 
     @pytest.mark.parametrize("t", [10.0, 1e3, 1e6])
     def test_logarithmic_minorant(self, t):
@@ -183,6 +194,18 @@ class TestLogGrowthIntegral:
     def test_monotone_over_decades(self):
         vals = [log_growth_integral(t) for t in np.logspace(1, 6, 11)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestExp1:
+    def test_matches_scipy_to_four_ulp(self):
+        x = np.concatenate([np.geomspace(1e-12, 750.0, 20001),
+                            np.linspace(0.5, 5.0, 4501)])
+        ref = exp1(x)
+        assert np.all(np.abs(_exp1(x) - ref) <= 4.0 * np.spacing(ref))
+
+    def test_shapes(self):
+        assert _exp1(np.float64(2.0)) == pytest.approx(exp1(2.0), rel=1e-15, abs=0.0)
+        assert _exp1(np.array([[0.5, 2.0]])).shape == (1, 2)
 
 
 class TestAreaSums:

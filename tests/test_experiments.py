@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +380,32 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "WrongRegimeError" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh process: scipy, which the tests import, must not be needed by
+    # the program itself
+    configs = {
+        "solve": "s = 0.75\nu0 = gaussian\nu1 = gaussian\nt_grid = log 1e-2 1e3 6\n",
+        "sandwich": SANDWICH_CFG,
+        "lemmas": "u0 = gaussian a=1 sigma=1 c=0.5\nu1 = gaussian_derivative\n",
+    }
+    runs = []
+    for command, text in configs.items():
+        path = tmp_path / f"{command}.txt"
+        path.write_text(text)
+        runs.append([command, "--config", str(path), "--out", str(tmp_path / command)])
+    code = textwrap.dedent(f"""
+        import sys
+        from fracwave.cli import main
+        codes = [main(argv) for argv in {runs!r}]
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(codes, len(loaded), loaded[:5])
+        sys.exit(0 if codes == [0, 0, 0] and not loaded else 1)
+    """)
+    src = str(Path(experiments.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

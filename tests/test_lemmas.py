@@ -142,6 +142,12 @@ class TestGagliardo:
             closed = 2.0 * (-gamma_fn(-2.0 * s) * np.cos(np.pi * s))
         assert gagliardo_constant(s) == pytest.approx(1.0 / closed, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_constant_matches_closed_form_sharply(self, s):
+        # C(1, s) = s 4^s Gamma(1/2 + s) / (sqrt(pi) Gamma(1 - s))
+        closed = s * 4.0 ** s * gamma_fn(0.5 + s) / (np.sqrt(np.pi) * gamma_fn(1.0 - s))
+        assert gagliardo_constant(s) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
     def test_order_guard(self):
         for bad in (0.0, 1.0, -0.3):
             with pytest.raises(ValueError):

@@ -136,8 +136,8 @@ def test_bump_fourier_in_chunks_and_bounded_cache():
 
 
 def test_bump_data_on_the_quadrature_backend():
-    # the adaptive head evaluates scalars: the transform keeps the input's
-    # shape, so the snapshot's norm is a plain number
+    # the transform keeps the input's shape, scalars included, so the
+    # snapshot's norm is a plain number
     bump = CompactBump()
     assert np.shape(bump.fourier(0.5)) == ()
     assert bump.fourier(np.array([[0.5, 1.0]])).shape == (1, 2)
@@ -150,6 +150,20 @@ def test_bump_data_on_the_quadrature_backend():
     # xi-panels at t = 1 resolve the few oscillations; |fhat(400)| ~ 3e-11
     ref = 2.0 * static_integral(density, 400.0, width=0.5)
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1])
+def test_bump_mass_at_small_t(t):
+    # at small t the head's half-periods span hundreds of bump oscillations
+    # in xi, and must be split to the bump's panel width
+    s, bump = 0.75, CompactBump()
+    got = QuadratureSnapshot(t, Parameters(s), ZERO, bump).spectral_mass(0.0)
+
+    def density(xi):
+        return np.abs(sine_multiplier(s, t, xi) * bump.fourier(xi)) ** 2
+
+    ref = 2.0 * static_integral(density, 400.0, width=0.25)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [1.0, 10.0])

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
+from scipy.special import spherical_jn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
-from fracwave.profiles import ZERO, Gaussian
-from fracwave.quadrature import (adaptive, gauss_panels, log_spaced_panels,
+from fracwave.profiles import ZERO, Gaussian, combine
+from fracwave.quadrature import (FILON_ORDER, LEAD_HALFPERIODS, _spherical_jn,
+                                 adaptive, gauss_panels, log_spaced_panels,
                                  oscillatory_integral,
                                  singular_origin_integral, static_integral)
 from fracwave.spectral import Parameters, QuadratureSnapshot
-from support import body_nodes, reference_density, xi_panel_reference
+from support import (body_nodes, quad_reference, reference_density,
+                     xi_panel_reference)
 
 
-def test_gauss_panels_blocking_matches_unblocked():
+def test_gauss_panels_exp_closed_form():
     edges = np.linspace(0.0, 1.0, 1001)
-    full = gauss_panels(np.exp, edges, order=8)
-    chunked = gauss_panels(np.exp, edges, order=8, block=97)
-    assert chunked == pytest.approx(full, rel=1e-15)
-    assert chunked == pytest.approx(np.e - 1.0, rel=1e-14)
+    assert gauss_panels(np.exp, edges, order=8) == pytest.approx(np.e - 1.0, rel=1e-14)
 
 
 def test_gauss_panels_polynomial_exact():
@@ -36,6 +36,26 @@ def test_gauss_panels_polynomial_exact():
 
 def test_adaptive_matches_closed_form():
     assert adaptive(np.exp, 0.0, 1.0) == pytest.approx(np.e - 1.0, rel=1e-12)
+
+
+# kinks that only an adaptive rule finds: |x - c| off the breakpoint, the sign
+# changes of a profile sum, and a power at the breakpoint
+KINKED = {
+    "abs-offset": (lambda x: np.abs(x - 0.37) * np.exp(-x * x), -6.0, 6.0, [0.0]),
+    "sign-changing-sum": (lambda x: np.abs(combine(
+        (1.0, Gaussian(1.0, 1.0, -0.6)), (-0.8, Gaussian(1.0, 0.7, 0.9))).evaluate(x)),
+        -7.0, 7.0, [0.0]),
+    "power-0.25": (lambda x: np.abs(x) ** 0.25 * np.exp(-x * x), -6.0, 6.0, [0.0]),
+    "power-0.5": (lambda x: np.abs(x) ** 0.5 * np.exp(-x * x), -6.0, 6.0, [0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINKED))
+def test_adaptive_matches_quadpack_on_kinks(name):
+    f, a, b, points = KINKED[name]
+    ref = quad(f, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+    assert adaptive(f, a, b, rel_tol=1e-10, limit=800, points=points) == pytest.approx(
+        ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("t,s", [(10.0, 0.75), (200.0, 0.5), (50.0, 0.9)])
@@ -185,6 +205,76 @@ def test_long_time_mass_matches_two_term_expansion(s, t):
 def test_filon_nodes_do_not_grow_with_t(s):
     assert body_nodes(Gaussian(0.7, 1.3, 0.8), Gaussian(), s, 1e6) <= (
         2 * body_nodes(Gaussian(0.7, 1.3, 0.8), Gaussian(), s, 1e2))
+
+
+@pytest.mark.parametrize("t", [10.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+def test_head_matches_quadpack(s, t):
+    # the head alone: [0, xi_lead] is the first LEAD_HALFPERIODS half-periods
+    u0, u1 = Gaussian(0.7, 1.3, 0.8), Gaussian()
+    snap = QuadratureSnapshot(t, Parameters(s), u0, u1)
+    lead = (LEAD_HALFPERIODS * np.pi / t) ** (1.0 / s)
+    for field in ("u", "ut"):
+        for weight_exp in (0.0, 2.0 * s):
+            got = oscillatory_integral(snap._field_density(field, weight_exp),
+                                       t, s, lead)
+            ref = quad_reference(
+                reference_density(s, t, u0, u1, field, weight_exp), 0.0, lead)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s,t,weight_exp", [(1.0, 10.0, -0.9), (0.75, 1e2, -0.5),
+                                             (0.5, 1e3, -0.8), (0.3, 1e4, -0.95),
+                                             (1.0, 1e-2, -0.9)])
+def test_integrable_singularity_at_origin(s, t, weight_exp):
+    # |xi|^p with p near -1 keeps a visible share of the integral below the
+    # head's lowest dyadic panel, which the geometric tail must restore
+    u0, u1 = Gaussian(0.7, 1.3, 0.8), Gaussian()
+    got = QuadratureSnapshot(t, Parameters(s), u0, u1).spectral_mass(
+        0.0, 12.0, weight_exp=weight_exp)
+    g = reference_density(s, t, u0, u1, "u", weight_exp)
+    edges = np.concatenate([[0.0], np.geomspace(1e-12, 12.0, 60)])
+    ref = sum(quad_reference(g, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    assert got == pytest.approx(2.0 * ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-2, 0.3])
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+def test_short_interval_matches_quadpack(s, t):
+    # at small t the whole cutoff is inside the head, and its panels are
+    # split to the data's width
+    u0, u1 = Gaussian(0.7, 1.3, 0.8), Gaussian()
+    got = QuadratureSnapshot(t, Parameters(s), u0, u1).spectral_mass(0.0, 12.0)
+    g = reference_density(s, t, u0, u1, "u", 0.0)
+    edges = np.linspace(0.0, 12.0, 25)
+    ref = sum(quad_reference(g, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    assert got == pytest.approx(2.0 * ref, rel=1e-13, abs=0.0)
+
+
+def spherical_jn_omegas():
+    return np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 4001),
+                           np.linspace(0.5, 40.0, 2001)])
+
+
+def test_spherical_jn_matches_scipy():
+    omega = spherical_jn_omegas()
+    ref = spherical_jn(np.arange(FILON_ORDER), omega[:, None])
+    # scipy's own j_10 is 1.5e-15 off near omega = 9.9 (checked at 40 digits)
+    np.testing.assert_allclose(_spherical_jn(FILON_ORDER, omega), ref,
+                               rtol=0.0, atol=2e-15)
+
+
+def test_spherical_jn_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    omega = np.concatenate([[1e-300, 1e-18], np.geomspace(1e-8, 1e6, 29),
+                            np.linspace(0.9, 1.1, 3), np.linspace(9.5, 10.5, 3),
+                            np.linspace(21.0, 23.5, 6)])
+    got = _spherical_jn(FILON_ORDER, omega)
+    for x, row in zip(omega, got):
+        scale = mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
+        exact = [float(scale * mpmath.besselj(k + 0.5, x)) for k in range(FILON_ORDER)]
+        np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 0.8])
