@@ -52,10 +52,23 @@ class GridSpec:
         return _xi_axis(self.half_width, self.points)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Sampled f(x_j) -> fhat(xi_k), ascending-frequency order."""
-        sign = _alternating_sign(self.points)
-        spec = self.dx * sign * np.fft.fft(np.asarray(values))
-        return np.fft.fftshift(spec)
+        """Sampled f(x_j) -> fhat(xi_k), ascending-frequency order.
+
+        Real samples take the half-length real transform; the negative
+        frequencies are its mirror, fhat(-xi) = conj fhat(xi), exactly.
+        """
+        values = np.asarray(values)
+        scale = self.dx * _alternating_sign(self.points)
+        if np.iscomplexobj(values):
+            return np.fft.fftshift(scale * np.fft.fft(values))
+        half = self.points // 2
+        positive = np.fft.rfft(values)                        # k = 0..N/2
+        positive *= scale[:half + 1]
+        spec = np.empty(self.points, dtype=complex)
+        spec[half:] = positive[:self.points - half]
+        spec[0] = positive[half]                              # k = -N/2
+        np.conjugate(positive[half - 1:0:-1], out=spec[1:half])
+        return spec
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """fhat(xi_k) -> f(x_j); inverse of :meth:`forward` to round-off."""

@@ -16,7 +16,9 @@ Two evaluation backends realize this:
 * ``GridBackend``        samples the data on a uniform grid and applies the
   multipliers to FFT bins.  Fast and general (works for sampled data) but
   trustworthy only while the solution's content fits the box, hence the hard
-  time cap.
+  time cap.  Zero data is not transformed, and a snapshot builds each field
+  (u_hat, ut_hat and their physical forms) on its first read, from one
+  phase evaluation.
 * ``QuadratureBackend``  keeps everything as closed-form functions of xi and
   evaluates norms by phase-aware quadrature (``oscillatory_integral``, whose
   cost does not grow with the number of oscillations; at t = 0 its static
@@ -80,12 +82,21 @@ def sine_multiplier(s: float, t: float, xi):
     if t < 0:
         raise ValueError("time must be nonnegative")
     xi = np.asarray(xi, dtype=float)
-    omega = np.abs(xi) ** s
-    w = t * omega
-    small = w < SERIES_PHASE
-    safe_omega = np.where(small, 1.0, omega)
-    out = np.where(small, t * (1.0 - w * w / 6.0), np.sin(w) / safe_omega)
+    xi_s = np.abs(xi) ** s
+    w = t * xi_s
+    out = _sine_quotient(t, xi_s, w, np.sin(w))
     return out if out.ndim else float(out)
+
+
+def _sine_quotient(t: float, xi_s, w, sin_w):
+    """sin(w)/|xi|^s from a computed sin w, with the series below SERIES_PHASE."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.asarray(sin_w / xi_s)
+    small = np.asarray(w < SERIES_PHASE)
+    if small.any():
+        w_small = np.asarray(w)[small]
+        quotient[small] = t * (1.0 - w_small * w_small / 6.0)
+    return quotient
 
 
 def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None,
@@ -96,22 +107,30 @@ def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None,
     zero data and its term is skipped.  ``phase`` is (|xi|^s, sin w, cos w)
     when the caller supplies it (the quadrature densities pass the unit
     phases (1, 0) and (0, 1)); then sin(w)/|xi|^s is a plain quotient,
-    exact for every xi > 0.  Without it the phase is computed from xi, and
-    ``sine_multiplier`` keeps the series that makes xi = 0 admissible.
+    exact for every xi > 0.  Without it the phase is computed from xi once,
+    with only the sine or cosine the requested field reads, and sin(w)/|xi|^s
+    keeps the series that makes xi = 0 admissible.
     """
+    want_u, want_ut = field != "ut", field != "u"
     if phase is None:
-        r1 = sine_multiplier(s, t, xi)
         xi_s = np.abs(xi) ** s
         w = t * xi_s
-        sin_w, cos_w = np.sin(w), np.cos(w)
+        # u reads sin w through u1 and cos w through u0; ut the other way round
+        need_sin = (want_u and u1_hat is not None) or (want_ut and u0_hat is not None)
+        need_cos = (want_u and u0_hat is not None) or (want_ut and u1_hat is not None)
+        sin_w = np.sin(w) if need_sin else None
+        cos_w = np.cos(w) if need_cos else None
+        r1 = (_sine_quotient(t, xi_s, w, sin_w)
+              if want_u and u1_hat is not None else None)
         del w   # on a 2^20-point grid every full-length array is 8-16 MB
     else:
         xi_s, sin_w, cos_w = phase
-        r1 = None if field == "ut" else sin_w / xi_s
-    u = None if field == "ut" else _superpose(r1, cos_w, u0_hat, u1_hat)
+        r1 = sin_w / xi_s if want_u else None
+    u = _superpose(r1, cos_w, u0_hat, u1_hat) if want_u else None
     if field == "u":
         return u
-    ut = _superpose(cos_w, -(xi_s * sin_w), u0_hat, u1_hat)
+    ut = _superpose(cos_w, None if u0_hat is None else -(xi_s * sin_w),
+                    u0_hat, u1_hat)
     return ut if field == "ut" else (u, ut)
 
 
@@ -153,14 +172,6 @@ class SpectralField:
         w = np.abs(self.grid.xi()) ** (2.0 * s) * np.abs(self.values) ** 2
         return float(np.sqrt(self.grid.dxi * np.sum(w) / TWO_PI))
 
-    def hermitian_defect(self) -> float:
-        """Max deviation from fhat(-xi) = conj(fhat(xi)), relative to scale."""
-        v = self.values
-        scale = np.max(np.abs(v)) or 1.0
-        defect = np.max(np.abs(v[1:] - np.conj(v[1:][::-1])))
-        defect = max(defect, abs(v[0].imag))
-        return float(defect / scale)
-
 
 class Snapshot:
     """Common surface of the two backend-specific solution states."""
@@ -187,14 +198,34 @@ class Snapshot:
 
 
 class GridSnapshot(Snapshot):
-    """Solution state held as FFT bins; physical fields materialize lazily."""
+    """Solution state on FFT bins, held as the data spectra and the time.
 
-    def __init__(self, t: float, params: Parameters,
-                 u_hat: SpectralField, ut_hat: SpectralField):
+    A zero datum has no spectrum (None) and its term is skipped.  The fields
+    ``u_hat`` and ``ut_hat`` and the physical ``u`` and ``ut`` are built on
+    first read, so a norm of u alone never builds u_t.
+    """
+
+    def __init__(self, t: float, params: Parameters, grid: GridSpec,
+                 u0_hat: np.ndarray | None, u1_hat: np.ndarray | None):
         self.t = t
         self.params = params
-        self.u_hat = u_hat
-        self.ut_hat = ut_hat
+        self.grid = grid
+        self._data = (u0_hat, u1_hat)
+
+    def _fields(self, field: str | None):
+        """``propagate`` on the data spectra; all-zero data gives zero bins."""
+        if all(d is None for d in self._data):
+            zero = np.zeros(self.grid.points, dtype=complex)
+            return zero if field else (zero, zero)
+        return propagate(self.params.s, self.t, self.grid.xi(), *self._data, field)
+
+    @cached_property
+    def u_hat(self) -> SpectralField:
+        return SpectralField(self._fields("u"), self.grid)
+
+    @cached_property
+    def ut_hat(self) -> SpectralField:
+        return SpectralField(self._fields("ut"), self.grid)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -213,15 +244,19 @@ class GridSnapshot(Snapshot):
     def hs_seminorm(self, s):
         return self.u_hat.hs_seminorm(s)
 
+    def energy(self):
+        if "u_hat" not in self.__dict__ and "ut_hat" not in self.__dict__:
+            # both fields are read: build them from one phase
+            u_hat, ut_hat = self._fields(None)
+            self.u_hat = SpectralField(u_hat, self.grid)
+            self.ut_hat = SpectralField(ut_hat, self.grid)
+        return super().energy()
+
     def advance(self, dt: float) -> "GridSnapshot":
         """Evolve this state by a further dt (exact bin-wise propagator)."""
         if dt < 0:
             raise ValueError("time must be nonnegative")
-        grid = self.u_hat.grid
-        u_new, ut_new = propagate(self.params.s, dt, grid.xi(),
-                                  self.u_hat.values, self.ut_hat.values)
-        return GridSnapshot(self.t + dt, self.params,
-                            SpectralField(u_new, grid), SpectralField(ut_new, grid))
+        return GridSnapshot(self.t + dt, self.params, self.grid, *self._data)
 
 
 class QuadratureSnapshot(Snapshot):
@@ -333,19 +368,18 @@ class GridBackend:
                 f"grid backend is capped at t <= {GRID_TIME_CAP:g} "
                 f"(requested t={t:g}); use the quadrature backend")
         u0, u1 = data
-        start = GridSnapshot(0.0, params,
-                             SpectralField(self._spectrum(u0), self.grid),
-                             SpectralField(self._spectrum(u1), self.grid))
-        return start.advance(t)
+        return GridSnapshot(0.0, params, self.grid, self._spectrum(u0),
+                            self._spectrum(u1)).advance(t)
 
-    def _spectrum(self, p: Profile) -> np.ndarray:
-        if isinstance(p, SampledProfile):
-            if p.grid != self.grid:
-                raise BackendMismatchError(
-                    "sampled profile lives on a different grid than the backend")
-            samples = np.asarray(p.values, dtype=float)
-        else:
-            samples = p.evaluate(self.grid.x())
+    def _spectrum(self, p: Profile) -> np.ndarray | None:
+        """The datum's FFT bins, or None for zero data (not transformed)."""
+        sampled = isinstance(p, SampledProfile)
+        if sampled and p.grid != self.grid:
+            raise BackendMismatchError(
+                "sampled profile lives on a different grid than the backend")
+        if p.is_zero:
+            return None
+        samples = p.values if sampled else p.evaluate(self.grid.x())
         peak = np.max(np.abs(samples)) if samples.size else 0.0
         edge = max(abs(samples[0]), abs(samples[-1]))
         if peak > 0 and edge > 1e-14 * peak:
@@ -353,7 +387,9 @@ class GridBackend:
                 f"initial data magnitude {edge/peak:.2e} (relative) at |x| = "
                 f"{self.grid.half_width:g}; periodization error may be visible",
                 TruncationWarning, stacklevel=3)
-        return self.grid.forward(samples)
+        spectrum = self.grid.forward(samples)
+        spectrum.setflags(write=False)      # shared by every advanced snapshot
+        return spectrum
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,12 @@ class TestEvolution:
                               grid.forward(GaussianDerivative().evaluate(grid.x())))
 
     def test_zero_data_zero_snapshot(self):
-        snap = evolve_state((ZERO, ZERO), Parameters(0.5), 3.0, BACKEND)
-        assert snap.spectral_l2() == 0.0
-        assert snap.energy() == 0.0
+        for t in (0.0, 3.0):
+            snap = evolve_state((ZERO, ZERO), Parameters(0.5), t, BACKEND)
+            assert snap.energy() == 0.0
+            assert (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
+                    snap.hs_seminorm(0.5)) == (0.0, 0.0, 0.0, 0.0)
+            assert not np.any(snap.u) and not np.any(snap.ut)
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -88,9 +91,63 @@ class TestEvolution:
 
     def test_sampled_wrong_grid_rejected(self):
         other = GridSpec(20.0, 512)
-        p = SampledProfile(Gaussian().evaluate(other.x()), other)
-        with pytest.raises(BackendMismatchError):
-            evolve_state((ZERO, p), Parameters(0.5), 1.0, BACKEND)
+        for values in (Gaussian().evaluate(other.x()), np.zeros(other.points)):
+            p = SampledProfile(values, other)
+            with pytest.raises(BackendMismatchError):
+                evolve_state((ZERO, p), Parameters(0.5), 1.0, BACKEND)
+
+    def test_zero_datum_is_not_transformed(self, monkeypatch):
+        calls = []
+        original = GridSpec.forward
+
+        def counted(grid, values):
+            calls.append(grid)
+            return original(grid, values)
+
+        monkeypatch.setattr(GridSpec, "forward", counted)
+        snap = evolve_state((ZERO, Gaussian()), Parameters(0.5), 2.0, BACKEND)
+        snap.energy()
+        assert len(calls) == 1
+        zero = SampledProfile(np.zeros(BACKEND.grid.points), BACKEND.grid)
+        evolve_state((zero, Gaussian()), Parameters(0.5), 2.0, BACKEND).energy()
+        assert len(calls) == 2
+
+    def test_fields_are_built_on_first_read(self):
+        snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
+                            4.0, BACKEND)
+        snap.spectral_l2()
+        snap.physical_l2()
+        assert "u_hat" in snap.__dict__
+        assert not {"ut_hat", "u", "ut"} & set(snap.__dict__)
+        ut_l2 = snap.ut_l2()
+        assert "ut_hat" in snap.__dict__
+        # energy builds both fields at once; the values do not depend on how
+        fresh = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
+                             4.0, BACKEND)
+        assert fresh.energy() == snap.energy()
+        assert fresh.ut_l2() == ut_l2
+        assert np.array_equal(fresh.u_hat.values, snap.u_hat.values)
+
+    @pytest.mark.parametrize("u0", [ZERO, Gaussian(0.5, 1.0, 0.3)])
+    @pytest.mark.parametrize("s,t", [(0.3, 0.5), (0.75, 10.0), (1.0, 60.0)])
+    def test_fields_match_the_multiplier_formula(self, u0, s, t):
+        grid = GridSpec(400.0, 2 ** 16)
+        u1 = Gaussian()
+        snap = evolve_state((u0, u1), Parameters(s), t, GridBackend(grid))
+        xi = grid.xi()
+        u0_hat = grid.forward(u0.evaluate(grid.x()))
+        u1_hat = grid.forward(u1.evaluate(grid.x()))
+        xi_s = np.abs(xi) ** s
+        sin_w, cos_w = np.sin(t * xi_s), np.cos(t * xi_s)
+        ratio = np.empty_like(xi)
+        nonzero = xi != 0.0
+        ratio[nonzero] = sin_w[nonzero] / xi_s[nonzero]
+        ratio[~nonzero] = t
+        for field, expected in (
+                (snap.u_hat, ratio * u1_hat + cos_w * u0_hat),
+                (snap.ut_hat, cos_w * u1_hat - xi_s * sin_w * u0_hat)):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(field.values - expected)) <= 1e-14 * scale
 
     def test_dalembert_oracle(self):
         # s = 1, u0 = 0, u1 gaussian: u(t,x) = (sqrt(pi)/4)(erf(x+t) - erf(x-t))
