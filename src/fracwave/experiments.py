@@ -31,7 +31,8 @@ from .errors import ConfigError, FracwaveError, WrongRegimeError
 from .grid import GridSpec
 from .profiles import (CompactBump, Gaussian, GaussianDerivative, Profile,
                        ZERO)
-from .spectral import GridBackend, Parameters, QuadratureBackend, evolve_state
+from .spectral import (GridBackend, Parameters, QuadratureBackend,
+                       check_time_cap, evolve_state)
 
 SCHEMA_VERSION = 1
 
@@ -364,11 +365,14 @@ def run_solve(cfg: ExperimentConfig, out_dir=None, plot=None) -> RunResult:
     backend = cfg.make_backend()
     params = cfg.params()
     ts = cfg.t_grid()
+    check_time_cap(backend, ts)
 
     def one(t):
         snap = evolve_state((cfg.u0, cfg.u1), params, float(t), backend)
+        # energy first: a grid snapshot then builds u and u_t from one phase
+        energy = snap.energy()
         return (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
-                snap.hs_seminorm(params.s), snap.energy())
+                snap.hs_seminorm(params.s), energy)
 
     cols = list(zip(*map_times(one, ts)))
     return _finish(cfg, out, plot,
@@ -384,6 +388,7 @@ def run_energy(cfg: ExperimentConfig, out_dir=None, plot=None,
     backend = cfg.make_backend()
     params = cfg.params()
     ts = cfg.t_grid()
+    check_time_cap(backend, ts)
     e0 = evolve_state((cfg.u0, cfg.u1), params, 0.0, backend).energy()
     energies = np.array(map_times(
         lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend).energy(),

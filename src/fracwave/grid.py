@@ -34,8 +34,9 @@ class GridSpec:
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        if not _is_power_of_two(self.points):
-            raise ValueError(f"points must be a power of two, got {self.points}")
+        if self.points < 2 or not _is_power_of_two(self.points):
+            # one point has no zero bin: xi_k = pi*k/L needs k = -N/2..N/2-1
+            raise ValueError(f"points must be a power of two >= 2, got {self.points}")
 
     @property
     def dx(self) -> float:

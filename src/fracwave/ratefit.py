@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConventionError, SeriesError
 from .estimates import BoundSpec
-from .spectral import Parameters, QuadratureBackend, evolve_state
+from .spectral import (Parameters, QuadratureBackend, check_time_cap,
+                       evolve_state)
 
 __all__ = ["NormSeries", "RateReport", "sample_norm_curve",
            "fit_power_exponent", "fit_log_rate", "sandwich_check",
@@ -110,8 +111,8 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
 
     Every sample is one ``evolve_state`` call, mapped over the grid by
     ``experiments.map_times`` (so FRACWAVE_THREADS applies), once the grid
-    has passed ``_check_time_grid``.  Zero data yields the explicit
-    zero-series variant.
+    has passed ``_check_time_grid`` and ``check_time_cap``.  Zero data
+    yields the explicit zero-series variant.
     """
     from .experiments import map_times   # experiments imports this module
     t_grid = np.asarray(t_grid, dtype=float)
@@ -120,6 +121,7 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
     _check_time_grid(t_grid)
     if backend is None:
         backend = QuadratureBackend()
+    check_time_cap(backend, t_grid)
     u0, u1 = data
     provenance = {"backend": backend.name, "s": params.s,
                   "u0": repr(u0), "u1": repr(u1)}

@@ -16,9 +16,10 @@ Two evaluation backends realize this:
 * ``GridBackend``        samples the data on a uniform grid and applies the
   multipliers to FFT bins.  Fast and general (works for sampled data) but
   trustworthy only while the solution's content fits the box, hence the hard
-  time cap.  Zero data is not transformed, and a snapshot builds each field
-  (u_hat, ut_hat and their physical forms) on its first read, from one
-  phase evaluation.
+  time cap.  Zero data is not transformed.  Real data make every field
+  Hermitian, so a snapshot propagates and takes norms on the bins
+  k = -N/2..0 alone, from one phase evaluation, and mirrors a full field
+  (u_hat, ut_hat, then their physical forms) on its first read.
 * ``QuadratureBackend``  keeps everything as closed-form functions of xi and
   evaluates norms by phase-aware quadrature (``oscillatory_integral``, whose
   cost does not grow with the number of oscillations; at t = 0 its static
@@ -200,9 +201,14 @@ class Snapshot:
 class GridSnapshot(Snapshot):
     """Solution state on FFT bins, held as the data spectra and the time.
 
-    A zero datum has no spectrum (None) and its term is skipped.  The fields
-    ``u_hat`` and ``ut_hat`` and the physical ``u`` and ``ut`` are built on
-    first read, so a norm of u alone never builds u_t.
+    A zero datum has no spectrum (None) and its term is skipped.  Real data
+    have Hermitian spectra, fhat(-xi) = conj fhat(xi), and the multipliers
+    are even in xi, so every field is Hermitian too: it is propagated only
+    on the bins k = -N/2..0 and the norms read those with Hermitian weights.
+    The full fields ``u_hat`` and ``ut_hat`` mirror the half into the
+    positive bins, and the physical ``u`` and ``ut`` transform them back;
+    all four are built on first read, so a norm of u never builds u_t or
+    any full-length field.
     """
 
     def __init__(self, t: float, params: Parameters, grid: GridSpec,
@@ -211,21 +217,47 @@ class GridSnapshot(Snapshot):
         self.params = params
         self.grid = grid
         self._data = (u0_hat, u1_hat)
+        self._half = slice(grid.points // 2 + 1)     # bins -N/2..0
 
-    def _fields(self, field: str | None):
-        """``propagate`` on the data spectra; all-zero data gives zero bins."""
+    def _half_fields(self, field: str | None):
+        """``propagate`` on bins -N/2..0; all-zero data gives zero bins."""
         if all(d is None for d in self._data):
-            zero = np.zeros(self.grid.points, dtype=complex)
+            zero = np.zeros(self._half.stop, dtype=complex)
             return zero if field else (zero, zero)
-        return propagate(self.params.s, self.t, self.grid.xi(), *self._data, field)
+        data = (None if d is None else d[self._half] for d in self._data)
+        return propagate(self.params.s, self.t, self.grid.xi()[self._half],
+                         *data, field)
+
+    @cached_property
+    def _u_half(self) -> np.ndarray:
+        return self._half_fields("u")
+
+    @cached_property
+    def _ut_half(self) -> np.ndarray:
+        return self._half_fields("ut")
+
+    def _mirror(self, half: np.ndarray) -> SpectralField:
+        """The full field: bins -N/2..0 as given, bin k > 0 as conj of bin -k."""
+        mid = self.grid.points // 2
+        full = np.empty(self.grid.points, dtype=complex)
+        full[:mid + 1] = half
+        np.conjugate(half[mid - 1:0:-1], out=full[mid + 1:])
+        return SpectralField(full, self.grid)
+
+    def _line_sum(self, density: np.ndarray) -> float:
+        """dxi times the sum over all N bins of a density even in xi.
+
+        Bins -N/2+1..-1 count twice, for their mirrors; -N/2 and 0 have none.
+        """
+        return self.grid.dxi * (2.0 * np.sum(density) - density[0] - density[-1])
 
     @cached_property
     def u_hat(self) -> SpectralField:
-        return SpectralField(self._fields("u"), self.grid)
+        return self._mirror(self._u_half)
 
     @cached_property
     def ut_hat(self) -> SpectralField:
-        return SpectralField(self._fields("ut"), self.grid)
+        return self._mirror(self._ut_half)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -236,20 +268,21 @@ class GridSnapshot(Snapshot):
         return self.ut_hat.physical()
 
     def spectral_l2(self):
-        return self.u_hat.raw_l2()
+        return float(np.sqrt(self._line_sum(np.abs(self._u_half) ** 2)))
 
     def ut_l2(self):
-        return self.ut_hat.physical_l2()
+        return float(np.sqrt(self._line_sum(np.abs(self._ut_half) ** 2))
+                     / np.sqrt(TWO_PI))
 
     def hs_seminorm(self, s):
-        return self.u_hat.hs_seminorm(s)
+        xi = self.grid.xi()[self._half]
+        density = np.abs(xi) ** (2.0 * s) * np.abs(self._u_half) ** 2
+        return float(np.sqrt(self._line_sum(density) / TWO_PI))
 
     def energy(self):
-        if "u_hat" not in self.__dict__ and "ut_hat" not in self.__dict__:
+        if "_u_half" not in self.__dict__ and "_ut_half" not in self.__dict__:
             # both fields are read: build them from one phase
-            u_hat, ut_hat = self._fields(None)
-            self.u_hat = SpectralField(u_hat, self.grid)
-            self.ut_hat = SpectralField(ut_hat, self.grid)
+            self._u_half, self._ut_half = self._half_fields(None)
         return super().energy()
 
     def advance(self, dt: float) -> "GridSnapshot":
@@ -363,10 +396,7 @@ class GridBackend:
     name = "grid"
 
     def evolve(self, data, params: Parameters, t: float) -> GridSnapshot:
-        if t > GRID_TIME_CAP:
-            raise BackendCapError(
-                f"grid backend is capped at t <= {GRID_TIME_CAP:g} "
-                f"(requested t={t:g}); use the quadrature backend")
+        check_time_cap(self, (t,))
         u0, u1 = data
         return GridSnapshot(0.0, params, self.grid, self._spectrum(u0),
                             self._spectrum(u1)).advance(t)
@@ -409,6 +439,20 @@ class QuadratureBackend:
                     "quadrature backend requires analytic transforms; "
                     f"{type(p).__name__} has none (use the grid backend)")
         return QuadratureSnapshot(t, params, u0, u1)
+
+
+def check_time_cap(backend, times) -> None:
+    """Raise BackendCapError if the grid backend is given a time past the cap.
+
+    Runners call it on the whole time grid, so no sample is solved first.
+    """
+    if not isinstance(backend, GridBackend):
+        return
+    for t in times:
+        if t > GRID_TIME_CAP:
+            raise BackendCapError(
+                f"grid backend is capped at t <= {GRID_TIME_CAP:g} "
+                f"(requested t={t:g}); use the quadrature backend")
 
 
 def evolve_state(data, params: Parameters, t: float, backend=None) -> Snapshot:

@@ -140,6 +140,22 @@ class TestRunners:
         header = (tmp_path / "norms.csv").read_text().splitlines()[0]
         assert header == "t,u_hat_l2,u_l2,ut_l2,hs_seminorm,energy"
 
+    def test_grid_solve_propagates_once_per_sample(self, tmp_path, monkeypatch):
+        from fracwave import spectral
+        calls = []
+        original = spectral.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.delenv("FRACWAVE_THREADS", raising=False)
+        monkeypatch.setattr(spectral, "propagate", counting)
+        cfg = parse_config("s = 0.6\nu0 = gaussian c=0.3\nt_grid = list 0.5 2 7\n"
+                           "backend = grid\n")
+        run_solve(cfg, out_dir=tmp_path)
+        assert calls == [0.5, 2.0, 7.0]
+
     def test_sandwich_run(self, tmp_path):
         cfg = parse_config(SANDWICH_CFG)
         result = run_sandwich(cfg, out_dir=tmp_path, plot=True)
@@ -371,6 +387,23 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "strictly increasing" in err
+        assert len(err.strip().splitlines()) == 1
+        assert solved == []
+
+    @pytest.mark.parametrize("command", ["solve", "energy", "sandwich"])
+    def test_grid_time_past_cap_exits_before_solving(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        from fracwave import ratefit
+        solved = []
+        for module in (experiments, ratefit):
+            monkeypatch.setattr(module, "evolve_state",
+                                lambda *args: solved.append(args[2]))
+        cfg = "backend = grid\nu0 = gaussian\nt_grid = list 1 10 50 99 150\n"
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "BackendCapError" in err and "requested t=150" in err
         assert len(err.strip().splitlines()) == 1
         assert solved == []
 

@@ -12,6 +12,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(points=1000)          # not a power of two
     with pytest.raises(ValueError):
+        GridSpec(points=1)             # no zero bin
+    with pytest.raises(ValueError):
         GridSpec(half_width=0.0)
 
 

@@ -82,6 +82,16 @@ class TestSampling:
         sample_norm_curve(data, params, np.array([1.0, 2.0]))
         assert calls == [1.0, 2.0]
 
+    def test_grid_time_past_cap_rejected_before_any_sample(self, monkeypatch):
+        from fracwave import ratefit
+        calls = []
+        monkeypatch.setattr(ratefit, "evolve_state",
+                            lambda *args: calls.append(args[2]))
+        with pytest.raises(BackendCapError, match="requested t=150"):
+            sample_norm_curve((ZERO, Gaussian()), Parameters(0.75),
+                              np.array([1.0, 10.0, 99.0, 150.0]), GridBackend())
+        assert calls == []
+
     def test_samples_go_through_map_times(self, monkeypatch):
         calls = []
         mapper = experiments.map_times

@@ -10,6 +10,7 @@ from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       Parameters, QuadratureBackend, SampledProfile, ZERO,
                       evolve_state, hs_norm, hs_seminorm, l2_norm,
                       sine_multiplier)
+from fracwave.spectral import SpectralField, propagate
 from fracwave.errors import (BackendCapError, BackendMismatchError,
                              UnsupportedDimensionError)
 from fracwave.lemmas import gagliardo_constant
@@ -117,10 +118,13 @@ class TestEvolution:
                             4.0, BACKEND)
         snap.spectral_l2()
         snap.physical_l2()
-        assert "u_hat" in snap.__dict__
-        assert not {"ut_hat", "u", "ut"} & set(snap.__dict__)
+        # a norm of u builds one field, u on the half spectrum, and no
+        # full-length field: neither ut_hat, u, ut nor u_hat itself
+        assert not {"u_hat", "ut_hat", "u", "ut"} & set(snap.__dict__)
+        assert _built_fields(snap) == [BACKEND.grid.points // 2 + 1]
         ut_l2 = snap.ut_l2()
-        assert "ut_hat" in snap.__dict__
+        assert _built_fields(snap) == [BACKEND.grid.points // 2 + 1] * 2
+        assert "ut_hat" not in snap.__dict__
         # energy builds both fields at once; the values do not depend on how
         fresh = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
                              4.0, BACKEND)
@@ -176,6 +180,88 @@ class TestEvolution:
         n1 = evolve_state((ZERO, Gaussian()), params, 1e-4, BACKEND).spectral_l2()
         n2 = evolve_state((ZERO, Gaussian()), params, 2e-4, BACKEND).spectral_l2()
         assert n2 / n1 == pytest.approx(2.0, rel=1e-6)
+
+
+def _built_fields(snap):
+    """Lengths of the arrays and fields a grid snapshot has built so far."""
+    built = [v for k, v in vars(snap).items() if k != "_data"
+             and isinstance(v, (np.ndarray, SpectralField))]
+    return [len(v.values if isinstance(v, SpectralField) else v) for v in built]
+
+
+@pytest.mark.filterwarnings("ignore::fracwave.profiles.TruncationWarning")
+class TestHalfSpectrum:
+    """Fields live on bins -N/2..0; norms and full fields must not notice."""
+
+    GRID = GridSpec(40.0, 4096)
+
+    @classmethod
+    def _data(cls):
+        # white noise: every bin, the Nyquist and zero bins included, is nonzero
+        rng = np.random.default_rng(20261018)
+        return tuple(SampledProfile(rng.standard_normal(cls.GRID.points), cls.GRID)
+                     for _ in range(2))
+
+    def _full_fields(self, data, s, t):
+        spectra = [self.GRID.forward(p.values) for p in data]
+        return propagate(s, t, self.GRID.xi(), *spectra)
+
+    def test_data_fill_the_end_bins(self):
+        for p in self._data():
+            spectrum = self.GRID.forward(p.values)
+            assert abs(spectrum[0]) > 0 and abs(spectrum[self.GRID.points // 2]) > 0
+
+    @pytest.mark.parametrize("s,t", [(0.3, 0.1), (0.6, 7.0), (0.75, 0.0),
+                                     (1.0, 100.0)])
+    def test_full_fields_are_the_full_axis_propagation(self, s, t):
+        data = self._data()
+        snap = evolve_state(data, Parameters(s), t, GridBackend(self.GRID))
+        u_full, ut_full = self._full_fields(data, s, t)
+        assert np.array_equal(snap.u_hat.values, u_full)
+        assert np.array_equal(snap.ut_hat.values, ut_full)
+        # energy() builds both halves at once; the mirrors are the same
+        fused = evolve_state(data, Parameters(s), t, GridBackend(self.GRID))
+        fused.energy()
+        assert np.array_equal(fused.u_hat.values, u_full)
+        assert np.array_equal(fused.ut_hat.values, ut_full)
+
+    @pytest.mark.parametrize("s,t", [(0.3, 0.1), (0.6, 7.0), (0.75, 0.0),
+                                     (1.0, 100.0)])
+    def test_norms_match_full_bin_sums(self, s, t):
+        data = self._data()
+        backend = GridBackend(self.GRID)
+        u_full, ut_full = self._full_fields(data, s, t)
+        dxi, xi = self.GRID.dxi, self.GRID.xi()
+
+        def line_sum(density):
+            return dxi * np.sum(density)
+
+        u_sq, ut_sq = np.abs(u_full) ** 2, np.abs(ut_full) ** 2
+        s_other = 0.45
+        expected = {
+            "spectral_l2": np.sqrt(line_sum(u_sq)),
+            "ut_l2": np.sqrt(line_sum(ut_sq) / (2 * np.pi)),
+            "hs_seminorm": np.sqrt(line_sum(np.abs(xi) ** (2 * s_other) * u_sq)
+                                   / (2 * np.pi)),
+            "energy": 0.5 * (line_sum(ut_sq)
+                             + line_sum(np.abs(xi) ** (2 * s) * u_sq)) / (2 * np.pi),
+        }
+        snap = evolve_state(data, Parameters(s), t, backend)
+        got = {"spectral_l2": snap.spectral_l2(), "ut_l2": snap.ut_l2(),
+               "hs_seminorm": snap.hs_seminorm(s_other),
+               "energy": evolve_state(data, Parameters(s), t, backend).energy()}
+        for name, value in got.items():
+            assert value == pytest.approx(expected[name], rel=1e-14), name
+
+    def test_norms_on_the_smallest_grid(self):
+        # N = 2: the half spectrum is the whole axis, bins -1 and 0
+        grid = GridSpec(1.0, 2)
+        data = (SampledProfile(np.array([0.5, -1.25]), grid),
+                SampledProfile(np.array([2.0, 0.75]), grid))
+        snap = evolve_state(data, Parameters(0.6), 3.0, GridBackend(grid))
+        u_full = snap.u_hat.values
+        assert snap.spectral_l2() == pytest.approx(
+            np.sqrt(grid.dxi * np.sum(np.abs(u_full) ** 2)), rel=1e-15)
 
 
 class TestInvariants:
