@@ -398,8 +398,10 @@ class GridBackend:
     def evolve(self, data, params: Parameters, t: float) -> GridSnapshot:
         check_time_cap(self, (t,))
         u0, u1 = data
-        return GridSnapshot(0.0, params, self.grid, self._spectrum(u0),
-                            self._spectrum(u1)).advance(t)
+        u0_hat = self._spectrum(u0)
+        # one datum given twice is transformed once; spectra are read-only
+        u1_hat = u0_hat if u1 is u0 else self._spectrum(u1)
+        return GridSnapshot(0.0, params, self.grid, u0_hat, u1_hat).advance(t)
 
     def _spectrum(self, p: Profile) -> np.ndarray | None:
         """The datum's FFT bins, or None for zero data (not transformed)."""

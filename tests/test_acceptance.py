@@ -182,10 +182,16 @@ def test_criterion_07_log_growth_minorant():
     from fracwave.quadrature import gauss_panels
     ts = np.logspace(1, 6, 20)
     margins = []
+    closed_err = 0.0
     for t in ts:
         k1 = log_growth_integral(t)
         minorant = 2.0 / (3.0 * np.e) * (np.log(t) + np.log(4.0) - np.log(np.pi))
         margins.append(k1 - minorant)
+        if t >= 1e3:
+            # K1 = 2 log(2t) + 3 gamma / 2 up to a remainder that decays
+            # faster than any power of 1/t (about 4e-14 relative at t = 1e3)
+            closed = 2.0 * np.log(2.0 * t) + 1.5 * np.euler_gamma
+            closed_err = max(closed_err, abs(k1 - closed) / k1)
     # quadrature accuracy: order-12 panels against order-24 at spot checks
     quad_err = 0.0
     for t in (10.0, 1e3, 1e6):
@@ -193,11 +199,13 @@ def test_criterion_07_log_growth_minorant():
         ref = 4.0 * gauss_panels(
             lambda v: np.exp(-(v / t) ** 4) * np.sin(v) ** 2 / v, edges, order=24)
         quad_err = max(quad_err, abs(log_growth_integral(t) - ref) / ref)
-    ok = min(margins) > 0 and quad_err <= 1e-6
+    ok = min(margins) > 0 and quad_err <= 1e-6 and closed_err <= 1e-12
     record_criterion(7, f"log-growth integral minorant (min margin "
-                        f"{min(margins):.3f}, quad err {quad_err:.1e})", ok)
+                        f"{min(margins):.3f}, quad err {quad_err:.1e}, "
+                        f"closed-form err {closed_err:.1e})", ok)
     assert min(margins) > 0
     assert quad_err <= 1e-6
+    assert closed_err <= 1e-12
 
 
 def test_criterion_08_pointwise_bound_constant_two():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,37 @@ class TestGagliardo:
         tail = 12.0 ** (-2 * s) / (2 * s)  # e^(-h^2/2) is ~1e-32 out there
         ref = 4 * np.sqrt(np.pi / 2) * (body + tail)
         assert gagliardo_seminorm(Gaussian(), s) ** 2 == pytest.approx(ref, rel=1e-6)
+
+    ORDERS = [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99]
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("p, rel", [(Gaussian(), 1e-10), (GaussianDerivative(), 1e-10),
+                                        (Gaussian(center=2.0), 1e-10), (CompactBump(), 5e-9)],
+                             ids=["gaussian", "derivative", "off-centre", "bump"])
+    def test_identity_holds_sharply(self, p, rel, s):
+        # the head coefficient must not carry cancellation noise: as s -> 1
+        # the head below h_min is a large share of the total
+        lhs = gagliardo_seminorm(p, s) ** 2
+        rhs = 2.0 / gagliardo_constant(s) * hs_seminorm(p, s) ** 2
+        assert lhs == pytest.approx(rhs, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("s, value", [(0.3, 2.968085745696066),
+                                          (0.5, 2.5066282746310002),
+                                          (0.7, 2.56794051799479)])
+    def test_moderate_orders_keep_their_values(self, s, value):
+        # values of the single-array evaluation with the head at 1e-12,
+        # which is accurate at these orders
+        assert gagliardo_seminorm(Gaussian(), s) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_allocation_stays_bounded(self):
+        gagliardo_seminorm(Gaussian(), 0.5)        # warm the rule caches
+        tracemalloc.start()
+        try:
+            gagliardo_seminorm(Gaussian(), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_zero_profile(self):
         from fracwave import ZERO

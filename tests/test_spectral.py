@@ -97,7 +97,9 @@ class TestEvolution:
             with pytest.raises(BackendMismatchError):
                 evolve_state((ZERO, p), Parameters(0.5), 1.0, BACKEND)
 
-    def test_zero_datum_is_not_transformed(self, monkeypatch):
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        """The grids of every ``GridSpec.forward`` call from here on."""
         calls = []
         original = GridSpec.forward
 
@@ -106,12 +108,28 @@ class TestEvolution:
             return original(grid, values)
 
         monkeypatch.setattr(GridSpec, "forward", counted)
+        return calls
+
+    def test_zero_datum_is_not_transformed(self, forward_calls):
         snap = evolve_state((ZERO, Gaussian()), Parameters(0.5), 2.0, BACKEND)
         snap.energy()
-        assert len(calls) == 1
+        assert len(forward_calls) == 1
         zero = SampledProfile(np.zeros(BACKEND.grid.points), BACKEND.grid)
         evolve_state((zero, Gaussian()), Parameters(0.5), 2.0, BACKEND).energy()
-        assert len(calls) == 2
+        assert len(forward_calls) == 2
+
+    def test_shared_datum_is_transformed_once(self, forward_calls):
+        g, h = Gaussian(0.5, 1.0, 0.3), GaussianDerivative()
+        separate = evolve_state((g, Gaussian(0.5, 1.0, 0.3)), Parameters(0.6), 4.0, BACKEND)
+        forward_calls.clear()
+        shared = evolve_state((g, g), Parameters(0.6), 4.0, BACKEND)
+        assert len(forward_calls) == 1
+        forward_calls.clear()
+        evolve_state((g, h), Parameters(0.6), 4.0, BACKEND)
+        assert len(forward_calls) == 2
+        assert np.array_equal(shared.u_hat.values, separate.u_hat.values)
+        assert np.array_equal(shared.ut_hat.values, separate.ut_hat.values)
+        assert shared.energy() == separate.energy()
 
     def test_fields_are_built_on_first_read(self):
         snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
