@@ -332,10 +332,13 @@ def area_sums(t: float, tolerance: float = 1e-10) -> AreaSumReport:
         i = np.arange(start, min(start + block, i_hard + 1), dtype=float)
         a = ((i + 0.25) * np.pi / t) ** 2
         b = ((i + 0.75) * np.pi / t) ** 2
-        a_next = ((i + 1.25) * np.pi / t) ** 2
-        # int_lo^hi e^(-r^2)/r dr = (E1(lo^2) - E1(hi^2)) / 2
-        edges = np.concatenate([a, b, a_next])
-        e_a, e_b, e_next = np.split(0.5 * _exp1(edges * edges), 3)
+        a_last = ((i[-1:] + 1.25) * np.pi / t) ** 2
+        # int_lo^hi e^(-r^2)/r dr = (E1(lo^2) - E1(hi^2)) / 2; a_(i+1) is the
+        # next panel's a_i, so E1 is taken at a, b and the block's last a_(i+1)
+        edges = np.concatenate([a, b, a_last])
+        e = 0.5 * _exp1(edges * edges)
+        e_a, e_b = e[:i.size], e[i.size:-1]
+        e_next = np.append(e_a[1:], e[-1])
         A = e_a - e_b
         B = e_b - e_next
         tails = e_next

@@ -55,21 +55,40 @@ class GridSpec:
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled f(x_j) -> fhat(xi_k), ascending-frequency order.
 
-        Real samples take the half-length real transform; the negative
-        frequencies are its mirror, fhat(-xi) = conj fhat(xi), exactly.
+        Real samples take ``half_forward``, mirrored into the positive
+        frequencies by ``mirror``.
         """
         values = np.asarray(values)
-        scale = self.dx * _alternating_sign(self.points)
         if np.iscomplexobj(values):
+            scale = self.dx * _alternating_sign(self.points)
             return np.fft.fftshift(scale * np.fft.fft(values))
+        return self.mirror(self.half_forward(values))
+
+    def half_forward(self, values: np.ndarray) -> np.ndarray:
+        """Real samples f(x_j) -> fhat(xi_k) on the bins k = -N/2..0 alone.
+
+        One half-length real transform gives k = 0..N/2; the factor
+        (-1)^k of the grid's offset x_0 = -L is applied to its odd bins, and
+        k < 0 is its mirror, fhat(-xi) = conj fhat(xi), exactly.
+        """
         half = self.points // 2
         positive = np.fft.rfft(values)                        # k = 0..N/2
-        positive *= scale[:half + 1]
-        spec = np.empty(self.points, dtype=complex)
-        spec[half:] = positive[:self.points - half]
+        positive *= self.dx
+        positive[1::2] *= -1.0
+        spec = np.empty(half + 1, dtype=complex)
         spec[0] = positive[half]                              # k = -N/2
         np.conjugate(positive[half - 1:0:-1], out=spec[1:half])
+        spec[half] = positive[0]
         return spec
+
+    def mirror(self, half: np.ndarray) -> np.ndarray:
+        """The full spectrum of a Hermitian one given on bins -N/2..0: bin
+        k > 0 is the conjugate of bin -k."""
+        mid = self.points // 2
+        full = np.empty(self.points, dtype=complex)
+        full[:mid + 1] = half
+        np.conjugate(half[mid - 1:0:-1], out=full[mid + 1:])
+        return full
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """fhat(xi_k) -> f(x_j); inverse of :meth:`forward` to round-off."""

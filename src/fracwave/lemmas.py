@@ -192,7 +192,7 @@ def riesz_energy(p, theta: float, n: int = 1) -> float:
         return density(rho) * rho ** power
 
     width = panel_width([p]) if n == 1 else np.inf
-    return area * static_integral(integrand, frequency_cutoff([p], -2.0 * theta),
+    return area * static_integral(integrand, frequency_cutoff([p]),
                                   width=width)
 
 

@@ -16,7 +16,9 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   half-periods [k*pi, (k+1)*pi] and, below pi, into HEAD_DYADIC dyadic panels
   [pi*2^-(j+1), pi*2^-j], on which the integrand is a power of w times a
   smooth function, and each panel gets one Gauss rule of FILON_ORDER nodes.
-  The rest, the body, goes to a Legendre-Filon rule in w.
+  The rest, the body, goes to a Legendre-Filon rule in w.  A rule is its
+  nodes plus the weights of the density's form there, built once per
+  interval and applied to each density on it as a dot product.
 
 ``gauss_panels`` also serves smooth integrands of the profiles and lemmas;
 ``adaptive``, a Gauss-Kronrod rule with global bisection, serves integrands
@@ -202,17 +204,16 @@ def log_spaced_panels(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
     return np.geomspace(lo, hi, n + 1)
 
 
-def frequency_cutoff(profiles, weight_exp: float = 0.0) -> float:
-    """Upper limit of int |fhat|^2 |xi|^weight_exp dxi over the given profiles.
+def frequency_cutoff(profiles) -> float:
+    """Upper limit of the spectral integrals of the given profiles.
 
-    The largest ``frequency_radius(CUTOFF_TOL)``, widened by
-    (1 + max(weight_exp, 0)/4): a polynomial weight only nudges the
-    Gaussian-type decay radius.  With no profiles the limit is 1.
+    The largest ``frequency_radius(CUTOFF_TOL)``, where |fhat|^2 is at most
+    CUTOFF_TOL^2 of its peak.  Every norm of one data set, weighted by
+    |xi|^p or not, stops there, so they all share the nodes of one rule.
+    With no profiles the limit is 1.
     """
     radii = [p.frequency_radius(CUTOFF_TOL) for p in profiles]
-    if not radii:
-        return 1.0
-    return max(radii) * (1.0 + 0.25 * max(weight_exp, 0.0))
+    return max(radii) if radii else 1.0
 
 
 def panel_width(profiles) -> float:
@@ -260,7 +261,8 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
 
 
 def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
-                         xi_lo: float = 0.0, width: float = np.inf) -> float:
+                         xi_lo: float = 0.0, width: float = np.inf,
+                         rules: dict | None = None) -> float:
     """Integrate a density with phase w = t*xi^s over xi in [xi_lo, xi_hi].
 
     The density is a quadratic form in (sin w, cos w), and the routine owns
@@ -269,47 +271,100 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w.
 
     At t <= 0 nothing oscillates and the integral is ``static_integral`` of
-    beta, with panels no wider than ``width``.  Otherwise the integral is
-    taken in w, times d xi/dw = xi/(s*w), on panels held as edges
-    w = k*pi + d with integer k, so that the phase is known exactly however
-    large w is.  The head, the first LEAD_HALFPERIODS half-periods of w,
-    gets ``_head_edges`` and a Gauss rule on the form itself; the body
-    gets ``_body_edges`` and the Legendre-Filon rule.  Both are in
-    ``_form_panels``.  A panel that spans more than ``width`` in xi is split
-    into equal xi-parts unless its share of the integral is below SPLIT_TOL,
-    where no error of it can show.
+    beta, with panels no wider than ``width``.  Otherwise it is an
+    ``_OscillatoryRule`` applied to f.  The rule depends on the arguments
+    other than f alone; a dict ``rules`` keeps it under them, so that every
+    density integrated over the same interval with that dict shares it.
     """
     if xi_hi <= xi_lo:
         return 0.0
     if t <= 0:
         return static_integral(lambda xi: f(xi, xi ** s)[1], xi_hi,
                                xi_lo=xi_lo, width=width)
+    key = (t, s, xi_lo, xi_hi, width)
+    rule = None if rules is None else rules.get(key)
+    if rule is None:
+        rule = _OscillatoryRule.build(t, s, xi_lo, xi_hi, width)
+        if rules is not None:
+            rules[key] = rule
+    return rule.integrate(f)
 
-    w_lo = t * xi_lo ** s
-    w_hi = t * xi_hi ** s
-    k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
-    edges = [_head_edges(w_lo, w_hi, k_lead)]
-    if w_hi > k_lead * np.pi:
-        edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
-    ka, da, kb, db = (np.concatenate(e) for e in zip(*edges))
-    parts = _form_panels(f, t, s, ka, da, kb, db, k_lead)
-    total = _below_head(parts) if w_lo == 0 else 0.0
 
-    xa = ((ka * np.pi + da) / t) ** (1.0 / s)
-    xb = ((kb * np.pi + db) / t) ** (1.0 / s)
-    pieces = np.ceil((xb - xa) / width)
-    split = (pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
-    total += float(np.sum(parts[~split]))
-    if np.any(split):
+class _OscillatoryRule:
+    """The rule of ``oscillatory_integral`` on one interval.
+
+    The integral is taken in w, times d xi/dw = xi/(s*w), on panels held as
+    edges w = k*pi + d with integer k, so that the phase is known exactly
+    however large w is.  The head, the first LEAD_HALFPERIODS half-periods
+    of w, gets ``_head_edges``; the body gets ``_body_edges``.  Both rules
+    are linear in the form (alpha, beta, gamma), so the rule is its nodes
+    (xi, xi^s) and the three weight arrays of ``_form_weights``, and a
+    panel's integral is a dot product with the form at its nodes.
+
+    A panel that spans more than ``width`` in xi is split into equal
+    xi-parts unless its share of the integral is below SPLIT_TOL, where no
+    error of it can show.  That share depends on the form, so ``integrate``
+    splits; the rule on the parts is kept for the next form that splits the
+    same panels.
+    """
+
+    def __init__(self, t, s, ka, da, kb, db, k_lead, width=np.inf,
+                 from_origin=False):
+        self.t, self.s, self.k_lead = t, s, k_lead
+        self.edges = (ka, da, kb, db)
+        self.from_origin = from_origin
+        self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
+        self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
+        self.pieces = np.ceil((self.xb - self.xa) / width)
+        self.xi, self.xi_s, self.weights = _form_weights(t, s, *self.edges, k_lead)
+        self._splits: dict[tuple, _OscillatoryRule] = {}
+
+    @classmethod
+    def build(cls, t: float, s: float, xi_lo: float, xi_hi: float,
+              width: float = np.inf) -> "_OscillatoryRule":
+        """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width."""
+        w_lo = t * xi_lo ** s
+        w_hi = t * xi_hi ** s
+        k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
+        edges = [_head_edges(w_lo, w_hi, k_lead)]
+        if w_hi > k_lead * np.pi:
+            edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
+        return cls(t, s, *(np.concatenate(e) for e in zip(*edges)), k_lead,
+                   width, from_origin=w_lo == 0)
+
+    def panels(self, f) -> np.ndarray:
+        """The integral of the form f over each panel."""
+        alpha, beta, gamma = f(self.xi, self.xi_s)
+        weights = self.weights
+        return np.sum(alpha * weights[0] + beta * weights[1]
+                      + gamma * weights[2], axis=1)
+
+    def integrate(self, f) -> float:
+        """The integral of the form f over the rule's interval."""
+        parts = self.panels(f)
+        total = _below_head(parts) if self.from_origin else 0.0
+        split = (self.pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
+        total += float(np.sum(parts[~split]))
+        if np.any(split):
+            which = tuple(np.nonzero(split)[0].tolist())
+            sub = self._splits.get(which)
+            if sub is None:
+                sub = self._splits[which] = self._split(which)
+            total += float(np.sum(sub.panels(f)))
+        return total
+
+    def _split(self, which) -> "_OscillatoryRule":
+        """The rule on the equal xi-parts of the panels ``which``."""
+        t, s = self.t, self.s
+        ka, da, kb, db = self.edges
         sub = []
-        for i in np.nonzero(split)[0]:
-            w = t * np.linspace(xa[i], xb[i], int(pieces[i]) + 1)[1:-1] ** s
+        for i in which:
+            w = t * np.linspace(self.xa[i], self.xb[i], int(self.pieces[i]) + 1)[1:-1] ** s
             k = np.concatenate([[ka[i]], np.floor(w / np.pi), [kb[i]]])
             d = np.concatenate([[da[i]], w - k[1:-1] * np.pi, [db[i]]])
             sub.append((k[:-1], d[:-1], k[1:], d[1:]))
-        total += float(np.sum(_form_panels(
-            f, t, s, *(np.concatenate(e) for e in zip(*sub)), k_lead)))
-    return total
+        return _OscillatoryRule(t, s, *(np.concatenate(e) for e in zip(*sub)),
+                               self.k_lead)
 
 
 def _below_head(parts: np.ndarray) -> float:
@@ -374,24 +429,30 @@ def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
     return ks[:-1], ds[:-1], ks[1:], ds[1:]
 
 
-def _form_panels(f, t, s, ka, da, kb, db, k_lead) -> np.ndarray:
-    """Integrals of the form f over the w-panels [ka*pi + da, kb*pi + db].
+def _form_weights(t, s, ka, da, kb, db, k_lead):
+    """Nodes and form weights on the w-panels [ka*pi + da, kb*pi + db].
 
-    The integrand is the form times the Jacobian d xi/dw = xi/(s*w), at
-    FILON_ORDER Gauss nodes per panel.  On the head's panels (ka < k_lead),
-    at most a half-period wide, the Gauss rule takes the form itself, with
-    sin w and cos w from the offset w - ka*pi (the form is unchanged by the
-    sign (-1)^ka).  There the amplitudes can be as singular as xi^(-2s)
+    Returns xi and xi^s at FILON_ORDER Gauss nodes per panel, and the
+    weights of (alpha, beta, gamma) there, stacked on a first axis of 3.
+    The integrand is the form times the Jacobian jac = d xi/dw = xi/(s*w).
+    On the head's panels (ka < k_lead), at most a half-period wide, the
+    Gauss rule takes the form itself, with sin w and cos w from the offset
+    w - ka*pi (the form is unchanged by the sign (-1)^ka): node j of a panel
+    of half-width h has the weights h w_j jac (sin^2 w, cos^2 w,
+    sin w cos w).  There the amplitudes can be as singular as xi^(-2s)
     while the form stays bounded, so they are never integrated apart.
 
-    On the body's panels the form is A0 + Re((A1 - i A2) e^(2iw)).  On a
-    panel [a, b] with half-width h, w = (a + b)/2 + h*x and
+    On the body's panels the form is A0 + Re((A1 - i A2) e^(2iw)) with
+    A0 = (alpha + beta)/2, A1 = (beta - alpha)/2 and A2 = gamma/2.  On a
+    panel [a, b], w = (a + b)/2 + h*x and
 
         int_a^b G(w) e^(2iw) dw = h e^(i(a+b)) int_{-1}^{1} G e^(i(b-a)x) dx,
 
     whose right-hand side is the sum of the Legendre coefficients of G times
     the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
-    j_k the spherical Bessel function and omega = b - a.
+    j_k the spherical Bessel function and omega = b - a.  With pf_j the
+    Filon weight of node j times the phase e^(i(a+b)), the node's weights
+    are h jac/2 (w_j - Re pf_j, w_j + Re pf_j, Im pf_j).
     """
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
@@ -400,27 +461,29 @@ def _form_panels(f, t, s, ka, da, kb, db, k_lead) -> np.ndarray:
     w = ka[:, None] * np.pi + offset
     xi_s = w / t
     xi = xi_s ** (1.0 / s)
-    jac = xi / (s * w)
-    alpha, beta, gamma = (np.broadcast_to(c, xi.shape) for c in f(xi, xi_s))
-    out = np.empty(ka.shape)
+    scale = half[:, None] * (xi / (s * w))
+    weights = np.empty((3,) + xi.shape)
 
     head = ka < k_lead
     sin_w, cos_w = np.sin(offset[head]), np.cos(offset[head])
-    form = (alpha[head] * sin_w ** 2 + beta[head] * cos_w ** 2
-            + gamma[head] * (sin_w * cos_w))
-    out[head] = half[head] * ((form * jac[head]) @ wts)
+    gauss = scale[head] * wts
+    weights[0, head] = gauss * sin_w ** 2
+    weights[1, head] = gauss * cos_w ** 2
+    weights[2, head] = gauss * (sin_w * cos_w)
 
     body = ~head
     if np.any(body):
-        jac = jac[body]
-        mean = (0.5 * (alpha[body] + beta[body]) * jac) @ wts
-        wave = (0.5 * (beta[body] - alpha[body]) - 0.5j * gamma[body]) * jac
         sign = 1.0 - 2.0 * ((ka[body] + kb[body]) % 2.0)
         phase = sign * np.exp(1j * (da[body] + db[body]))
-        filon_wts = _spherical_jn(FILON_ORDER, omega[body]) @ _moment_map(FILON_ORDER)
-        osc = (phase * np.einsum("pj,pj->p", filon_wts, wave)).real
-        out[body] = half[body] * (mean + osc)
-    return out
+        filon = phase[:, None] * (
+            _spherical_jn(FILON_ORDER, omega[body]) @ _moment_map(FILON_ORDER))
+        scale = 0.5 * scale[body]
+        weights[0, body] = scale * (wts - filon.real)
+        weights[1, body] = scale * (wts + filon.real)
+        weights[2, body] = scale * filon.imag
+    for a in (xi, xi_s, weights):
+        a.setflags(write=False)
+    return xi, xi_s, weights
 
 
 @functools.lru_cache(maxsize=None)

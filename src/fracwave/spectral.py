@@ -203,8 +203,9 @@ class GridSnapshot(Snapshot):
 
     A zero datum has no spectrum (None) and its term is skipped.  Real data
     have Hermitian spectra, fhat(-xi) = conj fhat(xi), and the multipliers
-    are even in xi, so every field is Hermitian too: it is propagated only
-    on the bins k = -N/2..0 and the norms read those with Hermitian weights.
+    are even in xi, so every field is Hermitian too: the data spectra are
+    held on the bins k = -N/2..0 (``GridSpec.half_forward``), every field is
+    propagated there only, and the norms read those with Hermitian weights.
     The full fields ``u_hat`` and ``ut_hat`` mirror the half into the
     positive bins, and the physical ``u`` and ``ut`` transform them back;
     all four are built on first read, so a norm of u never builds u_t or
@@ -224,9 +225,8 @@ class GridSnapshot(Snapshot):
         if all(d is None for d in self._data):
             zero = np.zeros(self._half.stop, dtype=complex)
             return zero if field else (zero, zero)
-        data = (None if d is None else d[self._half] for d in self._data)
         return propagate(self.params.s, self.t, self.grid.xi()[self._half],
-                         *data, field)
+                         *self._data, field)
 
     @cached_property
     def _u_half(self) -> np.ndarray:
@@ -235,14 +235,6 @@ class GridSnapshot(Snapshot):
     @cached_property
     def _ut_half(self) -> np.ndarray:
         return self._half_fields("ut")
-
-    def _mirror(self, half: np.ndarray) -> SpectralField:
-        """The full field: bins -N/2..0 as given, bin k > 0 as conj of bin -k."""
-        mid = self.grid.points // 2
-        full = np.empty(self.grid.points, dtype=complex)
-        full[:mid + 1] = half
-        np.conjugate(half[mid - 1:0:-1], out=full[mid + 1:])
-        return SpectralField(full, self.grid)
 
     def _line_sum(self, density: np.ndarray) -> float:
         """dxi times the sum over all N bins of a density even in xi.
@@ -253,11 +245,11 @@ class GridSnapshot(Snapshot):
 
     @cached_property
     def u_hat(self) -> SpectralField:
-        return self._mirror(self._u_half)
+        return SpectralField(self.grid.mirror(self._u_half), self.grid)
 
     @cached_property
     def ut_hat(self) -> SpectralField:
-        return self._mirror(self._ut_half)
+        return SpectralField(self.grid.mirror(self._ut_half), self.grid)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -293,7 +285,14 @@ class GridSnapshot(Snapshot):
 
 
 class QuadratureSnapshot(Snapshot):
-    """Solution state as closed-form spectral functions, valid at any t."""
+    """Solution state as closed-form spectral functions, valid at any t.
+
+    Every norm is a ``spectral_mass``, an ``oscillatory_integral`` over an
+    interval of |xi|.  A rule = nodes + form weights, built once per
+    snapshot interval: the snapshot keeps it and the data transforms at its
+    nodes, so the norms of u, u_t and (-Lap)^(s/2) u, which all run to the
+    data's one ``frequency_cutoff``, share them.
+    """
 
     def __init__(self, t: float, params: Parameters, u0: Profile, u1: Profile):
         self.t = t
@@ -303,6 +302,9 @@ class QuadratureSnapshot(Snapshot):
         # spectral_mass per (lo, hi, field, weight_exp): the norm methods and
         # energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
+        # their oscillatory rules, and the transforms at the rules' nodes
+        self._rules: dict[tuple, object] = {}
+        self._at_nodes: dict[int, tuple] = {}
 
     def _transforms(self, xi):
         """(u0hat, u1hat) at xi; a zero profile's transform is not taken."""
@@ -310,6 +312,22 @@ class QuadratureSnapshot(Snapshot):
         u1_hat = (None if self.u1.is_zero and u0_hat is not None
                   else self.u1.fourier(xi))
         return u0_hat, u1_hat
+
+    def _node_transforms(self, xi):
+        """``_transforms`` at the nodes a density is evaluated on.
+
+        A rule's nodes are read-only arrays that live in ``_rules`` with the
+        rule, so the transforms at them are kept, by the array's identity,
+        for every later density on that rule.  Writable arrays, which the
+        static rule at t = 0 makes afresh for each panel, are not kept.
+        """
+        if xi.flags.writeable:
+            return self._transforms(xi)
+        # the entry holds xi, so no other array can take its id meanwhile
+        hit = self._at_nodes.get(id(xi))
+        if hit is None:
+            hit = self._at_nodes[id(xi)] = (xi, self._transforms(xi))
+        return hit[1]
 
     def _field_at(self, field, xi):
         xi = np.asarray(xi, dtype=float)
@@ -332,7 +350,7 @@ class QuadratureSnapshot(Snapshot):
 
         def density(xi, xi_s):
             xi = np.asarray(xi, dtype=float)
-            u0_hat, u1_hat = self._transforms(xi)
+            u0_hat, u1_hat = self._node_transforms(xi)
             a = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 1.0, 0.0))
             b = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 0.0, 1.0))
             coeffs = (a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2,
@@ -349,11 +367,13 @@ class QuadratureSnapshot(Snapshot):
         """Integral of |fieldhat(t,xi)|^2 |xi|^weight over lo <= |xi| <= hi.
 
         Real initial data make the density even in xi, so the line integral
-        is twice the half-line one.  Each value is computed once per snapshot.
+        is twice the half-line one.  ``hi`` None is the data's
+        ``frequency_cutoff``.  Each value is computed once per snapshot, and
+        the rule of an interval once for every mass on it.
         """
         data = [p for p in (self.u0, self.u1) if not p.is_zero]
         if hi is None:
-            hi = frequency_cutoff(data, weight_exp)
+            hi = frequency_cutoff(data)
         if hi <= lo or not data:
             return 0.0
         key = (lo, hi, field, weight_exp)
@@ -362,7 +382,7 @@ class QuadratureSnapshot(Snapshot):
             density = self._field_density(field, weight_exp)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
-                width=panel_width(data))
+                width=panel_width(data), rules=self._rules)
             self._masses[key] = mass
         return mass
 
@@ -404,7 +424,8 @@ class GridBackend:
         return GridSnapshot(0.0, params, self.grid, u0_hat, u1_hat).advance(t)
 
     def _spectrum(self, p: Profile) -> np.ndarray | None:
-        """The datum's FFT bins, or None for zero data (not transformed)."""
+        """The datum's FFT bins -N/2..0, or None for zero data (not
+        transformed); the snapshot reads no other bin."""
         sampled = isinstance(p, SampledProfile)
         if sampled and p.grid != self.grid:
             raise BackendMismatchError(
@@ -412,14 +433,14 @@ class GridBackend:
         if p.is_zero:
             return None
         samples = p.values if sampled else p.evaluate(self.grid.x())
-        peak = np.max(np.abs(samples)) if samples.size else 0.0
+        peak = max(np.max(samples), -np.min(samples)) if samples.size else 0.0
         edge = max(abs(samples[0]), abs(samples[-1]))
         if peak > 0 and edge > 1e-14 * peak:
             warnings.warn(
                 f"initial data magnitude {edge/peak:.2e} (relative) at |x| = "
                 f"{self.grid.half_width:g}; periodization error may be visible",
                 TruncationWarning, stacklevel=3)
-        spectrum = self.grid.forward(samples)
+        spectrum = self.grid.half_forward(samples)
         spectrum.setflags(write=False)      # shared by every advanced snapshot
         return spectrum
 

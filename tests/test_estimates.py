@@ -249,6 +249,36 @@ class TestAreaSums:
                            epsabs=1e-16, epsrel=1e-13, limit=400)
         assert rep.full_integral == pytest.approx(ref_tail, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [20.0, 1e5])
+    def test_next_edge_is_shared(self, t, monkeypatch):
+        # a_(i+1) is the next panel's a_i, so E1 is taken at 2n + 1 points
+        # per block of n panels, and A, B and the tail are bit for bit those
+        # of E1 taken at a_i, b_i and a_(i+1) apart
+        from fracwave import estimates
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return _exp1(x)
+
+        monkeypatch.setattr(estimates, "_exp1", counted)
+        rep = area_sums(t, tolerance=1e-10)
+        i_hard = int(np.ceil(1.7 * t)) + 8
+        starts = range(0, rep.A.size, 8192)
+        assert len(starts) == (1 if t < 1e3 else 8)
+        assert sizes == [2 * min(8192, i_hard + 1 - start) + 1 for start in starts]
+
+        i = np.arange(rep.A.size, dtype=float)
+        a = ((i + 0.25) * np.pi / t) ** 2
+        b = ((i + 0.75) * np.pi / t) ** 2
+        a_next = ((i + 1.25) * np.pi / t) ** 2
+        edges = np.concatenate([a, b, a_next])
+        e_a, e_b, e_next = np.split(0.5 * _exp1(edges * edges), 3)
+        assert np.array_equal(rep.a, a) and np.array_equal(rep.b, b)
+        assert np.array_equal(rep.A, e_a - e_b)
+        assert np.array_equal(rep.B, e_b - e_next)
+        assert rep.tail == e_next[-1]
+
 
 class TestUniformBoundAndConstants:
     def test_uniform_bound_value(self):

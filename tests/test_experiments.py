@@ -325,7 +325,11 @@ class TestCli:
     @pytest.mark.parametrize("command, cfg", [
         ("sandwich", SANDWICH_CFG),
         ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e2 1e4 12\n"),
-    ], ids=["sandwich", "rates"])
+        ("solve", "s = 0.75\nu0 = gaussian a=0.5 sigma=1 c=0.3\nu1 = gaussian\n"
+                  "t_grid = log 1e2 1e4 12\nbackend = quadrature\n"),
+        ("energy", "s = 0.6\nu0 = gaussian\nu1 = gaussian\n"
+                   "t_grid = log 1 1e5 12\nbackend = quadrature\n"),
+    ], ids=["sandwich", "rates", "solve", "energy"])
     def test_threads_do_not_change_outputs(self, tmp_path, monkeypatch,
                                            command, cfg):
         pools = []

@@ -99,15 +99,16 @@ class TestEvolution:
 
     @pytest.fixture
     def forward_calls(self, monkeypatch):
-        """The grids of every ``GridSpec.forward`` call from here on."""
+        """The grids of every ``GridSpec.half_forward`` call from here on:
+        the backend's transform of a datum."""
         calls = []
-        original = GridSpec.forward
+        original = GridSpec.half_forward
 
         def counted(grid, values):
             calls.append(grid)
             return original(grid, values)
 
-        monkeypatch.setattr(GridSpec, "forward", counted)
+        monkeypatch.setattr(GridSpec, "half_forward", counted)
         return calls
 
     def test_zero_datum_is_not_transformed(self, forward_calls):
@@ -436,6 +437,19 @@ class TestNormsAndEnergy:
         e_large = evolve_state(data, params, 1e4, QuadratureBackend()).energy()
         assert e_large == pytest.approx(e_small, rel=1e-8)
 
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9, 1.0])
+    def test_quadrature_energy_closed_form(self, s, t):
+        # u0 = u1 = e^(-x^2): E = (||u1||^2 + ||(-Lap)^(s/2) u0||^2)/2
+        # = (sqrt(pi/2) + 2^(s - 1/2) Gamma(s + 1/2))/2 at every t
+        exact = 0.5 * (np.sqrt(np.pi / 2.0) + 2.0 ** (s - 0.5) * gamma_fn(s + 0.5))
+        snap = evolve_state((Gaussian(), Gaussian()), Parameters(s), t,
+                            QuadratureBackend())
+        energy = snap.energy()
+        assert energy == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert snap.ut_l2() ** 2 + snap.hs_seminorm(s) ** 2 == pytest.approx(
+            2.0 * energy, rel=1e-13, abs=0.0)
+
     def test_field_values_from_xi_or_from_supplied_phase(self):
         s, t = 0.6, 40.0
         u0, u1 = Gaussian(0.5, 1.0, 0.3), Gaussian()
@@ -456,27 +470,61 @@ class TestNormsAndEnergy:
                 np.abs(values) ** 2 * xs ** (2 * s), rtol=1e-14)
 
     def test_quadrature_snapshot_shares_integrals(self, monkeypatch):
-        # the five norm functionals of one sample need three spectral masses:
-        # |uhat|^2, |uthat|^2 and |uhat|^2 |xi|^(2s)
-        from fracwave import spectral
-        calls = []
-        original = spectral.oscillatory_integral
+        # the five norm functionals of one sample need three spectral masses,
+        # |uhat|^2, |uthat|^2 and |uhat|^2 |xi|^(2s), all on one interval:
+        # one rule (one set of Filon moments) and one transform per datum
+        from fracwave import quadrature, spectral
+        counts = {"integrals": 0, "moments": 0, "transforms": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:])
-            return original(*args, **kwargs)
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(spectral, "oscillatory_integral", counted)
         params = Parameters(0.75)
-        snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), params, 1e3,
-                            QuadratureBackend())
-        first = (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
-                 snap.hs_seminorm(params.s), snap.energy())
-        assert len(calls) == 3
-        again = (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
-                 snap.hs_seminorm(params.s), snap.energy())
-        assert again == first and len(calls) == 3
+        data = (Gaussian(0.5, 1.0, 0.3), Gaussian())
+
+        readers = (lambda q: q.spectral_l2(), lambda q: q.physical_l2(),
+                   lambda q: q.ut_l2(), lambda q: q.hs_seminorm(params.s),
+                   lambda q: q.energy())
+
+        def functionals(snap):
+            return tuple(read(snap) for read in readers)
+
+        def fresh():
+            return evolve_state(data, params, 1e3, QuadratureBackend())
+
+        # each functional on a snapshot of its own, so on a rule of its own
+        separate = [read(fresh()) for read in readers]
+        monkeypatch.setattr(spectral, "oscillatory_integral",
+                            counting("integrals", spectral.oscillatory_integral))
+        monkeypatch.setattr(quadrature, "_spherical_jn",
+                            counting("moments", quadrature._spherical_jn))
+        monkeypatch.setattr(Gaussian, "fourier", counting("transforms", Gaussian.fourier))
+        snap = fresh()
+        first = functionals(snap)
+        assert counts == {"integrals": 3, "moments": 1, "transforms": 2}
+        assert list(first) == separate
+        assert functionals(snap) == first
+        assert counts == {"integrals": 3, "moments": 1, "transforms": 2}
         assert snap.energy() == 0.5 * (first[2] ** 2 + first[3] ** 2)
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_shared_rule_splits_as_separate_rules_do(self, t):
+        # at small t the half-periods are wider than the data's panel width
+        # and are split per form; the shared rule keeps the rule on the
+        # parts, and each mass equals the one from a rule of its own
+        params = Parameters(0.75)
+        data = (Gaussian(0.5, 1.0, 0.3), Gaussian())
+
+        def fresh():
+            return evolve_state(data, params, t, QuadratureBackend())
+
+        shared = fresh()
+        for read in (lambda q: q.spectral_l2(), lambda q: q.ut_l2(),
+                     lambda q: q.hs_seminorm(params.s)):
+            assert read(shared) == read(fresh())
 
     @pytest.mark.parametrize("t", [5.0, 50.0, 200.0])
     def test_quadrature_norm_against_physical_space_oracle(self, t):
