@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--backend", choices=("grid", "quadrature"),
                          default=None, help="override the configured backend")
-        cmd.add_argument("--plot", action="store_true", default=None,
-                         help="also emit plot.svg")
+        cmd.add_argument("--plot", action="store_true",
+                         help="also emit plot.svg (as the config's plot = true)")
     return parser
 
 
@@ -45,7 +45,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.backend:
             cfg = dataclasses.replace(cfg, backend=args.backend)
-        result = RUNNERS[args.command](cfg, out_dir=args.out, plot=args.plot)
+        if args.plot:
+            cfg = dataclasses.replace(cfg, plot=True)
+        result = RUNNERS[args.command](cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

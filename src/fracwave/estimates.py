@@ -95,14 +95,6 @@ class BoundSpec:
             out = np.full_like(t, self.constant)
         return out if out.ndim else float(out)
 
-    def at_level(self, level: str) -> "BoundSpec":
-        """Convert between the transform-level and physical-level statements."""
-        if level == self.level:
-            return self
-        factor = (2.0 * np.pi) ** (-0.5 if level == "u" else 0.5)
-        return BoundSpec(self.kind, self.form, self.constant * factor,
-                         self.exponent, self.validity, level)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "form": self.form, "constant": self.constant,
                 "exponent": self.exponent, "validity": self.validity,

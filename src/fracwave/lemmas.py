@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .profiles import (Profile, l1_norm, l2_norm, moment0, weighted_l1_norm)
-from .quadrature import (adaptive, frequency_cutoff, gauss_rule,
+from .quadrature import (CUTOFF_TOL, adaptive, frequency_cutoff, gauss_rule,
                          log_spaced_panels, oscillatory_integral, panel_width,
                          static_integral)
 
@@ -104,8 +104,8 @@ class RadialGaussian:
         radial = sphere_area(n) * sig ** (n + gamma) * math.gamma((n + gamma) / 2.0) / 2.0
         return abs(self.amplitude) * ((sig * np.sqrt(np.pi)) ** n + radial)
 
-    def frequency_radius(self, tol=1e-18) -> float:
-        return (2.0 / self.width) * np.sqrt(np.log(1.0 / tol))
+    def frequency_radius(self) -> float:
+        return (2.0 / self.width) * np.sqrt(np.log(1.0 / CUTOFF_TOL))
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ class RadialGaussianLaplacian:
             return (1.0 + r ** gamma) * np.abs(a * lap) * r ** (n - 1)
         return sphere_area(n) * adaptive(w, 0.0, sig * 10.0, rel_tol=1e-10)
 
-    def frequency_radius(self, tol=1e-18) -> float:
-        return self._base().frequency_radius(tol) + 4.0 / self.width
+    def frequency_radius(self) -> float:
+        return self._base().frequency_radius() + 4.0 / self.width
 
 
 def _radial_density(p, n: int):
@@ -298,7 +298,7 @@ def gagliardo_seminorm(p: Profile, s: float) -> float:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
     if p.is_zero:
         return 0.0
-    R = p.spatial_radius(1e-18)
+    R = p.spatial_radius()
     h_min, h_max = 1e-6, 2.0 * R + 4.0
     order = 12
     gn, gw = gauss_rule(order)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BackendMismatchError
 from .grid import GridSpec
-from .quadrature import adaptive, gauss_rule
+from .quadrature import CUTOFF_TOL, adaptive, gauss_rule
 
 __all__ = [
     "Profile", "Gaussian", "GaussianDerivative", "CompactBump",
@@ -67,12 +67,12 @@ class Profile:
     def fourier(self, xi):
         raise NotImplementedError
 
-    def spatial_radius(self, tol: float = 1e-16) -> float:
-        """|x| beyond which the profile is below tol relative to its scale."""
+    def spatial_radius(self) -> float:
+        """|x| beyond which the profile is below CUTOFF_TOL relative to its scale."""
         raise NotImplementedError
 
-    def frequency_radius(self, tol: float = 1e-16) -> float:
-        """|xi| beyond which the transform is below tol * max|fhat|."""
+    def frequency_radius(self) -> float:
+        """|xi| beyond which the transform is below CUTOFF_TOL * max|fhat|."""
         raise NotImplementedError
 
     @property
@@ -104,11 +104,11 @@ class Gaussian(Profile):
             return base.astype(complex)
         return base * np.exp(-1j * self.center * xi)
 
-    def spatial_radius(self, tol=1e-16):
-        return abs(self.center) + self.width * np.sqrt(np.log(1.0 / tol))
+    def spatial_radius(self):
+        return abs(self.center) + self.width * np.sqrt(np.log(1.0 / CUTOFF_TOL))
 
-    def frequency_radius(self, tol=1e-16):
-        return (2.0 / self.width) * np.sqrt(np.log(1.0 / tol))
+    def frequency_radius(self):
+        return (2.0 / self.width) * np.sqrt(np.log(1.0 / CUTOFF_TOL))
 
     @property
     def is_zero(self):
@@ -136,15 +136,15 @@ class GaussianDerivative(Profile):
         base = Gaussian(self.amplitude, self.width, self.center).fourier(xi)
         return 1j * xi * base
 
-    def spatial_radius(self, tol=1e-16):
-        return abs(self.center) + self.width * (np.sqrt(np.log(1.0 / tol)) + 2.0)
+    def spatial_radius(self):
+        return abs(self.center) + self.width * (np.sqrt(np.log(1.0 / CUTOFF_TOL)) + 2.0)
 
-    def frequency_radius(self, tol=1e-16):
+    def frequency_radius(self):
         # |xi| * gaussian decay: widen the gaussian radius until the linear
         # factor is absorbed
-        r = (2.0 / self.width) * np.sqrt(np.log(1.0 / tol))
+        r = (2.0 / self.width) * np.sqrt(np.log(1.0 / CUTOFF_TOL))
         for _ in range(8):
-            r = (2.0 / self.width) * np.sqrt(np.log(max(r, 1.0) / tol))
+            r = (2.0 / self.width) * np.sqrt(np.log(max(r, 1.0) / CUTOFF_TOL))
         return r
 
     @property
@@ -208,15 +208,15 @@ class CompactBump(Profile):
     def _x_panels(self, xi_max):
         return int(np.ceil(self.radius * xi_max / np.pi)) + 8
 
-    def spatial_radius(self, tol=1e-16):
+    def spatial_radius(self):
         return self.radius
 
-    def frequency_radius(self, tol=1e-16):
+    def frequency_radius(self):
         # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically.
-        # The computed transform floors near BUMP_FLOOR, so no smaller tol
-        # is ever reached.
+        # The computed transform floors near BUMP_FLOOR, so the scan stops
+        # there: CUTOFF_TOL, far below it, is never reached.
         scale = abs(self.fourier(np.array([0.0]))[0]) or 1.0
-        level = max(tol, BUMP_FLOOR) * scale
+        level = BUMP_FLOOR * scale
         xi = 4.0 / self.radius
         for _ in range(64):
             probe = np.abs(self.fourier(np.array([xi, 1.25 * xi, 1.5 * xi])))
@@ -260,10 +260,10 @@ class SampledProfile(Profile):
         """Discrete transform on the profile's own grid."""
         return self.grid.forward(self.values)
 
-    def spatial_radius(self, tol=1e-16):
+    def spatial_radius(self):
         return self.grid.half_width
 
-    def frequency_radius(self, tol=1e-16):
+    def frequency_radius(self):
         return np.pi / self.grid.dx
 
     @property
@@ -296,12 +296,12 @@ class ProfileSum(Profile):
             out = out + coef * p.fourier(xi)
         return out
 
-    def spatial_radius(self, tol=1e-16):
-        radii = [p.spatial_radius(tol) for _, p in self.terms]
+    def spatial_radius(self):
+        radii = [p.spatial_radius() for _, p in self.terms]
         return max(radii) if radii else 1.0
 
-    def frequency_radius(self, tol=1e-16):
-        radii = [p.frequency_radius(tol) for _, p in self.terms]
+    def frequency_radius(self):
+        radii = [p.frequency_radius() for _, p in self.terms]
         return max(radii) if radii else 1.0
 
     @property
@@ -333,7 +333,7 @@ def scaled(p: Profile, a: float) -> Profile:
 
 def _integrate_profile(p: Profile, weight, rel_tol: float = 1e-10) -> float:
     """Adaptive integral of weight(x)*|p-related integrand| over the support."""
-    r = p.spatial_radius(1e-18)
+    r = p.spatial_radius()
     return adaptive(weight, -r, r, rel_tol=rel_tol, limit=800, points=[0.0])
 
 

@@ -207,12 +207,12 @@ def log_spaced_panels(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:
 def frequency_cutoff(profiles) -> float:
     """Upper limit of the spectral integrals of the given profiles.
 
-    The largest ``frequency_radius(CUTOFF_TOL)``, where |fhat|^2 is at most
+    The largest ``frequency_radius()``, where |fhat|^2 is at most
     CUTOFF_TOL^2 of its peak.  Every norm of one data set, weighted by
     |xi|^p or not, stops there, so they all share the nodes of one rule.
     With no profiles the limit is 1.
     """
-    radii = [p.frequency_radius(CUTOFF_TOL) for p in profiles]
+    radii = [p.frequency_radius() for p in profiles]
     return max(radii) if radii else 1.0
 
 
@@ -223,7 +223,7 @@ def panel_width(profiles) -> float:
     (for example the transform of a compact bump), and one Gauss-16 panel
     resolves two such periods.
     """
-    radii = [p.spatial_radius(CUTOFF_TOL) for p in profiles]
+    radii = [p.spatial_radius() for p in profiles]
     return 2.0 * np.pi / max(radii) if radii else np.inf
 
 

@@ -9,7 +9,8 @@ per frequency, solved exactly by trigonometric multipliers:
 with w = |xi|^s.  No time stepping is involved; t is a plain parameter, and
 the pair conserves |uthat|^2 + |xi|^(2s) |uhat|^2 bin-wise as an exact
 trigonometric identity.  ``propagate`` is the one place these formulas are
-written; both backends call it.
+written as fields; the grid backend calls it, and the quadrature backend's
+densities write the squared modulus of the same pair in closed form.
 
 Two evaluation backends realize this:
 
@@ -100,33 +101,25 @@ def _sine_quotient(t: float, xi_s, w, sin_w):
     return quotient
 
 
-def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None,
-              phase=None):
+def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None):
     """The exact propagator: (uhat, uthat) at time t from the data transforms.
 
     ``field`` "u" or "ut" returns that field alone.  A datum given as None is
-    zero data and its term is skipped.  ``phase`` is (|xi|^s, sin w, cos w)
-    when the caller supplies it (the quadrature densities pass the unit
-    phases (1, 0) and (0, 1)); then sin(w)/|xi|^s is a plain quotient,
-    exact for every xi > 0.  Without it the phase is computed from xi once,
-    with only the sine or cosine the requested field reads, and sin(w)/|xi|^s
-    keeps the series that makes xi = 0 admissible.
+    zero data and its term is skipped.  The phase is computed from xi once,
+    with only the sine or cosine the requested field reads, and
+    sin(w)/|xi|^s keeps the series that makes xi = 0 admissible.
     """
     want_u, want_ut = field != "ut", field != "u"
-    if phase is None:
-        xi_s = np.abs(xi) ** s
-        w = t * xi_s
-        # u reads sin w through u1 and cos w through u0; ut the other way round
-        need_sin = (want_u and u1_hat is not None) or (want_ut and u0_hat is not None)
-        need_cos = (want_u and u0_hat is not None) or (want_ut and u1_hat is not None)
-        sin_w = np.sin(w) if need_sin else None
-        cos_w = np.cos(w) if need_cos else None
-        r1 = (_sine_quotient(t, xi_s, w, sin_w)
-              if want_u and u1_hat is not None else None)
-        del w   # on a 2^20-point grid every full-length array is 8-16 MB
-    else:
-        xi_s, sin_w, cos_w = phase
-        r1 = sin_w / xi_s if want_u else None
+    xi_s = np.abs(xi) ** s
+    w = t * xi_s
+    # u reads sin w through u1 and cos w through u0; ut the other way round
+    need_sin = (want_u and u1_hat is not None) or (want_ut and u0_hat is not None)
+    need_cos = (want_u and u0_hat is not None) or (want_ut and u1_hat is not None)
+    sin_w = np.sin(w) if need_sin else None
+    cos_w = np.cos(w) if need_cos else None
+    r1 = (_sine_quotient(t, xi_s, w, sin_w)
+          if want_u and u1_hat is not None else None)
+    del w   # on a 2^20-point grid every full-length array is 8-16 MB
     u = _superpose(r1, cos_w, u0_hat, u1_hat) if want_u else None
     if field == "u":
         return u
@@ -175,23 +168,32 @@ class SpectralField:
 
 
 class Snapshot:
-    """Common surface of the two backend-specific solution states."""
+    """Common surface of the two backend-specific solution states.
+
+    Every norm is a spectral mass, the line integral of |fieldhat|^2
+    |xi|^weight_exp for the field "u" or "ut", which ``_mass`` computes.
+    """
 
     t: float
     params: Parameters
 
-    def spectral_l2(self) -> float:
+    def _mass(self, field: str, weight_exp: float) -> float:
         raise NotImplementedError
+
+    def spectral_l2(self) -> float:
+        """Transform-level norm of u(t)."""
+        return float(np.sqrt(self._mass("u", 0.0)))
 
     def physical_l2(self) -> float:
         return self.spectral_l2() / np.sqrt(TWO_PI)
 
     def ut_l2(self) -> float:
-        raise NotImplementedError
+        """Physical-level norm of u_t(t)."""
+        return float(np.sqrt(self._mass("ut", 0.0) / TWO_PI))
 
     def hs_seminorm(self, s: float) -> float:
         """Physical-level norm of (-Laplacian)^(s/2) applied to u(t)."""
-        raise NotImplementedError
+        return float(np.sqrt(self._mass("u", 2 * s) / TWO_PI))
 
     def energy(self) -> float:
         """Total energy (1/2)(||u_t||_2^2 + ||(-Lap)^(s/2) u||_2^2)."""
@@ -236,11 +238,12 @@ class GridSnapshot(Snapshot):
     def _ut_half(self) -> np.ndarray:
         return self._half_fields("ut")
 
-    def _line_sum(self, density: np.ndarray) -> float:
-        """dxi times the sum over all N bins of a density even in xi.
-
-        Bins -N/2+1..-1 count twice, for their mirrors; -N/2 and 0 have none.
-        """
+    def _mass(self, field, weight_exp):
+        """dxi times the sum over all N bins of |fieldhat|^2 |xi|^weight_exp:
+        bins -N/2+1..-1 count twice, for their mirrors; -N/2 and 0 have none."""
+        density = np.abs(self._u_half if field == "u" else self._ut_half) ** 2
+        if weight_exp != 0.0:
+            density = np.abs(self.grid.xi()[self._half]) ** weight_exp * density
         return self.grid.dxi * (2.0 * np.sum(density) - density[0] - density[-1])
 
     @cached_property
@@ -259,29 +262,11 @@ class GridSnapshot(Snapshot):
     def ut(self) -> np.ndarray:
         return self.ut_hat.physical()
 
-    def spectral_l2(self):
-        return float(np.sqrt(self._line_sum(np.abs(self._u_half) ** 2)))
-
-    def ut_l2(self):
-        return float(np.sqrt(self._line_sum(np.abs(self._ut_half) ** 2))
-                     / np.sqrt(TWO_PI))
-
-    def hs_seminorm(self, s):
-        xi = self.grid.xi()[self._half]
-        density = np.abs(xi) ** (2.0 * s) * np.abs(self._u_half) ** 2
-        return float(np.sqrt(self._line_sum(density) / TWO_PI))
-
     def energy(self):
         if "_u_half" not in self.__dict__ and "_ut_half" not in self.__dict__:
             # both fields are read: build them from one phase
             self._u_half, self._ut_half = self._half_fields(None)
         return super().energy()
-
-    def advance(self, dt: float) -> "GridSnapshot":
-        """Evolve this state by a further dt (exact bin-wise propagator)."""
-        if dt < 0:
-            raise ValueError("time must be nonnegative")
-        return GridSnapshot(self.t + dt, self.params, self.grid, *self._data)
 
 
 class QuadratureSnapshot(Snapshot):
@@ -342,19 +327,23 @@ class QuadratureSnapshot(Snapshot):
     def _field_density(self, field: str, weight_exp: float):
         """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract.
 
-        The field is sin w * a + cos w * b, with a and b the propagator at
-        the unit phases (sin w, cos w) = (1, 0) and (0, 1); its squared
-        modulus has the coefficients (|a|^2, |b|^2, 2 Re(a conj(b))).
+        At xi > 0 the field is a sin w + b cos w, with (a, b) =
+        (u1hat/xi^s, u0hat) for u and (-xi^s u0hat, u1hat) for u_t (the
+        multipliers of ``propagate``); its squared modulus has the
+        coefficients (|a|^2, |b|^2, 2 Re(a conj(b))).  A zero datum's terms
+        are zero and are not computed.
         """
-        s, t = self.params.s, self.t
-
         def density(xi, xi_s):
             xi = np.asarray(xi, dtype=float)
             u0_hat, u1_hat = self._node_transforms(xi)
-            a = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 1.0, 0.0))
-            b = propagate(s, t, xi, u0_hat, u1_hat, field, (xi_s, 0.0, 1.0))
-            coeffs = (a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2,
-                      2.0 * (a.real * b.real + a.imag * b.imag))
+            m, datum, b = ((1.0 / xi_s, u1_hat, u0_hat) if field == "u"
+                           else (-xi_s, u0_hat, u1_hat))
+            a = None if datum is None else m * datum
+            zero = np.zeros(xi.shape)
+            coeffs = (zero if a is None else a.real ** 2 + a.imag ** 2,
+                      zero if b is None else b.real ** 2 + b.imag ** 2,
+                      zero if a is None or b is None
+                      else 2.0 * (a.real * b.real + a.imag * b.imag))
             if weight_exp != 0.0:
                 weight = np.abs(xi) ** weight_exp
                 coeffs = tuple(c * weight for c in coeffs)
@@ -386,19 +375,8 @@ class QuadratureSnapshot(Snapshot):
             self._masses[key] = mass
         return mass
 
-    def spectral_l2(self):
-        return float(np.sqrt(self.spectral_mass(0.0)))
-
-    def ut_l2(self):
-        return float(np.sqrt(self.spectral_mass(0.0, field="ut") / TWO_PI))
-
-    def hs_seminorm(self, s):
-        return float(np.sqrt(self.spectral_mass(0.0, weight_exp=2 * s) / TWO_PI))
-
-    def advance(self, dt: float) -> "QuadratureSnapshot":
-        if dt < 0:
-            raise ValueError("time must be nonnegative")
-        return QuadratureSnapshot(self.t + dt, self.params, self.u0, self.u1)
+    def _mass(self, field, weight_exp):
+        return self.spectral_mass(0.0, field=field, weight_exp=weight_exp)
 
 
 @dataclass(frozen=True)
@@ -421,7 +399,7 @@ class GridBackend:
         u0_hat = self._spectrum(u0)
         # one datum given twice is transformed once; spectra are read-only
         u1_hat = u0_hat if u1 is u0 else self._spectrum(u1)
-        return GridSnapshot(0.0, params, self.grid, u0_hat, u1_hat).advance(t)
+        return GridSnapshot(t, params, self.grid, u0_hat, u1_hat)
 
     def _spectrum(self, p: Profile) -> np.ndarray | None:
         """The datum's FFT bins -N/2..0, or None for zero data (not
@@ -441,7 +419,7 @@ class GridBackend:
                 f"{self.grid.half_width:g}; periodization error may be visible",
                 TruncationWarning, stacklevel=3)
         spectrum = self.grid.half_forward(samples)
-        spectrum.setflags(write=False)      # shared by every advanced snapshot
+        spectrum.setflags(write=False)
         return spectrum
 
 

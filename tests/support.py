@@ -7,13 +7,28 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
-                      Parameters, combine, evolve_state)
+                      Parameters, SampledProfile, combine, evolve_state)
+from fracwave.profiles import TruncationWarning
 from fracwave.quadrature import (LEAD_HALFPERIODS, frequency_cutoff,
                                  gauss_panels, oscillatory_integral,
                                  panel_width)
 from fracwave.spectral import QuadratureSnapshot, sine_multiplier
 
 INVARIANT_BACKEND = GridBackend(GridSpec(24.0, 1024))
+
+
+def evolve_further(snap, dt):
+    """Evolve a grid snapshot's state (u, u_t) by a further dt on its grid.
+
+    The fields are sampled on the grid as new initial data.  The periodic
+    problem is a group, so the result is the original data evolved to
+    snap.t + dt, up to the rounding of the transforms in between.
+    """
+    data = tuple(SampledProfile(field.real, snap.grid) for field in (snap.u, snap.ut))
+    with warnings.catch_warnings():
+        # the state may reach the box edges; on the periodic grid that is exact
+        warnings.simplefilter("ignore", TruncationWarning)
+        return evolve_state(data, snap.params, dt, GridBackend(snap.grid))
 
 
 def random_profile(rng):
@@ -60,7 +75,7 @@ def run_solver_invariant_cases(n_cases: int, seed: int,
             failures.append(f"case {case}: linearity violated")
 
         direct = evolve_state((u0, u1), params, t + dt, backend)
-        stepped = snap.advance(dt)
+        stepped = evolve_further(snap, dt)
         for name, lhs, rhs in (("u", stepped.u_hat.values, direct.u_hat.values),
                                ("ut", stepped.ut_hat.values, direct.ut_hat.values)):
             scale = max(np.max(np.abs(rhs)), 1e-12)

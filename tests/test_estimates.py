@@ -74,13 +74,6 @@ class TestBoundSpec:
             b.evaluate(5.0)
         assert b.evaluate(10.0) == pytest.approx(10.0)
 
-    def test_level_conversion_round_trip(self):
-        b = power_upper_bound(3.0, 0.75)
-        u_level = b.at_level("u")
-        assert u_level.constant == pytest.approx(b.constant / np.sqrt(2 * np.pi))
-        back = u_level.at_level("u_hat")
-        assert back.constant == pytest.approx(b.constant, rel=1e-14)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BoundSpec("middle", "power", 1.0, exponent=1.0)

@@ -158,7 +158,7 @@ class TestRunners:
 
     def test_sandwich_run(self, tmp_path):
         cfg = parse_config(SANDWICH_CFG)
-        result = run_sandwich(cfg, out_dir=tmp_path, plot=True)
+        result = run_sandwich(dataclasses.replace(cfg, plot=True), out_dir=tmp_path)
         assert result.passed
         assert (tmp_path / "plot.svg").exists()
         report = json.loads((tmp_path / "report.json").read_text())
@@ -303,6 +303,65 @@ class TestCli:
                   for p in lines[0].get("points").split()]
         assert len(points) == 2
         assert np.all(np.isfinite(points))
+
+    def test_plot_flag_sets_the_config_plot(self, tmp_path):
+        rc = main(["solve", "--config", self._write(tmp_path, "t_grid = list 1 10\n"),
+                   "--out", str(tmp_path / "out"), "--plot"])
+        assert rc == 0
+        assert (tmp_path / "out" / "plot.svg").exists()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "plot = true\n" in report["config"]
+
+    def test_rerun_writes_new_files_with_identical_bytes(self, tmp_path):
+        # outputs are replaced by new files, not truncated in place: a hard
+        # link to the first run's file keeps its inode and its bytes
+        argv = ["solve", "--config", self._write(tmp_path, "t_grid = list 1 10\n"),
+                "--out", str(tmp_path / "out"), "--plot"]
+        names = ("norms.csv", "report.json", "plot.svg")
+        assert main(argv) == 0
+        for name in names:
+            os.link(tmp_path / "out" / name, tmp_path / f"first-{name}")
+        assert main(argv) == 0
+        for name in names:
+            new, first = tmp_path / "out" / name, tmp_path / f"first-{name}"
+            assert new.read_bytes() == first.read_bytes()
+            assert new.stat().st_ino != first.stat().st_ino
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("solve", "u1 = gaussian a=nan\nt_grid = list 1 10\n", "argument a"),
+        ("solve", "u0 = bump r=inf\n", "argument r"),
+        ("solve", "t_grid = list inf\n", "t_grid"),
+        ("rates", "t_grid = log 1 inf 5\n", "t_grid"),
+        ("sandwich", "theta0_threshold = nan\n", "theta0_threshold"),
+        ("sandwich", "theta0_threshold = 1\n", "theta0_threshold"),
+        ("lemmas", "gamma = inf\n", "gamma"),
+        ("energy", "backend = grid\ngrid_half_width = nan\n", "grid_half_width"),
+    ], ids=["profile-nan", "profile-inf", "list-inf", "log-inf", "theta0-nan",
+            "theta0-one", "gamma-inf", "half-width-nan"])
+    def test_non_finite_config_exits_two_naming_the_key(self, tmp_path, capsys,
+                                                        command, cfg, key):
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, cfg, column", [
+        ("solve", "u1 = gaussian a=1e308\nt_grid = list 1 10\n", "u_hat_l2"),
+        ("energy", "u0 = gaussian a=1e200\nt_grid = list 1 10\nbackend = grid\n",
+         "energy"),
+    ], ids=["solve", "energy"])
+    def test_non_finite_norm_exits_one_before_writing(self, tmp_path, capsys,
+                                                      command, cfg, column):
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "NumericalFailureError" in err
+        assert f"{column} is not finite at t = 1" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "norms.csv").exists()
 
     def test_negative_time_exits_two_with_one_line(self, tmp_path, capsys):
         rc = main(["solve", "--config", self._write(tmp_path, "t_grid = list -1 2\n"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwave import (BoundSpec, Gaussian, NormSeries, evolve_state,
+from fracwave import (Gaussian, NormSeries, evolve_state,
                       fit_power_exponent, fourier_at, l1_norm,
                       sine_multiplier, weighted_l1_norm)
 from support import INVARIANT_BACKEND, random_case, run_solver_invariant_cases
@@ -76,12 +76,3 @@ def test_fit_recovers_exact_power_laws(c, alpha):
     assert fit.residual < 1e-9
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(const=st.floats(0.01, 50.0), exponent=st.floats(-0.5, 1.0),
-       t=st.floats(0.1, 1e5))
-def test_bound_level_conversion_involution(const, exponent, t):
-    b = BoundSpec("upper", "power", const, exponent)
-    back = b.at_level("u").at_level("u_hat")
-    assert back.constant == pytest.approx(const, rel=1e-12)
-    assert b.at_level("u").evaluate(t) == pytest.approx(
-        b.evaluate(t) / np.sqrt(2 * np.pi), rel=1e-12)

@@ -1,5 +1,6 @@
 """Norm series, growth-law fits, sandwich scanning."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestSandwich:
         assert rep.detail["first_upper_violation"] == pytest.approx(t[0])
 
     def test_level_mismatch_rejected(self):
-        lower = power_lower_bound(1.0, 0.99, 0.75).at_level("u")
+        lower = dataclasses.replace(power_lower_bound(1.0, 0.99, 0.75), level="u")
         upper = power_upper_bound(10.0, 0.75)
         series = _power_series()
         with pytest.raises(ConventionError):

@@ -10,10 +10,12 @@ from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       Parameters, QuadratureBackend, SampledProfile, ZERO,
                       evolve_state, hs_norm, hs_seminorm, l2_norm,
                       sine_multiplier)
-from fracwave.spectral import SpectralField, propagate
+from fracwave.spectral import QuadratureSnapshot, SpectralField, propagate
 from fracwave.errors import (BackendCapError, BackendMismatchError,
                              UnsupportedDimensionError)
 from fracwave.lemmas import gagliardo_constant
+
+from support import evolve_further, random_profile
 
 SQPI = np.sqrt(np.pi)
 BACKEND = GridBackend(GridSpec(40.0, 4096))
@@ -302,14 +304,15 @@ class TestInvariants:
         assert np.max(np.abs(s_comb.u_hat.values - expected)) < 1e-12 * scale
 
     def test_cocycle(self):
+        # the state at t = 5.5, taken as data and evolved by 3.5, is the
+        # state at t = 9
         params = Parameters(0.6)
         data = (Gaussian(), GaussianDerivative())
         one_shot = evolve_state(data, params, 9.0, BACKEND)
-        two_step = evolve_state(data, params, 5.5, BACKEND).advance(3.5)
+        two_step = evolve_further(evolve_state(data, params, 5.5, BACKEND), 3.5)
         scale = np.max(np.abs(one_shot.u_hat.values))
         assert np.max(np.abs(two_step.u_hat.values - one_shot.u_hat.values)) < 1e-12 * scale
         assert np.max(np.abs(two_step.ut_hat.values - one_shot.ut_hat.values)) < 1e-12 * scale
-        assert two_step.t == pytest.approx(9.0)
 
     def test_reality(self):
         snap = evolve_state((Gaussian(center=0.5), GaussianDerivative()),
@@ -458,8 +461,8 @@ class TestNormsAndEnergy:
         # from xi alone, xi = 0 is admissible: uhat(0) = t u1hat(0) + u0hat(0)
         assert snap.u_hat_at(xi)[0] == pytest.approx(
             t * u1.fourier(0.0) + u0.fourier(0.0), rel=1e-15)
-        # the densities take the propagator at the unit phases; their form
-        # at the true (sin w, cos w) is the squared field from xi alone
+        # the weighted densities' form at the true (sin w, cos w) is the
+        # squared field from xi alone
         xs = xi[1:]
         xi_s = xs ** s
         sin_w, cos_w = np.sin(t * xi_s), np.cos(t * xi_s)
@@ -468,6 +471,29 @@ class TestNormsAndEnergy:
             np.testing.assert_allclose(
                 alpha * sin_w ** 2 + beta * cos_w ** 2 + gamma * sin_w * cos_w,
                 np.abs(values) ** 2 * xs ** (2 * s), rtol=1e-14)
+
+    @pytest.mark.parametrize("field", ["u", "ut"])
+    @pytest.mark.parametrize("zero", [None, "u0", "u1"])
+    def test_closed_form_density_is_the_squared_propagator(self, zero, field):
+        # alpha sin^2 w + beta cos^2 w + gamma sin w cos w = |propagate|^2 at
+        # random xi > 0, t, and data with random phases, each datum zero or
+        # not, to 1e-14 of alpha + beta = |a|^2 + |b|^2: where the two terms
+        # of the field cancel, rounding leaves no relative accuracy in
+        # |fieldhat|^2 itself
+        rng = np.random.default_rng(20261018)
+        for _ in range(20):
+            s, t = rng.uniform(0.2, 1.0), 10.0 ** rng.uniform(-2.0, 6.0)
+            u0 = ZERO if zero == "u0" else random_profile(rng)
+            u1 = ZERO if zero == "u1" else random_profile(rng)
+            xi = 10.0 ** rng.uniform(-3.0, 1.0, size=200)
+            xi_s = xi ** s
+            alpha, beta, gamma = QuadratureSnapshot(t, Parameters(s), u0, u1)._field_density(
+                field, 0.0)(xi, xi_s)
+            sin_w, cos_w = np.sin(t * xi_s), np.cos(t * xi_s)
+            field_hat = propagate(s, t, xi, None if u0.is_zero else u0.fourier(xi),
+                                  None if u1.is_zero else u1.fourier(xi), field)
+            form = alpha * sin_w ** 2 + beta * cos_w ** 2 + gamma * sin_w * cos_w
+            assert np.all(np.abs(form - np.abs(field_hat) ** 2) <= 1e-14 * (alpha + beta))
 
     def test_quadrature_snapshot_shares_integrals(self, monkeypatch):
         # the five norm functionals of one sample need three spectral masses,
@@ -558,9 +584,11 @@ def test_parameters_validation():
 @pytest.mark.parametrize("t", [0.1, 5.0, 100.0])
 @pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
 def test_grid_evolve_is_advance_from_time_zero(s, t):
+    # the state at t = 0, taken as data and evolved by t, is the state at t
     data = (Gaussian(0.5, 1.0, 0.3), Gaussian())
     direct = BACKEND.evolve(data, Parameters(s), t)
-    stepped = BACKEND.evolve(data, Parameters(s), 0.0).advance(t)
+    stepped = evolve_further(BACKEND.evolve(data, Parameters(s), 0.0), t)
     assert direct.t == stepped.t == t
-    assert np.array_equal(direct.u_hat.values, stepped.u_hat.values)
-    assert np.array_equal(direct.ut_hat.values, stepped.ut_hat.values)
+    for lhs, rhs in ((direct.u_hat, stepped.u_hat), (direct.ut_hat, stepped.ut_hat)):
+        scale = np.max(np.abs(lhs.values))
+        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12 * scale
