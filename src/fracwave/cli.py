@@ -9,7 +9,7 @@ Subcommands mirror the experiment runners:
     fracwave energy   ...
 
 Exit status is 0 exactly when every enabled verdict passes; config problems
-exit with 2 and carry line/key diagnostics.
+exit with 2 and carry line/key diagnostics, a refused computation with 1.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 from .errors import ConfigError, FracwaveError
 from .experiments import RUNNERS, load_config
@@ -42,12 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.backend:
-            cfg = dataclasses.replace(cfg, backend=args.backend)
-        if args.plot:
-            cfg = dataclasses.replace(cfg, plot=True)
-        result = RUNNERS[args.command](cfg, out_dir=args.out)
+        # every non-finite result is refused as a one-line error; a warnings
+        # filter, unlike np.errstate, also holds in map_times' threads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cfg = load_config(args.config)
+            if args.backend:
+                cfg = dataclasses.replace(cfg, backend=args.backend)
+            if args.plot:
+                cfg = dataclasses.replace(cfg, plot=True)
+            result = RUNNERS[args.command](cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,10 @@ from .spectral import (GridBackend, Parameters, QuadratureBackend,
                        check_time_cap, evolve_state)
 
 SCHEMA_VERSION = 1
+#: largest relative energy drift ``run_energy`` passes
+ENERGY_DRIFT_TOL = 1e-9
+#: largest gap between fitted and theory exponents ``run_rates`` passes
+EXPONENT_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -406,8 +410,7 @@ def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
                    [("u_hat_l2", ts, cols[0])])
 
 
-def run_energy(cfg: ExperimentConfig, out_dir=None,
-               drift_tolerance: float = 1e-9) -> RunResult:
+def run_energy(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Energy conservation sweep: max relative drift over the time grid."""
     out = _prepare(cfg, out_dir)
     backend = cfg.make_backend()
@@ -423,7 +426,7 @@ def run_energy(cfg: ExperimentConfig, out_dir=None,
     _require_finite(header, columns)
     drift = float(np.max(columns[2])) if e0 > 0 else 0.0
     report = {**_base_report(cfg), "energy_t0": e0, "max_relative_drift": drift,
-              "verdicts": {"energy_conserved": drift <= drift_tolerance}}
+              "verdicts": {"energy_conserved": drift <= ENERGY_DRIFT_TOL}}
     return _finish(cfg, out, header, columns, report)
 
 
@@ -450,8 +453,7 @@ def _growth_bounds(cfg: ExperimentConfig):
     return lower, upper, theta0, P
 
 
-def run_rates(cfg: ExperimentConfig, out_dir=None,
-              exponent_tolerance: float = 0.02) -> RunResult:
+def run_rates(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Fit the growth law of ||uhat(t)||_2 and compare with the theory rate.
 
     Three regimes: power growth t^(1-1/(2s)) for s > 1/2, squared norm linear
@@ -470,7 +472,7 @@ def run_rates(cfg: ExperimentConfig, out_dir=None,
     else:
         fit = ratefit.fit_power_exponent(series)
         target = 1.0 - 1.0 / (2.0 * cfg.s) if cfg.s > 0.5 else 0.0
-        verdicts["exponent_matches"] = abs(fit.exponent - target) <= exponent_tolerance
+        verdicts["exponent_matches"] = abs(fit.exponent - target) <= EXPONENT_TOL
         report.update({"fit": fit.to_dict(), "target_exponent": target})
     report["verdicts"] = verdicts
     return _finish(cfg, out, ["t", "u_hat_l2", "u_l2"],

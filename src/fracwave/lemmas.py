@@ -6,7 +6,8 @@ Three families of checks back the boundedness results:
   theta < n/2 (any integrable f) and up to theta < gamma + n/2 once the mean
   of f vanishes; the hypothesis boundary is exercised by actually detecting
   the divergence numerically.  They use the package's one static spectral
-  rule, ``quadrature.static_integral``, up to ``quadrature.frequency_cutoff``.
+  rule, ``quadrature.static_integral``, up to ``quadrature.frequency_cutoff``,
+  which also refuses theta within 1/(2 HEAD_DYADIC) = 0.0082 of the boundary.
 * The pointwise transform bound |fhat(xi)| <= C_gamma |xi|^gamma ||f||_{1,gamma}
   + |integral f|, which this package instantiates with the provable constant
   C_gamma = 2 (from |e^{i a} - 1| <= min(2, |a|) <= 2 |a|^gamma).
@@ -39,8 +40,10 @@ __all__ = [
 ]
 
 POINTWISE_CONSTANT = 2.0
-#: derivatives of z^-p in the by-parts tail of ``gagliardo_constant``
+#: derivatives of z^-p in the by-parts tail of ``gagliardo_constant``, and
+#: where that tail starts
 TAIL_DERIVATIVES = 6
+TAIL_START = 500.0
 
 
 @dataclass(frozen=True)
@@ -178,9 +181,10 @@ def riesz_energy(p, theta: float, n: int = 1) -> float:
     """The singular spectral integral int |fhat(xi)|^2 |xi|^(-2 theta) dxi.
 
     The |xi|^(-2 theta) endpoint is handled by the static rule's dyadic
-    descent toward the origin with geometric tail extrapolation; a
+    head panels at the origin with geometric tail extrapolation; a
     non-integrable singularity (theta >= n/2 with nonvanishing mean) raises
-    DivergenceError, which is the numerical face of the hypothesis boundary.
+    DivergenceError, which is the numerical face of the hypothesis boundary,
+    and so does theta within 1/(2 HEAD_DYADIC) = 0.0082 below it.
     """
     if theta < 0:
         raise PreconditionError("theta must be nonnegative")
@@ -331,11 +335,11 @@ def gagliardo_seminorm(p: Profile, s: float) -> float:
     return float(np.sqrt(2.0 * (head + body + tail)))
 
 
-def gagliardo_constant(s: float, tail_start: float = 500.0) -> float:
+def gagliardo_constant(s: float) -> float:
     """Normalizing constant C(1,s) = ( int (1-cos z) |z|^(-1-2s) dz )^(-1).
 
     With p = 1 + 2s, the half-line integral is split at 1 and at
-    ``tail_start`` = Z:
+    TAIL_START = Z:
 
     * on [0, 1], the power series of 1 - cos z integrates term by term to
       sum_n (-1)^(n+1) / ((2n)! (2n - 2s)), summed until its terms vanish;
@@ -358,7 +362,7 @@ def gagliardo_constant(s: float, tail_start: float = 500.0) -> float:
         i_head += term
         n += 1
 
-    z_hi = tail_start
+    z_hi = TAIL_START
     i_middle = oscillatory_integral(
         lambda z, z_s: (2.0 * z ** -p, 0.0, 0.0), 0.5, 1.0, z_hi, xi_lo=1.0)
 

@@ -331,10 +331,10 @@ def scaled(p: Profile, a: float) -> Profile:
 # integral quantities
 # ---------------------------------------------------------------------------
 
-def _integrate_profile(p: Profile, weight, rel_tol: float = 1e-10) -> float:
+def _integrate_profile(p: Profile, weight) -> float:
     """Adaptive integral of weight(x)*|p-related integrand| over the support."""
     r = p.spatial_radius()
-    return adaptive(weight, -r, r, rel_tol=rel_tol, limit=800, points=[0.0])
+    return adaptive(weight, -r, r, rel_tol=1e-10, limit=800, points=[0.0])
 
 
 def moment0(p: Profile) -> float:

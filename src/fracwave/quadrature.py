@@ -6,10 +6,8 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
 
 * static integrands (t = 0 norms, Riesz energies with p < 0, H^s seminorms of
   profiles) -> ``static_integral``: ``singular_origin_integral`` on (0, 1],
-  which resolves the |xi|^p kink or singularity at the origin and detects a
-  divergent one (settings ORIGIN_ORDER, ORIGIN_MAX_DEPTH, FLAT_RATIO,
-  FLAT_RUNS, MIN_DEPTH), then EQUAL_PANELS equal Gauss-Legendre panels
-  (``gauss_panels``) out to the cutoff;
+  the dyadic panels of the oscillatory rule's head taken in xi, then
+  EQUAL_PANELS equal Gauss-Legendre panels (``gauss_panels``) to the cutoff;
 * oscillatory integrands with phase w = t*|xi|^s -> ``oscillatory_integral``,
   integrated in w.  The first LEAD_HALFPERIODS half-periods, the head, hold
   the algebraic |xi|^(2s) kink at the origin: there w is cut into the
@@ -18,7 +16,8 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   smooth function, and each panel gets one Gauss rule of FILON_ORDER nodes.
   The rest, the body, goes to a Legendre-Filon rule in w.  A rule is its
   nodes plus the weights of the density's form there, built once per
-  interval and applied to each density on it as a dot product.
+  interval and applied to each density on it as a dot product.  In both
+  rules ``_below_head`` adds the origin's tail, or raises DivergenceError.
 
 ``gauss_panels`` also serves smooth integrands of the profiles and lemmas;
 ``adaptive``, a Gauss-Kronrod rule with global bisection, serves integrands
@@ -52,8 +51,9 @@ CUTOFF_TOL = 1e-18
 
 #: equal panels of the static rule on [1, cutoff], at least
 EQUAL_PANELS = 63
-#: Gauss nodes per panel of the oscillatory rule, head and body; the body's
-#: amplitudes are interpolated by Legendre polynomials of one degree less.
+#: Gauss nodes per panel of the oscillatory rule, head and body, and of the
+#: static rule's head; the body's amplitudes are interpolated by Legendre
+#: polynomials of one degree less.
 #: 16 nodes left 1.5e-12 of a Gaussian norm (power-law amplitudes on the
 #: ratio-2 panels at the origin) and 7e-11 of a CompactBump norm (two periods
 #: of |fhat|^2 per panel); 24 leave under 1e-13 of both.
@@ -63,9 +63,10 @@ FILON_ORDER = 24
 SPLIT_TOL = 1e-16
 #: leading half-periods of w, which hold the |xi|^(2s) kink at 0: the head
 LEAD_HALFPERIODS = 4
-#: dyadic head panels below w = pi; the part below pi*2^-HEAD_DYADIC is a
-#: share of about 2^(-HEAD_DYADIC (1 + p)/s) of an |xi|^p-weighted spectral
-#: integral, and is extrapolated from the panels above it
+#: dyadic head panels below w = pi, and below xi = 1 in the static rule; the
+#: part below pi*2^-HEAD_DYADIC is a share of about 2^(-HEAD_DYADIC (1 + p)/s)
+#: of an |xi|^p-weighted spectral integral, and is extrapolated from the
+#: panels above it
 HEAD_DYADIC = 61
 #: below this omega, the Filon moments j_k(omega) come from their power
 #: series, with this many terms
@@ -73,12 +74,6 @@ BESSEL_SERIES_MAX = 1.0
 BESSEL_SERIES_TERMS = 9
 #: Miller's backward recurrence starts this many orders above the highest
 BESSEL_MILLER_EXTRA = 20
-# settings of ``singular_origin_integral``; its docstring gives their reasons
-ORIGIN_ORDER = 24
-ORIGIN_MAX_DEPTH = 600
-FLAT_RATIO = 0.95
-FLAT_RUNS = 3
-MIN_DEPTH = 8
 
 # Cache of Gauss-Legendre rules keyed by order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -249,7 +244,7 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
         return 0.0
     split = min(1.0, xi_hi)
     if xi_lo == 0.0:
-        head = singular_origin_integral(f, split, rel_tol=1e-10)
+        head = singular_origin_integral(f, split)
     elif xi_lo < split:
         head = gauss_panels(f, log_spaced_panels(xi_lo, split), order=16)
     else:
@@ -258,6 +253,29 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
     if xi_hi <= lo:
         return head
     return head + gauss_panels(f, _equal_panels(lo, xi_hi, width), order=16)
+
+
+def singular_origin_integral(f, upper: float) -> float:
+    """Integrate f over (0, upper] when f may have a power singularity at 0.
+
+    The oscillatory rule's head, taken in xi: the HEAD_DYADIC dyadic panels
+    [upper*2^-(j+1), upper*2^-j], each with a Gauss rule of FILON_ORDER
+    nodes, which resolves a power law over a factor of 2.  f is evaluated
+    once, on the nodes of every panel, and ``_below_head`` adds the
+    geometric tail below the lowest.  For an integrand ~ c*xi^(-q) near
+    zero it raises DivergenceError when q >= 1, and also in the band
+    1 - 1/HEAD_DYADIC < q < 1, where the tail outweighs the panels.  Raises
+    NumericalFailureError when f is not finite on a panel.
+    """
+    edges = upper * 0.5 ** np.arange(HEAD_DYADIC, -1, -1)
+    nodes, weights = gauss_rule(FILON_ORDER)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    parts = f(mid[:, None] + half[:, None] * nodes[None, :]) @ weights * half
+    if not np.all(np.isfinite(parts)):
+        raise NumericalFailureError(
+            f"the integrand is not finite on (0, {upper:g}]")
+    return float(np.sum(parts)) + _below_head(parts)
 
 
 def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
@@ -322,10 +340,21 @@ class _OscillatoryRule:
     @classmethod
     def build(cls, t: float, s: float, xi_lo: float, xi_hi: float,
               width: float = np.inf) -> "_OscillatoryRule":
-        """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width."""
+        """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width.
+
+        Refuses, before it allocates, a t at which xi^(2s) at the lowest
+        edge (a density's 1/xi^(2s)) or xi at the head's end (the body's
+        first edge) is not a normal double; xi alone may underflow there.
+        """
         w_lo = t * xi_lo ** s
         w_hi = t * xi_hi ** s
         k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
+        lowest = (w_lo if w_lo > 0 else min(np.pi, w_hi) * 0.5 ** HEAD_DYADIC) / t
+        tiny = np.finfo(float).tiny
+        if not (lowest * lowest >= tiny and k_lead * np.pi / t >= tiny ** s):
+            raise NumericalFailureError(
+                f"t = {t:g} is too large for s = {s:g}: the oscillatory rule's "
+                f"frequencies are not normal doubles")
         edges = [_head_edges(w_lo, w_hi, k_lead)]
         if w_hi > k_lead * np.pi:
             edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
@@ -368,16 +397,26 @@ class _OscillatoryRule:
 
 
 def _below_head(parts: np.ndarray) -> float:
-    """The integral below the head's first edge, w = pi*2^-HEAD_DYADIC.
+    """The integral below the lowest dyadic head panel, in both rules.
 
-    There the integrand is c*w^(q-1) for some q > 0, so the dyadic panels'
-    integrals fall geometrically with ratio 2^-q, read off the lowest two;
-    the rest of the series is their geometric tail.  It is far below
-    rounding for every weight |xi|^p with p >= 0, and makes up the part
-    that an integrable singularity (p near -1) keeps close to w = 0.
+    There the integrand is c*v^(q-1) for some q, in the head's variable v
+    (w or xi), so the dyadic panels' integrals fall geometrically with ratio
+    2^-q, read off the lowest two; the rest of the series is their geometric
+    tail.  It is far below rounding for every weight |xi|^p with p >= 0, and
+    makes up the part that an integrable singularity (p near -1) keeps close
+    to the origin.  A ratio >= 1 (q <= 0) is a divergent integral, and so,
+    as far as the panels can tell, is a tail larger in magnitude than their
+    sum: that refuses the band 0 < q < 1/HEAD_DYADIC as well.
     """
     ratio = parts[0] / parts[1] if parts[1] != 0 else 0.0
-    return float(parts[0] * ratio / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 0.0
+    tail = float(parts[0] * ratio / (1.0 - ratio)) if 0.0 < ratio < 1.0 else 0.0
+    resolved = float(np.sum(parts))
+    if ratio >= 1.0 or abs(tail) > abs(resolved):
+        raise DivergenceError(
+            f"integral diverges at the origin, or is within 1/{HEAD_DYADIC} of "
+            f"doing so (lowest dyadic panel ratio {ratio:.4f}, tail "
+            f"{tail:.6e}, panels' sum {resolved:.6e})")
+    return tail
 
 
 def _head_edges(w_lo: float, w_hi: float, k_lead: int):
@@ -553,58 +592,3 @@ def _spherical_jn(order: int, omega: np.ndarray) -> np.ndarray:
             [np.ones((x.size, 1)), x / (2 * k[1:] + 1)], axis=1), axis=1)
         out[series] = lead * total
     return out
-
-
-def singular_origin_integral(f, upper: float, *, rel_tol: float = 1e-9) -> float:
-    """Integrate f over (0, upper] when f may have a power singularity at 0.
-
-    Works down the dyadic panels [upper*2^-(j+1), upper*2^-j], each one
-    Gauss rule of ORIGIN_ORDER nodes, which resolves a power law over a
-    factor of 2; after ORIGIN_MAX_DEPTH panels (down to upper*2^-600, far
-    below where a convergent integrand settles) it gives up.  For an
-    integrand ~ c*xi^(-q) near zero the panel increments form a geometric
-    sequence with ratio 2^(q-1); the integral converges iff that ratio is
-    below one.  Divergence is declared once FLAT_RUNS successive increments
-    each fail to decay below FLAT_RATIO times their predecessor (this also
-    catches the marginal q = 1 log-divergence, whose increments are
-    asymptotically constant).  Ratios are only counted past MIN_DEPTH
-    panels, deep enough for any smooth envelope to flatten; the flip side
-    is that exponents within ~0.04 of the divergence boundary are
-    conservatively rejected.  For convergent integrals the remaining tail is
-    added by geometric extrapolation.
-    """
-    total = 0.0
-    prev_inc = None
-    flat_count = 0
-    last_ratio = None
-    b = float(upper)
-    for depth in range(ORIGIN_MAX_DEPTH):
-        a = 0.5 * b
-        inc = gauss_panels(f, np.array([a, b]), order=ORIGIN_ORDER)
-        total += inc
-        if prev_inc is not None and prev_inc > 0 and inc > 0:
-            last_ratio = inc / prev_inc
-            if depth >= MIN_DEPTH and last_ratio >= FLAT_RATIO:
-                flat_count += 1
-                if flat_count >= FLAT_RUNS:
-                    raise DivergenceError(
-                        f"integral diverges at the origin: dyadic increments "
-                        f"stopped decaying (last ratio {last_ratio:.3f} over "
-                        f"{FLAT_RUNS} panels, partial sum {total:.6e})"
-                    )
-            else:
-                flat_count = 0
-        if depth >= MIN_DEPTH and total == 0.0 and inc == 0.0:
-            return 0.0
-        if (depth >= MIN_DEPTH and total > 0 and inc < rel_tol * total
-                and prev_inc is not None and inc <= prev_inc):
-            # geometric tail below the last resolved panel
-            if last_ratio is not None and last_ratio < FLAT_RATIO:
-                total += inc * last_ratio / (1.0 - last_ratio)
-            return total
-        prev_inc = inc
-        b = a
-    raise NumericalFailureError(
-        f"singular-origin integral did not settle within {ORIGIN_MAX_DEPTH} dyadic panels "
-        f"(partial sum {total:.6e}, last increment {prev_inc!r})"
-    )

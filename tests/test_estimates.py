@@ -50,8 +50,6 @@ class TestTheta0:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             select_theta0(threshold=0.0)
-        with pytest.raises(ValueError):
-            select_theta0(cap=1.0)
 
 
 class TestBoundSpec:

@@ -347,6 +347,39 @@ class TestCli:
         assert err.startswith("config error") and key in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("solve", "u1 = gaussian a=1e308\nt_grid = list 1 10\n",
+         "u_hat_l2 is not finite at t = 1"),
+        ("solve", "u1 = gaussian sigma=1e-300\nt_grid = list 1 10\n",
+         "hs_seminorm is not finite at t = 1"),
+        ("energy", "u1 = gaussian a=1e308\nt_grid = list 1 10\n",
+         "the integrand is not finite on (0, 1]"),
+    ], ids=["solve-overflow", "solve-narrow", "energy-overflow"])
+    def test_overflow_prints_only_the_diagnostic(self, tmp_path, command, cfg,
+                                                 message, threads):
+        # a subprocess, so that numpy's warnings would reach its stderr
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracwave.cli", command,
+             "--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": path, "FRACWAVE_THREADS": threads},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "sandwich"])
+    @pytest.mark.parametrize("grid", ["list 1e300", "log 1e-300 1e300 3"])
+    def test_too_large_a_time_exits_one(self, tmp_path, capsys, command, grid):
+        rc = main([command, "--config", self._write(tmp_path, f"t_grid = {grid}\n"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "t = 1e+300 is too large for s = 0.75" in err
+
     @pytest.mark.parametrize("command, cfg, column", [
         ("solve", "u1 = gaussian a=1e308\nt_grid = list 1 10\n", "u_hat_l2"),
         ("energy", "u0 = gaussian a=1e200\nt_grid = list 1 10\nbackend = grid\n",

@@ -1,5 +1,6 @@
 """Riesz energies, pointwise transform bound, Gagliardo identity, C(1,s)."""
 
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,13 @@ class TestRieszEnergy:
         ref = 2 * quad(lambda x: np.pi * np.exp(-x * x / 2) * x ** (-0.8),
                        0, 14, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
         assert riesz_energy(Gaussian(), theta=0.4) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.47, 0.48, 0.49])
+    def test_finite_next_to_boundary(self, theta):
+        # 2 int_0^inf pi e^(-xi^2/2) xi^(-2 theta) d xi in closed form; the
+        # refused band is only 1/(2 HEAD_DYADIC) wide in theta
+        exact = 2 * np.pi * 2 ** (-theta - 0.5) * math.gamma(0.5 - theta)
+        assert riesz_energy(Gaussian(), theta) == pytest.approx(exact, rel=1e-14)
 
     def test_divergence_on_boundary(self):
         with pytest.raises(DivergenceError):
@@ -87,6 +95,11 @@ class TestRieszChecks:
         assert c1.passed and 0 < c1.ratio < np.inf
         c2 = check_riesz_bound_zero_mean(GaussianDerivative(), theta=0.9, gamma=0.5)
         assert c2.passed and 0 < c2.ratio < np.inf
+
+    def test_zero_mean_next_to_boundary(self):
+        # theta = 1.47 < gamma + n/2 = 1.5: the hypothesis holds and the
+        # energy, whose singularity is xi^-0.94, is finite
+        assert check_riesz_bound_zero_mean(GaussianDerivative(), 1.47, 1.0).passed
 
     def test_scaling_invariance(self):
         base = check_riesz_bound(Gaussian(), theta=0.2)

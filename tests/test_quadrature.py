@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammainc
 from scipy.special import spherical_jn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
@@ -291,6 +292,29 @@ def test_singular_origin_convergent_power(q):
 def test_singular_origin_divergent(q):
     with pytest.raises(DivergenceError):
         singular_origin_integral(lambda x: x ** (-q) * np.exp(-x), 1.0)
+
+
+def test_singular_origin_next_to_the_boundary():
+    # int_0^1 x^-0.95 e^-x dx = gamma(0.05, 1), the lower incomplete gamma
+    exact = gamma_fn(0.05) * gammainc(0.05, 1.0)
+    got = singular_origin_integral(lambda x: x ** -0.95 * np.exp(-x), 1.0)
+    assert got == pytest.approx(exact, rel=1e-13)
+
+
+def test_singular_origin_evaluates_once():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x) * x ** -0.5
+
+    singular_origin_integral(f, 1.0)
+    assert len(calls) == 1
+
+
+def test_singular_origin_refuses_a_non_finite_integrand():
+    with pytest.raises(NumericalFailureError, match=r"not finite on \(0, 1\]"):
+        singular_origin_integral(lambda x: np.full(x.shape, np.inf), 1.0)
 
 
 def test_singular_origin_flat_envelope_not_divergent():

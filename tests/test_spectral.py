@@ -11,7 +11,7 @@ from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       evolve_state, hs_norm, hs_seminorm, l2_norm,
                       sine_multiplier)
 from fracwave.spectral import QuadratureSnapshot, SpectralField, propagate
-from fracwave.errors import (BackendCapError, BackendMismatchError,
+from fracwave.errors import (BackendCapError, BackendMismatchError, FracwaveError,
                              UnsupportedDimensionError)
 from fracwave.lemmas import gagliardo_constant
 
@@ -592,3 +592,19 @@ def test_grid_evolve_is_advance_from_time_zero(s, t):
     for lhs, rhs in ((direct.u_hat, stepped.u_hat), (direct.ut_hat, stepped.ut_hat)):
         scale = np.max(np.abs(lhs.values))
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("t", [1e50, 1e100, 1e150, 1e300])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.0])
+def test_large_time_is_finite_or_refused(s, t):
+    # past where the rule's lowest frequency underflows, the quadrature
+    # backend refuses t by name instead of returning nan or inf
+    snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(s), t,
+                        QuadratureBackend())
+    for norm in (snap.spectral_l2, snap.ut_l2, lambda: snap.hs_seminorm(s)):
+        try:
+            value = norm()
+        except FracwaveError as exc:
+            assert f"t = {t:g}" in str(exc) and f"s = {s:g}" in str(exc)
+        else:
+            assert np.isfinite(value)
