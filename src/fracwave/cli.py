@@ -2,11 +2,14 @@
 
 Subcommands mirror the experiment runners:
 
-    fracwave solve    --config cfg.txt [--out DIR] [--backend B] [--plot]
+    fracwave solve    --config cfg.txt [--out DIR]
     fracwave rates    ...
     fracwave lemmas   ...
     fracwave sandwich ...
     fracwave energy   ...
+
+Every setting, the backend and the plot included, comes from the config;
+``--out`` only places the outputs (default: the config's ``out``).
 
 Exit status is 0 exactly when every enabled verdict passes; config problems
 exit with 2 and carry line/key diagnostics, a refused computation with 1.
@@ -15,7 +18,6 @@ exit with 2 and carry line/key diagnostics, a refused computation with 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 
@@ -33,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=(runner.__doc__ or "").strip().splitlines()[0])
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--backend", choices=("grid", "quadrature"),
-                         default=None, help="override the configured backend")
-        cmd.add_argument("--plot", action="store_true",
-                         help="also emit plot.svg (as the config's plot = true)")
     return parser
 
 
@@ -48,10 +46,6 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = load_config(args.config)
-            if args.backend:
-                cfg = dataclasses.replace(cfg, backend=args.backend)
-            if args.plot:
-                cfg = dataclasses.replace(cfg, plot=True)
             result = RUNNERS[args.command](cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -46,10 +46,8 @@ _LOG_EPS = 1e-12
 LOG_GROWTH_CUTOFF = 7.8
 #: terms of the power series of E1 on (0, 1]
 EXP1_SERIES_TERMS = 25
-#: largest splitting angle ``select_theta0`` returns, and its sampling of
-#: sin(x)/x on (0, THETA0_CAP]
+#: largest splitting angle ``select_theta0`` returns
 THETA0_CAP = 0.99
-THETA0_SAMPLES = 20001
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,15 @@ def select_theta0(threshold: float = 0.5) -> float:
     """Largest admissible splitting angle theta0 < 1.
 
     Returns the largest angle (capped at THETA0_CAP) such that sin(x)/x stays
-    at or above ``threshold`` on (0, theta0], verified by dense sampling.
+    at or above ``threshold`` on (0, theta0].  sin(x)/x decreases on (0, pi),
+    so its minimum there is its value at the cap.
     When even the cap fails the threshold, raises InfeasibleThresholdError
     whose ``feasible_sup`` solves sin(x)/x = threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     cap = THETA0_CAP
-    grid = np.linspace(cap / THETA0_SAMPLES, cap, THETA0_SAMPLES)
-    minimum = float(np.min(np.sin(grid) / grid))
+    minimum = float(np.sin(cap) / cap)
     if minimum < threshold:
         lo, hi = 1e-12, np.pi - 1e-12
         for _ in range(200):

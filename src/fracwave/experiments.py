@@ -1,8 +1,9 @@
 """Reproducible named experiments: config parsing, runners, file outputs.
 
 A config is a flat key-value text file (``key = value`` per line, ``#``
-comments); unknown keys are rejected with line diagnostics and a parsed
-config round-trips through its canonical text form.  Each runner writes
+comments).  Each key is one ``ExperimentConfig`` field, which checks its own
+values; parsing rejects unknown keys with line diagnostics, and a config
+round-trips through its canonical text form.  Each runner writes
 
 * ``norms.csv``   -- fixed-header CSV, 17-significant-digit floats,
 * ``report.json`` -- verdicts and fitted quantities, with a schema version,
@@ -19,6 +20,7 @@ FRACWAVE_THREADS caps how many time samples it evaluates concurrently
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -27,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates, lemmas, profiles, ratefit
-from .errors import (ConfigError, FracwaveError, NumericalFailureError,
-                     WrongRegimeError)
+from .errors import ConfigError, NumericalFailureError, WrongRegimeError
 from .grid import GridSpec
 from .profiles import (CompactBump, Gaussian, GaussianDerivative, Profile,
                        ZERO)
@@ -44,38 +45,72 @@ EXPONENT_TOL = 0.02
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; the enumerated fields take the values in ``_CHOICES``."""
+    """One experiment: each field is one config key, and ``__post_init__``
+    checks every value however the config was made (parsed, built in code or
+    by ``dataclasses.replace``), raising a ConfigError that names the key.
+    ``t_grid`` is a mode and its values: lo, hi and count for "log" and
+    "lin", the times for "list"."""
 
     experiment: str = "unnamed"
     s: float = 0.75
-    n: int = 1
     u0: Profile = ZERO
     u1: Profile = Gaussian()
-    t_mode: str = "log"
-    t_args: tuple = (1e2, 1e5, 40)
+    t_grid: tuple = ("log", 1e2, 1e5, 40)
     backend: str = "quadrature"
     grid_half_width: float = 40.0
     grid_points: int = 4096
     bounds: str = "auto"
-    theta0_threshold: float = 0.5
     gamma: float = 0.5
     seed: int = 0
     out: str = ""
     plot: bool = False
 
-    def params(self) -> Parameters:
-        return Parameters(s=self.s, n=self.n)
+    def __post_init__(self):
+        mode, *values = self.t_grid or ("",)
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.type == "float"] + [("t_grid", v) for v in values]
+        for key in ("u0", "u1"):
+            floats += [(f"{key}: profile argument {short}", value) for short, value
+                       in _profile_args(key, getattr(self, key))[1].items()]
+        for key, value in floats:
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        for key, value in (("backend", self.backend), ("bounds", self.bounds),
+                           ("t_grid", mode)):
+            if value not in _CHOICES[key]:
+                raise ConfigError(f"unknown {key} {value!r}")
+        if len(values) != 3 and (mode != "list" or not values):
+            raise ConfigError(f"t_grid: a {mode} grid needs "
+                              f"{'times' if mode == 'list' else 'lo hi count'}")
+        lo = min(values) if mode == "list" else values[0]
+        if lo < 0 or (mode == "log" and lo == 0):
+            raise ConfigError(f"t_grid: times must be nonnegative, and positive on "
+                              f"a log grid, got {lo:g}")
+        if mode != "list" and not (lo < values[1] and values[2] == int(values[2])
+                                   and 1 <= values[2] <= MAX_SAMPLES):
+            raise ConfigError(f"t_grid: a {mode} grid needs lo < hi and a whole "
+                              f"count in [1, {MAX_SAMPLES}], got {self.t_grid!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for key, make in (("s", lambda: Parameters(self.s)),
+                          ("grid_half_width", lambda: GridSpec(self.grid_half_width)),
+                          ("grid_points", lambda: GridSpec(points=self.grid_points))):
+            try:
+                make()
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
-    def t_grid(self) -> np.ndarray:
-        if self.t_mode == "list":
-            return np.asarray(self.t_args, dtype=float)
-        lo, hi, count = self.t_args
-        count = int(count)
-        if count < 1 or hi <= lo or (self.t_mode == "log" and lo <= 0):
-            raise ConfigError(f"bad time grid ({self.t_mode} {lo} {hi} {count})")
-        if self.t_mode == "log":
-            return np.logspace(np.log10(lo), np.log10(hi), count)
-        return np.linspace(lo, hi, count)
+    def params(self) -> Parameters:
+        return Parameters(s=self.s)
+
+    def times(self) -> np.ndarray:
+        mode, *values = self.t_grid
+        if mode == "list":
+            return np.asarray(values, dtype=float)
+        lo, hi, count = values
+        if mode == "log":
+            return np.logspace(np.log10(lo), np.log10(hi), int(count))
+        return np.linspace(lo, hi, int(count))
 
     def make_backend(self):
         if self.backend == "grid":
@@ -84,15 +119,14 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config text format: one key per ExperimentConfig field, except that
-# ``t_grid`` stands for the t_mode and t_args pair
+# config text format: one ``key = value`` line per ExperimentConfig field
 # ---------------------------------------------------------------------------
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_KNOWN_KEYS = tuple("t_grid" if name == "t_mode" else name
-                    for name in _FIELD_TYPES if name != "t_args")
-_CHOICES = {"t_mode": ("log", "lin", "list"), "backend": ("quadrature", "grid"),
+_CHOICES = {"t_grid": ("log", "lin", "list"), "backend": ("quadrature", "grid"),
             "bounds": ("auto", "power", "log", "none")}
+#: most samples a log or lin grid may ask for; each is a row of every output
+MAX_SAMPLES = 1 << 20
 # profile kinds: config name -> (class, {argument letter: field name})
 _PROFILE_KINDS = {
     "gaussian": (Gaussian, {"a": "amplitude", "sigma": "width", "c": "center"}),
@@ -102,97 +136,65 @@ _PROFILE_KINDS = {
 }
 
 
-def _parse_profile(text: str, where: str) -> Profile:
-    parts = text.split()
-    if not parts:
-        raise ConfigError(f"{where}: empty profile")
-    name, kv = parts[0], parts[1:]
-    args = {}
-    for item in kv:
-        if "=" not in item:
-            raise ConfigError(f"{where}: bad profile argument {item!r}")
-        k, v = item.split("=", 1)
-        try:
-            args[k] = float(v)
-        except ValueError:
-            raise ConfigError(f"{where}: non-numeric value {v!r} for {k}")
-        if not np.isfinite(args[k]):
-            raise ConfigError(f"{where}: profile argument {k} must be finite, got {v!r}")
-    if name in ("none", "zero"):
-        if args:
-            raise ConfigError(f"{where}: the zero profile takes no arguments")
-        return ZERO
-    if name not in _PROFILE_KINDS:
-        raise ConfigError(f"{where}: unknown profile kind {name!r}")
-    cls, mapping = _PROFILE_KINDS[name]
-    kwargs = {}
-    for short, field_name in mapping.items():
-        if short in args:
-            kwargs[field_name] = args.pop(short)
-    if args:
-        raise ConfigError(f"{where}: unexpected profile arguments {sorted(args)}")
-    try:
-        return cls(**kwargs)
-    except Exception as exc:
-        raise ConfigError(f"{where}: invalid profile parameters: {exc}")
-
-
-def _profile_text(p: Profile) -> str:
+def _profile_args(key: str, p: Profile) -> tuple[str, dict]:
+    """The config kind of a profile and its arguments by letter."""
     if p.is_zero:
-        return "none"
+        return "none", {}
     for name, (cls, mapping) in _PROFILE_KINDS.items():
         if isinstance(p, cls):
-            return " ".join([name, *(f"{short}={getattr(p, field_name):.17g}"
-                                     for short, field_name in mapping.items())])
-    raise ConfigError(f"profile {type(p).__name__} is not declarable in configs")
+            return name, {short: getattr(p, f) for short, f in mapping.items()}
+    raise ConfigError(f"{key}: profile {type(p).__name__} is not declarable "
+                      f"in configs")
 
 
-def _parse_value(key: str, text: str, where: str) -> dict:
-    """The ExperimentConfig fields one ``key = text`` line sets."""
-    if key == "t_grid":
-        parts = text.split()
-        if len(parts) < 2:
-            raise ConfigError(f"{where}: t_grid needs a mode and values")
-        mode = parts[0]
-        if mode not in _CHOICES["t_mode"]:
-            raise ConfigError(f"{where}: unknown t_grid mode {mode!r}")
-        args = tuple(float(x) for x in parts[1:])
-        if not np.all(np.isfinite(args)):
-            raise ConfigError(f"{where}: t_grid values must be finite, got {text!r}")
-        if mode != "list" and len(args) != 3:
-            raise ConfigError(f"{where}: {mode} grids need lo hi count")
-        return {"t_mode": mode, "t_args": args}
-    kind = _FIELD_TYPES[key]
+def _parse_profile(text: str) -> Profile:
+    """The profile ``kind letter=value ...`` declares; ValueError otherwise."""
+    name, *items = text.split() or [""]
+    if any("=" not in item for item in items):
+        raise ValueError(f"profile arguments are letter=value, got {items}")
+    args = {k: float(v) for k, v in (item.split("=", 1) for item in items)}
+    if name in ("none", "zero"):
+        if args:
+            raise ValueError("the zero profile takes no arguments")
+        return ZERO
+    if name not in _PROFILE_KINDS:
+        raise ValueError(f"unknown profile kind {name!r}")
+    cls, mapping = _PROFILE_KINDS[name]
+    extra = sorted(set(args) - set(mapping))
+    if extra:
+        raise ValueError(f"unexpected profile arguments {extra}")
+    return cls(**{mapping[k]: v for k, v in args.items()})
+
+
+def _parse_value(kind: str, text: str):
+    """The field value of one ``key = text`` line: syntax and type only."""
     if kind == "Profile":
-        value = _parse_profile(text, where)
-    elif kind == "bool":
-        value = text.lower() in ("true", "1", "yes")
-    else:
-        value = {"str": str, "int": int, "float": float}[kind](text)
-    if kind == "float" and not np.isfinite(value):
-        raise ConfigError(f"{where}: {key} must be finite, got {text!r}")
-    if key == "theta0_threshold" and not 0.0 < value < 1.0:
-        raise ConfigError(f"{where}: theta0_threshold must lie in (0, 1), got {text!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{where}: unknown {key} {value!r}")
-    return {key: value}
+        return _parse_profile(text)
+    if kind == "tuple":
+        mode, *values = text.split() or [""]
+        return (mode, *map(float, values))
+    if kind == "bool":
+        return text.lower() in ("true", "1", "yes")
+    return {"str": str, "int": int, "float": float}[kind](text)
 
 
 def _value_text(cfg: ExperimentConfig, key: str) -> str:
-    if key == "t_grid":
-        return " ".join([cfg.t_mode, *(f"{a:.17g}" for a in cfg.t_args)])
     value, kind = getattr(cfg, key), _FIELD_TYPES[key]
     if kind == "Profile":
-        return _profile_text(value)
+        name, args = _profile_args(key, value)
+        return " ".join([name, *(f"{k}={v:.17g}" for k, v in args.items())])
+    if kind == "tuple":
+        return " ".join([value[0], *(f"{a:.17g}" for a in value[1:])])
     if kind == "bool":
         return "true" if value else "false"
     return f"{value:.17g}" if kind == "float" else str(value)
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
-    """Parse the key-value config format, rejecting unknown keys."""
+    """Parse the key-value config format.  A line error (no ``=``, an
+    unknown or duplicate key, a value of the wrong type) names ``path:line``;
+    a value that ExperimentConfig refuses names ``path:`` and the key."""
     kwargs: dict = {}
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,36 +204,23 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in seen:
+        if key in kwargs:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        seen.add(key)
         try:
-            kwargs.update(_parse_value(key, val, where))
-        except ConfigError:
-            raise
-        except Exception as exc:
+            kwargs[key] = _parse_value(_FIELD_TYPES[key], val)
+        except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}")
     try:
-        cfg = ExperimentConfig(**kwargs)
-        cfg.params()          # validates s and n eagerly
-        GridSpec(cfg.grid_half_width, cfg.grid_points)
-        times = cfg.t_grid()
-    except ConfigError:
-        raise
-    except (ValueError, FracwaveError) as exc:
-        raise ConfigError(f"{path}: invalid configuration: {exc}")
-    if np.min(times) < 0:
-        raise ConfigError(f"{path}: times must be nonnegative, got {np.min(times):g}")
-    if cfg.n != 1:
-        raise ConfigError(f"{path}: n must be 1 for 1-d profiles, got n={cfg.n}")
-    return cfg
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Canonical config text; parsing it reproduces the config exactly."""
-    return "".join(f"{key} = {_value_text(cfg, key)}\n" for key in _KNOWN_KEYS)
+    return "".join(f"{key} = {_value_text(cfg, key)}\n" for key in _FIELD_TYPES)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -387,20 +376,25 @@ def _require_finite(header: list[str], columns: list) -> None:
                 f"{name} is not finite at t = {columns[0][np.argmax(bad)]:g}")
 
 
+def _evolver(cfg: ExperimentConfig):
+    """The time grid, checked against the backend's cap before any sample is
+    solved, and the map from t to the snapshot of the configured data."""
+    backend, params, ts = cfg.make_backend(), cfg.params(), cfg.times()
+    check_time_cap(backend, ts, params.s)
+    return ts, lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend)
+
+
 def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Evolve the data over the grid and tabulate every norm functional."""
     out = _prepare(cfg, out_dir)
-    backend = cfg.make_backend()
-    params = cfg.params()
-    ts = cfg.t_grid()
-    check_time_cap(backend, ts)
+    ts, at = _evolver(cfg)
 
     def one(t):
-        snap = evolve_state((cfg.u0, cfg.u1), params, float(t), backend)
+        snap = at(t)
         # energy first: a grid snapshot then builds u and u_t from one phase
         energy = snap.energy()
         return (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
-                snap.hs_seminorm(params.s), energy)
+                snap.hs_seminorm(cfg.s), energy)
 
     cols = list(zip(*map_times(one, ts)))
     header = ["t", "u_hat_l2", "u_l2", "ut_l2", "hs_seminorm", "energy"]
@@ -413,14 +407,9 @@ def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 def run_energy(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Energy conservation sweep: max relative drift over the time grid."""
     out = _prepare(cfg, out_dir)
-    backend = cfg.make_backend()
-    params = cfg.params()
-    ts = cfg.t_grid()
-    check_time_cap(backend, ts)
-    e0 = evolve_state((cfg.u0, cfg.u1), params, 0.0, backend).energy()
-    energies = np.array(map_times(
-        lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend).energy(),
-        ts))
+    ts, at = _evolver(cfg)
+    e0 = at(0.0).energy()
+    energies = np.array(map_times(lambda t: at(t).energy(), ts))
     header = ["t", "energy", "relative_drift"]
     columns = [ts, energies, np.abs(energies - e0) / (e0 or 1.0)]
     _require_finite(header, columns)
@@ -436,7 +425,7 @@ def _growth_bounds(cfg: ExperimentConfig):
     u0_l2 = profiles.l2_norm(cfg.u0)
     u1_l1 = profiles.l1_norm(cfg.u1)
     u1_l2 = profiles.l2_norm(cfg.u1)
-    theta0 = estimates.select_theta0(cfg.theta0_threshold)
+    theta0 = estimates.select_theta0()
     mode = cfg.bounds
     if mode == "auto":
         mode = "log" if cfg.s == 0.5 else "power"
@@ -460,8 +449,7 @@ def run_rates(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     in log t at s = 1/2, and uniform boundedness (exponent 0) for s < 1/2.
     """
     out = _prepare(cfg, out_dir)
-    params = cfg.params()
-    series = ratefit.sample_norm_curve((cfg.u0, cfg.u1), params, cfg.t_grid(),
+    series = ratefit.sample_norm_curve((cfg.u0, cfg.u1), cfg.params(), cfg.times(),
                                        cfg.make_backend())
     report = _base_report(cfg)
     verdicts = {}
@@ -483,8 +471,7 @@ def run_rates(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 def run_sandwich(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Check the two-sided growth envelopes over the sampled time grid."""
     out = _prepare(cfg, out_dir)
-    params = cfg.params()
-    series = ratefit.sample_norm_curve((cfg.u0, cfg.u1), params, cfg.t_grid(),
+    series = ratefit.sample_norm_curve((cfg.u0, cfg.u1), cfg.params(), cfg.times(),
                                        cfg.make_backend())
     lower, upper, theta0, P = _growth_bounds(cfg)
     if lower is None:

@@ -284,11 +284,12 @@ def gagliardo_seminorm(p: Profile, s: float) -> float:
         [u]^2 = 2 int_0^inf h^(-1-2s) D(h) dh,   D(h) = int (u(x+h)-u(x))^2 dx.
 
     Both integrals use Gauss-12 panels: log-spaced in h on [h_min, h_max],
-    equal in x on [-R - h_max, R], with R the profile's 1e-18 radius.  D is
-    taken one h-panel (12 lags) at a time, so the working set stays a few
-    hundred kilobytes whatever the profile.  Each block integrates only the
-    x-panels whose right edge lies past -R - h for the block's largest lag
-    h: left of that point u(x) and u(x+h) are both below the 1e-18 level.
+    equal in x on [lo - h_max, hi], with [lo, hi] the profile's ``support``
+    and h_max = hi - lo + 4.  D is taken one h-panel (12 lags) at a time, so
+    the working set stays a few hundred kilobytes whatever the profile.
+    Each block integrates only the x-panels whose right edge lies past
+    lo - h for the block's largest lag h: left of that point u(x) and u(x+h)
+    are both below the 1e-18 level.
 
     Near h = 0 the smoothness bound D(h) ~ h^2 ||u'||_2^2 makes the integrand
     h^(1-2s), so the head below h_min is added analytically from that
@@ -302,20 +303,20 @@ def gagliardo_seminorm(p: Profile, s: float) -> float:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
     if p.is_zero:
         return 0.0
-    R = p.spatial_radius()
-    h_min, h_max = 1e-6, 2.0 * R + 4.0
+    lo, hi = p.support()
+    h_min, h_max = 1e-6, hi - lo + 4.0
     order = 12
     gn, gw = gauss_rule(order)
 
-    x_edges = np.linspace(-R - h_max, R, 160)
+    x_edges = np.linspace(lo - h_max, hi, 160)
     xa, xb = x_edges[:-1], x_edges[1:]
     x_nodes = (0.5 * (xa + xb)[:, None] + 0.5 * (xb - xa)[:, None] * gn).ravel()
     x_weights = (0.5 * (xb - xa)[:, None] * gw).ravel()
     base_vals = p.evaluate(x_nodes)
 
     def D(h):
-        # h: (m,) -> (m,); x-panels left of -R - max(h) are dropped
-        first = order * int(np.searchsorted(xb, -R - h.max(), side="right"))
+        # h: (m,) -> (m,); x-panels left of lo - max(h) are dropped
+        first = order * int(np.searchsorted(xb, lo - h.max(), side="right"))
         x, w = x_nodes[first:], x_weights[first:]
         diff = p.evaluate(x[None, :] + h[:, None]) - base_vals[None, first:]
         return diff ** 2 @ w

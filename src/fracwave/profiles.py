@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BackendMismatchError
 from .grid import GridSpec
-from .quadrature import CUTOFF_TOL, adaptive, gauss_rule
+from .quadrature import CUTOFF_TOL, adaptive, gauss_rule, support_hull
 
 __all__ = [
     "Profile", "Gaussian", "GaussianDerivative", "CompactBump",
@@ -67,8 +67,9 @@ class Profile:
     def fourier(self, xi):
         raise NotImplementedError
 
-    def spatial_radius(self) -> float:
-        """|x| beyond which the profile is below CUTOFF_TOL relative to its scale."""
+    def support(self) -> tuple[float, float]:
+        """(lo, hi) outside which the profile is below CUTOFF_TOL relative to
+        its scale."""
         raise NotImplementedError
 
     def frequency_radius(self) -> float:
@@ -104,8 +105,9 @@ class Gaussian(Profile):
             return base.astype(complex)
         return base * np.exp(-1j * self.center * xi)
 
-    def spatial_radius(self):
-        return abs(self.center) + self.width * np.sqrt(np.log(1.0 / CUTOFF_TOL))
+    def support(self):
+        r = self.width * np.sqrt(np.log(1.0 / CUTOFF_TOL))
+        return self.center - r, self.center + r
 
     def frequency_radius(self):
         return (2.0 / self.width) * np.sqrt(np.log(1.0 / CUTOFF_TOL))
@@ -136,8 +138,9 @@ class GaussianDerivative(Profile):
         base = Gaussian(self.amplitude, self.width, self.center).fourier(xi)
         return 1j * xi * base
 
-    def spatial_radius(self):
-        return abs(self.center) + self.width * (np.sqrt(np.log(1.0 / CUTOFF_TOL)) + 2.0)
+    def support(self):
+        r = self.width * (np.sqrt(np.log(1.0 / CUTOFF_TOL)) + 2.0)
+        return self.center - r, self.center + r
 
     def frequency_radius(self):
         # |xi| * gaussian decay: widen the gaussian radius until the linear
@@ -208,8 +211,8 @@ class CompactBump(Profile):
     def _x_panels(self, xi_max):
         return int(np.ceil(self.radius * xi_max / np.pi)) + 8
 
-    def spatial_radius(self):
-        return self.radius
+    def support(self):
+        return -self.radius, self.radius
 
     def frequency_radius(self):
         # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically.
@@ -260,8 +263,8 @@ class SampledProfile(Profile):
         """Discrete transform on the profile's own grid."""
         return self.grid.forward(self.values)
 
-    def spatial_radius(self):
-        return self.grid.half_width
+    def support(self):
+        return -self.grid.half_width, self.grid.half_width
 
     def frequency_radius(self):
         return np.pi / self.grid.dx
@@ -296,9 +299,8 @@ class ProfileSum(Profile):
             out = out + coef * p.fourier(xi)
         return out
 
-    def spatial_radius(self):
-        radii = [p.spatial_radius() for _, p in self.terms]
-        return max(radii) if radii else 1.0
+    def support(self):
+        return support_hull([p for _, p in self.terms])
 
     def frequency_radius(self):
         radii = [p.frequency_radius() for _, p in self.terms]
@@ -331,10 +333,16 @@ def scaled(p: Profile, a: float) -> Profile:
 # integral quantities
 # ---------------------------------------------------------------------------
 
-def _integrate_profile(p: Profile, weight) -> float:
-    """Adaptive integral of weight(x)*|p-related integrand| over the support."""
-    r = p.spatial_radius()
-    return adaptive(weight, -r, r, rel_tol=1e-10, limit=800, points=[0.0])
+def _integral(p: Profile, g) -> float:
+    """Integral of g(x, p(x)) dx: 0 for zero data, the rectangle rule on a
+    sampled profile's grid, else ``adaptive`` over ``support()``."""
+    if p.is_zero:
+        return 0.0
+    if isinstance(p, SampledProfile):
+        return float(p.grid.dx * np.sum(g(p.grid.x(), p.values)))
+    lo, hi = p.support()
+    return adaptive(lambda x: g(x, p.evaluate(x)), lo, hi, rel_tol=1e-10,
+                    limit=800, points=[0.0])
 
 
 def moment0(p: Profile) -> float:
@@ -357,39 +365,22 @@ def moment0(p: Profile) -> float:
             warnings.warn(
                 "sampled profile has non-negligible boundary mass; "
                 "the moment is truncated", TruncationWarning, stacklevel=2)
-        return float(p.grid.dx * np.sum(v))
-    if p.is_zero:
-        return 0.0
-    return _integrate_profile(p, lambda x: p.evaluate(x))
+    return _integral(p, lambda x, v: v)
 
 
 def weighted_l1_norm(p: Profile, gamma: float) -> float:
     """Weighted norm integral (1 + |x|^gamma) |p(x)| dx, gamma in [0, 1]."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if p.is_zero:
-        return 0.0
-    if isinstance(p, SampledProfile):
-        x = p.grid.x()
-        return float(p.grid.dx * np.sum((1.0 + np.abs(x) ** gamma) * np.abs(p.values)))
-    return _integrate_profile(p, lambda x: (1.0 + np.abs(x) ** gamma) * np.abs(p.evaluate(x)))
+    return _integral(p, lambda x, v: (1.0 + np.abs(x) ** gamma) * np.abs(v))
 
 
 def l1_norm(p: Profile) -> float:
-    if p.is_zero:
-        return 0.0
-    if isinstance(p, SampledProfile):
-        return float(p.grid.dx * np.sum(np.abs(p.values)))
-    return _integrate_profile(p, lambda x: np.abs(p.evaluate(x)))
+    return _integral(p, lambda x, v: np.abs(v))
 
 
 def l2_norm(p: Profile) -> float:
-    if p.is_zero:
-        return 0.0
-    if isinstance(p, SampledProfile):
-        return float(np.sqrt(p.grid.dx * np.sum(p.values ** 2)))
-    val = _integrate_profile(p, lambda x: p.evaluate(x) ** 2)
-    return float(np.sqrt(val))
+    return float(np.sqrt(_integral(p, lambda x, v: v ** 2)))
 
 
 def fourier_at(p: Profile, xi) -> complex | np.ndarray:

@@ -58,6 +58,14 @@ EQUAL_PANELS = 63
 #: ratio-2 panels at the origin) and 7e-11 of a CompactBump norm (two periods
 #: of |fhat|^2 per panel); 24 leave under 1e-13 of both.
 FILON_ORDER = 24
+#: most panels a rule may take on [1, cutoff] or in one split, refused before
+#: allocating: at about 4 kB a panel, a rule and its splits stay near 0.5 GB,
+#: two threads of them under 2 GiB.  Data 1e12 apart would need 1e12
+MAX_PANELS = 1 << 16
+#: an oscillatory integral below this, taken on subnormal head weights at
+#: tiny t, has lost digits to underflow and is refused (u(t) from u1 alone
+#: is about t*u1, so its squared norm gets there below t = 1e-150)
+MASS_FLOOR = 1e-300
 #: a panel of the oscillatory rule wider than the data's ``panel_width`` is
 #: split unless its share of the integral is below this
 SPLIT_TOL = 1e-16
@@ -159,8 +167,16 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-11, limit: int = 400,
     estimate exceeds rel_tol times the value, every interval whose estimate
     is above its even share of that target is bisected, worst first, up to
     ``limit`` intervals in all.  Raises NumericalFailureError when the
-    estimate is not consistent with the requested relative tolerance.
+    estimate is not consistent with the requested relative tolerance, and
+    at once when a rounding unit of the ends exceeds rel_tol/10 of b - a:
+    the abscissae's rounding then moves the value by about rel_tol (a
+    unit-width datum centred past 1e6, at rel_tol = 1e-10).
     """
+    if not rel_tol * (b - a) >= 10.0 * np.spacing(max(abs(a), abs(b))):
+        raise NumericalFailureError(
+            f"adaptive quadrature cannot resolve [{a:.17g}, {b:.17g}]: a "
+            f"rounding unit of its ends is more than rel_tol/10 = "
+            f"{rel_tol / 10:g} of its width")
     inner = sorted(p for p in (points or ()) if a < p < b)
     edges = np.array([a, *inner, b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -211,22 +227,40 @@ def frequency_cutoff(profiles) -> float:
     return max(radii) if radii else 1.0
 
 
+def support_hull(profiles) -> tuple[float, float]:
+    """The hull of the profiles' ``support()``; (-1, 1) for none."""
+    if not profiles:
+        return -1.0, 1.0
+    los, his = zip(*(p.support() for p in profiles))
+    return min(los), max(his)
+
+
 def panel_width(profiles) -> float:
     """Widest panel in xi that resolves |fhat|^2 of the given 1-d profiles.
 
-    Data inside |x| <= R make |fhat|^2 oscillate with period pi/R or longer
-    (for example the transform of a compact bump), and one Gauss-16 panel
-    resolves two such periods.
+    |fhat|^2 transforms f's autocorrelation, so data whose ``support_hull``
+    has length L make it oscillate with period 2*pi/L or longer, and one
+    Gauss-16 panel resolves two periods.  A hull that rounds to a point (a
+    datum centred near 1e300) sets no width: where it sits changes nothing.
     """
-    radii = [p.spatial_radius() for p in profiles]
-    return 2.0 * np.pi / max(radii) if radii else np.inf
+    lo, hi = support_hull(profiles) if profiles else (0.0, 0.0)
+    return 4.0 * np.pi / (hi - lo) if hi > lo else np.inf
 
 
 def _equal_panels(lo: float, hi: float, width: float) -> np.ndarray:
     """Edges of EQUAL_PANELS equal panels on [lo, hi], or of more where that
     keeps each no wider than ``width``."""
-    n = max(EQUAL_PANELS, int(np.ceil((hi - lo) / width)))
-    return np.linspace(lo, hi, n + 1)
+    n = (hi - lo) / width
+    _check_panel_count(n, "[{:g}, {:g}] in panels of width {:.3g}", lo, hi, width)
+    return np.linspace(lo, hi, max(EQUAL_PANELS, int(np.ceil(n))) + 1)
+
+
+def _check_panel_count(n: float, what: str, *args) -> None:
+    """Raise NumericalFailureError, before allocating, when n > MAX_PANELS;
+    ``what.format(*args)`` names the panels."""
+    if not n <= MAX_PANELS:
+        raise NumericalFailureError(f"{what.format(*args)} needs {n:.3g} panels, "
+                                    f"more than MAX_PANELS = {MAX_PANELS}")
 
 
 def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
@@ -334,27 +368,20 @@ class _OscillatoryRule:
         self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
         self.pieces = np.ceil((self.xb - self.xa) / width)
-        self.xi, self.xi_s, self.weights = _form_weights(t, s, *self.edges, k_lead)
+        self.xi, self.xi_s, self.weights, self.faint = _form_weights(
+            t, s, *self.edges, k_lead)
         self._splits: dict[tuple, _OscillatoryRule] = {}
 
     @classmethod
     def build(cls, t: float, s: float, xi_lo: float, xi_hi: float,
               width: float = np.inf) -> "_OscillatoryRule":
-        """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width.
-
-        Refuses, before it allocates, a t at which xi^(2s) at the lowest
-        edge (a density's 1/xi^(2s)) or xi at the head's end (the body's
-        first edge) is not a normal double; xi alone may underflow there.
-        """
+        """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width,
+        refused by ``check_time`` before it allocates."""
         w_lo = t * xi_lo ** s
         w_hi = t * xi_hi ** s
         k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
-        lowest = (w_lo if w_lo > 0 else min(np.pi, w_hi) * 0.5 ** HEAD_DYADIC) / t
-        tiny = np.finfo(float).tiny
-        if not (lowest * lowest >= tiny and k_lead * np.pi / t >= tiny ** s):
-            raise NumericalFailureError(
-                f"t = {t:g} is too large for s = {s:g}: the oscillatory rule's "
-                f"frequencies are not normal doubles")
+        check_time(t, s, w_lo if w_lo > 0 else min(np.pi, w_hi) * 0.5 ** HEAD_DYADIC,
+                   k_lead)
         edges = [_head_edges(w_lo, w_hi, k_lead)]
         if w_hi > k_lead * np.pi:
             edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
@@ -365,8 +392,14 @@ class _OscillatoryRule:
         """The integral of the form f over each panel."""
         alpha, beta, gamma = f(self.xi, self.xi_s)
         weights = self.weights
-        return np.sum(alpha * weights[0] + beta * weights[1]
-                      + gamma * weights[2], axis=1)
+        parts = np.sum(alpha * weights[0] + beta * weights[1]
+                       + gamma * weights[2], axis=1)
+        if self.faint is not None:
+            rows, cols, gauss, sin_w = self.faint
+            alpha = np.broadcast_to(alpha, self.xi.shape)[rows, cols]
+            parts += np.bincount(rows, ((alpha * gauss) * sin_w) * sin_w,
+                                 minlength=parts.size)
+        return parts
 
     def integrate(self, f) -> float:
         """The integral of the form f over the rule's interval."""
@@ -380,12 +413,18 @@ class _OscillatoryRule:
             if sub is None:
                 sub = self._splits[which] = self._split(which)
             total += float(np.sum(sub.panels(f)))
+        if self.faint is not None and abs(total) < MASS_FLOOR:
+            raise NumericalFailureError(
+                f"at t = {self.t:g} the integral, {total:.3g}, has lost its "
+                f"digits to underflow")
         return total
 
     def _split(self, which) -> "_OscillatoryRule":
         """The rule on the equal xi-parts of the panels ``which``."""
         t, s = self.t, self.s
         ka, da, kb, db = self.edges
+        _check_panel_count(float(np.sum(self.pieces[list(which)])),
+                           "splitting the rule at t = {:g}", t)
         sub = []
         for i in which:
             w = t * np.linspace(self.xa[i], self.xb[i], int(self.pieces[i]) + 1)[1:-1] ** s
@@ -394,6 +433,21 @@ class _OscillatoryRule:
             sub.append((k[:-1], d[:-1], k[1:], d[1:]))
         return _OscillatoryRule(t, s, *(np.concatenate(e) for e in zip(*sub)),
                                self.k_lead)
+
+
+def check_time(t: float, s: float, w_lowest: float = np.pi * 0.5 ** HEAD_DYADIC,
+               k_lead: int = LEAD_HALFPERIODS) -> None:
+    """Raise NumericalFailureError, naming t and s, when xi^(2s) at the
+    rule's lowest edge w_lowest (a density's 1/xi^(2s)) or xi at the head's
+    end k_lead*pi (the body's first edge) is not a normal double; xi alone
+    may underflow there.  The defaults are a rule from the origin with a
+    full head, which runners check on the whole time grid before any
+    sample."""
+    tiny = np.finfo(float).tiny
+    if not (t * np.sqrt(tiny) <= w_lowest and t * tiny ** s <= k_lead * np.pi):
+        raise NumericalFailureError(
+            f"t = {t:g} is too large for s = {s:g}: the oscillatory rule's "
+            f"frequencies are not normal doubles")
 
 
 def _below_head(parts: np.ndarray) -> float:
@@ -492,6 +546,11 @@ def _form_weights(t, s, ka, da, kb, db, k_lead):
     j_k the spherical Bessel function and omega = b - a.  With pf_j the
     Filon weight of node j times the phase e^(i(a+b)), the node's weights
     are h jac/2 (w_j - Re pf_j, w_j + Re pf_j, Im pf_j).
+
+    At tiny t a head weight gauss*sin^2 w can be subnormal where alpha =
+    |u1hat|^2/xi^(2s) is large.  Such weights are set to 0, and ``faint`` =
+    (rows, columns, gauss, sin w) of their nodes lets ``panels`` take
+    ((alpha*gauss)*sin w)*sin w there; it is None at every t > 1e-100.
     """
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
@@ -506,7 +565,12 @@ def _form_weights(t, s, ka, da, kb, db, k_lead):
     head = ka < k_lead
     sin_w, cos_w = np.sin(offset[head]), np.cos(offset[head])
     gauss = scale[head] * wts
-    weights[0, head] = gauss * sin_w ** 2
+    weights[0, head] = sin2 = gauss * sin_w ** 2
+    faint, tiny = None, np.finfo(float).tiny
+    if sin2.min(initial=np.inf) < tiny:
+        r, cols = np.nonzero(sin2 < tiny)
+        faint = (np.nonzero(head)[0][r], cols, gauss[r, cols], sin_w[r, cols])
+        weights[0, faint[0], cols] = 0.0
     weights[1, head] = gauss * cos_w ** 2
     weights[2, head] = gauss * (sin_w * cos_w)
 
@@ -522,7 +586,7 @@ def _form_weights(t, s, ka, da, kb, db, k_lead):
         weights[2, body] = scale * filon.imag
     for a in (xi, xi_s, weights):
         a.setflags(write=False)
-    return xi, xi_s, weights
+    return xi, xi_s, weights, faint
 
 
 @functools.lru_cache(maxsize=None)

@@ -121,7 +121,7 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
     _check_time_grid(t_grid)
     if backend is None:
         backend = QuadratureBackend()
-    check_time_cap(backend, t_grid)
+    check_time_cap(backend, t_grid, params.s)
     u0, u1 = data
     provenance = {"backend": backend.name, "s": params.s,
                   "u0": repr(u0), "u1": repr(u1)}

@@ -44,7 +44,8 @@ from .errors import (BackendCapError, BackendMismatchError,
                      UnsupportedDimensionError)
 from .grid import GridSpec
 from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
-from .quadrature import frequency_cutoff, oscillatory_integral, panel_width
+from .quadrature import (check_time, frequency_cutoff, oscillatory_integral,
+                         panel_width)
 
 TWO_PI = 2.0 * np.pi
 
@@ -394,7 +395,7 @@ class GridBackend:
     name = "grid"
 
     def evolve(self, data, params: Parameters, t: float) -> GridSnapshot:
-        check_time_cap(self, (t,))
+        check_time_cap(self, (t,), params.s)
         u0, u1 = data
         u0_hat = self._spectrum(u0)
         # one datum given twice is transformed once; spectra are read-only
@@ -442,15 +443,17 @@ class QuadratureBackend:
         return QuadratureSnapshot(t, params, u0, u1)
 
 
-def check_time_cap(backend, times) -> None:
-    """Raise BackendCapError if the grid backend is given a time past the cap.
+def check_time_cap(backend, times, s: float) -> None:
+    """Raise BackendCapError if the grid backend is given a time past the
+    cap, and NumericalFailureError if the quadrature backend is given one
+    too large for its rule at order s (``quadrature.check_time``).
 
     Runners call it on the whole time grid, so no sample is solved first.
     """
-    if not isinstance(backend, GridBackend):
-        return
     for t in times:
-        if t > GRID_TIME_CAP:
+        if not isinstance(backend, GridBackend):
+            check_time(t, s)
+        elif t > GRID_TIME_CAP:
             raise BackendCapError(
                 f"grid backend is capped at t <= {GRID_TIME_CAP:g} "
                 f"(requested t={t:g}); use the quadrature backend")

@@ -55,32 +55,25 @@ class TestConfigParsing:
         # every field away from its default, so a field left unwritten would
         # come back as the default
         cfg = ExperimentConfig(
-            experiment="all-fields", s=0.6, n=2, u0=Gaussian(2.0, 1.5, -1.0),
-            u1=CompactBump(0.5, 2.0), t_mode="lin", t_args=(0.0, 5.0, 3.0),
+            experiment="all-fields", s=0.6, u0=Gaussian(2.0, 1.5, -1.0),
+            u1=CompactBump(0.5, 2.0), t_grid=("lin", 0.0, 5.0, 3.0),
             backend="grid", grid_half_width=20.0, grid_points=1024,
-            bounds="power", theta0_threshold=0.4, gamma=0.25, seed=5,
-            out="elsewhere", plot=True)
+            bounds="power", gamma=0.25, seed=5, out="elsewhere", plot=True)
         default = ExperimentConfig()
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert all(getattr(cfg, n) != getattr(default, n) for n in names)
         text = canonical_text(cfg)
-        # n = 2 is written but not accepted: configs declare 1-d profiles
-        with pytest.raises(ConfigError, match="n=2"):
-            parse_config(text)
-        text = text.replace("\nn = 2\n", "\nn = 1\n")
-        assert parse_config(text) == dataclasses.replace(cfg, n=1)
+        assert parse_config(text) == cfg
         lines = text.splitlines()
         for line in lines:
             parse_config(line + "\n")
-        keys = [line.split(" = ", 1)[0] for line in lines]
-        expected = [n for n in names if n != "t_args"]
-        assert keys == ["t_grid" if n == "t_mode" else n for n in expected]
+        assert [line.split(" = ", 1)[0] for line in lines] == names
 
     def test_negative_and_log_zero_times_rejected(self):
         for grid in ("list -1 2", "lin -1 2 3", "log 0 10 3"):
             with pytest.raises(ConfigError):
                 parse_config(f"t_grid = {grid}\n")
-        assert parse_config("t_grid = lin 0 10 3\n").t_grid()[0] == 0.0
+        assert parse_config("t_grid = lin 0 10 3\n").times()[0] == 0.0
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match=":3: unknown key 'sigma'"):
@@ -107,18 +100,71 @@ class TestConfigParsing:
             parse_config("t_grid = list\n")
         with pytest.raises(ConfigError):
             parse_config("t_grid = log 1 100\n")
-        with pytest.raises(ConfigError, match="unknown t_grid mode"):
+        with pytest.raises(ConfigError, match="unknown t_grid"):
             parse_config("t_grid = cubic 1 100 5\n")
         with pytest.raises(ConfigError):
-            parse_config("t_grid = log 100 1 5\n").t_grid()
+            parse_config("t_grid = log 100 1 5\n").times()
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(ConfigError, match="invalid configuration"):
+        with pytest.raises(ConfigError, match="<config>: s: fractional order"):
             parse_config("s = 1.7\n")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\ns = 0.6   # trailing\n")
         assert cfg.s == 0.6
+
+
+class TestConfigChecks:
+    """ExperimentConfig checks its values however it was made."""
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"backend": "gpu"}, "backend"),
+        ({"bounds": "tight"}, "bounds"),
+        ({"t_grid": ("cubic", 1.0, 100.0, 5)}, "t_grid"),
+        ({"s": 1.5}, "s"),
+        ({"s": float("nan")}, "s"),
+        ({"t_grid": ("list", 1.0, float("nan"))}, "t_grid"),
+        ({"t_grid": ("list", -1.0, 2.0)}, "t_grid"),
+        ({"t_grid": ("log", 10.0, 1.0, 5)}, "t_grid"),
+        ({"t_grid": ("lin", 0.0, 1.0, 2.5)}, "t_grid"),
+        ({"t_grid": ("lin", 0.0, 1.0, 1e18)}, "t_grid"),
+        ({"t_grid": ("list",)}, "t_grid"),
+        ({"grid_points": 3}, "grid_points"),
+        ({"grid_half_width": -1.0}, "grid_half_width"),
+        ({"gamma": float("inf")}, "gamma"),
+        ({"seed": -1}, "seed"),
+        ({"u1": Gaussian(float("nan"))}, "u1"),
+        ({"u0": CompactBump(1.0, float("inf"))}, "u0"),
+    ])
+    def test_bad_value_names_the_key(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"^(unknown )?{key}"):
+            ExperimentConfig(**kwargs)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigError, match="^s: "):
+            dataclasses.replace(ExperimentConfig(), s=2)
+
+    def test_a_profile_without_config_text_is_refused(self):
+        from fracwave.profiles import combine
+        with pytest.raises(ConfigError, match="^u1: profile ProfileSum"):
+            ExperimentConfig(u1=combine((1.0, Gaussian()), (1.0, Gaussian(center=1.0))))
+
+    def test_line_errors_carry_the_line_and_value_errors_the_key(self):
+        with pytest.raises(ConfigError, match="^cfg:2: bad value for 's'"):
+            parse_config("u1 = gaussian\ns = half\n", path="cfg")
+        with pytest.raises(ConfigError, match="^cfg: unknown backend 'gpu'"):
+            parse_config("u1 = gaussian\nbackend = gpu\n", path="cfg")
+
+    def test_an_older_report_echo_exits_two_naming_the_key(self, tmp_path, capsys):
+        # reports used to echo the keys n and theta0_threshold
+        for extra in ("n = 1\n", "theta0_threshold = 0.5\n"):
+            path = tmp_path / "echo.txt"
+            path.write_text(canonical_text(ExperimentConfig()) + extra)
+            rc = main(["solve", "--config", str(path), "--out", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            key = extra.split(" = ")[0]
+            assert len(err) == 1 and f"unknown key '{key}'" in err[0]
 
 
 class TestRunners:
@@ -273,12 +319,6 @@ class TestCli:
         assert rc == 1
         assert "FAIL exponent_matches" in capsys.readouterr().out
 
-    def test_backend_override(self, tmp_path):
-        cfg = ENERGY_CFG.replace("backend = grid", "backend = quadrature")
-        rc = main(["energy", "--config", self._write(tmp_path, cfg),
-                   "--out", str(tmp_path / "out"), "--backend", "grid"])
-        assert rc == 0
-
     def test_solve_zero_data_with_plot(self, tmp_path, capsys):
         # nothing positive to draw on log axes: empty axes, not a traceback
         cfg = ("s = 0.75\nu0 = none\nu1 = none\nplot = true\n"
@@ -304,19 +344,12 @@ class TestCli:
         assert len(points) == 2
         assert np.all(np.isfinite(points))
 
-    def test_plot_flag_sets_the_config_plot(self, tmp_path):
-        rc = main(["solve", "--config", self._write(tmp_path, "t_grid = list 1 10\n"),
-                   "--out", str(tmp_path / "out"), "--plot"])
-        assert rc == 0
-        assert (tmp_path / "out" / "plot.svg").exists()
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert "plot = true\n" in report["config"]
-
     def test_rerun_writes_new_files_with_identical_bytes(self, tmp_path):
         # outputs are replaced by new files, not truncated in place: a hard
         # link to the first run's file keeps its inode and its bytes
-        argv = ["solve", "--config", self._write(tmp_path, "t_grid = list 1 10\n"),
-                "--out", str(tmp_path / "out"), "--plot"]
+        cfg = "t_grid = list 1 10\nplot = true\n"
+        argv = ["solve", "--config", self._write(tmp_path, cfg),
+                "--out", str(tmp_path / "out")]
         names = ("norms.csv", "report.json", "plot.svg")
         assert main(argv) == 0
         for name in names:
@@ -404,6 +437,33 @@ class TestCli:
         assert err.startswith("config error") and "nonnegative" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("c", ["1e12", "1e300"])
+    def test_far_centred_data_solve_as_centred_data(self, tmp_path, c):
+        tables = []
+        for centre in ("0", c):
+            cfg = (f"u0 = gaussian c={centre}\nu1 = gaussian c={centre}\n"
+                   "t_grid = log 1e-2 1e4 6\n")
+            out = tmp_path / centre
+            assert main(["solve", "--config", self._write(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1))
+        assert np.allclose(tables[1], tables[0], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("solve", "u0 = gaussian c=1e12\nt_grid = list 1 10\n", "MAX_PANELS"),
+        ("sandwich", "u1 = gaussian c=1e300\n", "cannot resolve"),
+        ("lemmas", "u1 = gaussian c=1e300\n", "cannot resolve"),
+        ("solve", "u0 = none\nt_grid = list 1e-160 1\n", "t = 1e-160"),
+    ], ids=["far-apart", "sandwich-far", "lemmas-far", "tiny-t"])
+    def test_unresolvable_data_exit_one_with_one_line(self, tmp_path, capsys,
+                                                      command, cfg, message):
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "NumericalFailureError" in err[0]
+        assert message in err[0]
+
     def test_plot_escapes_experiment_name(self, tmp_path):
         cfg = ("experiment = a<b&c\ns = 0.75\nplot = true\n"
                "t_grid = log 1e1 1e2 3\n")
@@ -450,7 +510,8 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and "n=2" in err
+        # configs declare 1-d profiles: the dimension is not a key
+        assert err.startswith("config error") and "unknown key 'n'" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command, cfg", [

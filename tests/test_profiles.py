@@ -232,3 +232,19 @@ def test_bump_cache_concurrent_reads():
         results = list(pool.map(lambda _: bump.fourier(xi), range(32)))
     for r in results:
         assert np.array_equal(r, expected)
+
+
+def test_support_is_an_interval_around_the_centre():
+    r = np.sqrt(np.log(1e18))
+    assert Gaussian(width=2.0, center=5.0).support() == (5.0 - 2 * r, 5.0 + 2 * r)
+    assert GaussianDerivative(center=-1.0).support() == (-1.0 - (r + 2), -1.0 + r + 2)
+    assert CompactBump(radius=3.0).support() == (-3.0, 3.0)
+    assert combine((1.0, Gaussian(center=-4.0)), (2.0, CompactBump(radius=9.0))
+                   ).support() == (-4.0 - r, 9.0)
+
+
+@pytest.mark.parametrize("c", [-50.0, 1e3, 1e6])
+def test_off_centre_norms_match_centred_norms(c):
+    far, near = Gaussian(center=c), Gaussian()
+    assert l1_norm(far) == pytest.approx(l1_norm(near), rel=1e-11)
+    assert l2_norm(far) == pytest.approx(l2_norm(near), rel=1e-11)

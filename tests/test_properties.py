@@ -1,5 +1,11 @@
 """Property-style invariants: randomized data combinations and hypothesis sweeps."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from hypothesis import strategies as st
 from fracwave import (Gaussian, NormSeries, evolve_state,
                       fit_power_exponent, fourier_at, l1_norm,
                       sine_multiplier, weighted_l1_norm)
+from fracwave.cli import main
 from support import INVARIANT_BACKEND, random_case, run_solver_invariant_cases
 
 SEED = 314159
@@ -76,3 +83,111 @@ def test_fit_recovers_exact_power_laws(c, alpha):
     assert fit.residual < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# the CLI on configs drawn from the parse_config grammar
+# ---------------------------------------------------------------------------
+
+EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e12, -1e12,
+            float("nan"), float("inf"), float("-inf")]
+
+
+def _number(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREMES))
+
+
+def _profile():
+    # no bump data: one bump norm takes about 0.8 s
+    gaussian = st.tuples(st.sampled_from(["gaussian", "gaussian_derivative"]),
+                         _number(-3.0, 3.0), _number(0.2, 5.0), _number(-5.0, 5.0))
+    return st.one_of(st.just("none"), gaussian.map(
+        lambda g: f"{g[0]} a={g[1]!r} sigma={g[2]!r} c={g[3]!r}"))
+
+
+def _t_grid():
+    ends = _number(0.0, 1e6)
+    # at most 4 samples, for time
+    spaced = st.tuples(st.sampled_from(["log", "lin"]), ends, ends,
+                       st.integers(1, 4)).map(
+        lambda g: f"{g[0]} {g[1]!r} {g[2]!r} {g[3]}")
+    listed = st.lists(ends, min_size=1, max_size=4).map(
+        lambda ts: "list " + " ".join(map(repr, ts)))
+    return st.one_of(spaced, listed)
+
+
+CONFIG_KEYS = {
+    "s": _number(0.05, 1.0).map(repr),
+    "u0": _profile(),
+    "u1": _profile(),
+    "t_grid": _t_grid(),
+    "backend": st.sampled_from(["quadrature", "grid"]),
+    "grid_half_width": _number(1.0, 100.0).map(repr),
+    # at most 2^12 grid points, for time
+    "grid_points": st.sampled_from(["2", "3", "64", "1024", "4096"]),
+    "bounds": st.sampled_from(["auto", "power", "log", "none"]),
+    "gamma": _number(0.0, 1.0).map(repr),
+    "seed": st.integers(-3, 2 ** 32).map(str),
+    "plot": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def config_texts(draw):
+    lines = [f"{key} = {draw(value)}" for key, value in CONFIG_KEYS.items()
+             if draw(st.booleans())]
+    return "\n".join(lines) + "\n"
+
+
+def _finite_numbers(csv_text: str, report: dict) -> bool:
+    numbers = []
+    for row in csv_text.splitlines()[1:]:
+        for cell in row.split(","):
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass               # a lemma check's name
+
+    def walk(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+        elif isinstance(node, float):
+            numbers.append(node)
+
+    walk(report)
+    return bool(np.all(np.isfinite(numbers)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=config_texts())
+def test_cli_gives_checked_numbers_or_one_line(text):
+    """Every command ends in exit 0 with finite outputs, exit 1 with one
+    ``error:`` line or a FAIL verdict, or exit 2 with one ``config error``
+    line; never a traceback.  Warnings go through the warnings module,
+    which pytest records; the lines checked are the CLI's own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.txt"
+        path.write_text(text)
+        for command in ("solve", "energy", "rates", "sandwich", "lemmas"):
+            out_dir = Path(tmp) / command
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, "--config", str(path),
+                               "--out", str(out_dir)])
+            lines = err.getvalue().splitlines()
+            where = f"{command} on\n{text}stderr: {err.getvalue()}"
+            if status == 0:
+                assert not lines, where
+                report = json.loads((out_dir / "report.json").read_text())
+                table = (out_dir / "norms.csv").read_text()
+                assert _finite_numbers(table, report), where
+            elif status == 1:
+                if lines:
+                    assert len(lines) == 1 and lines[0].startswith("error: "), where
+                else:
+                    assert "FAIL " in out.getvalue(), where
+            else:
+                assert status == 2, where
+                assert len(lines) == 1 and lines[0].startswith("config error"), where

@@ -9,9 +9,10 @@ from scipy.special import spherical_jn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import ZERO, Gaussian, combine
-from fracwave.quadrature import (FILON_ORDER, LEAD_HALFPERIODS, _spherical_jn,
-                                 adaptive, gauss_panels, log_spaced_panels,
-                                 oscillatory_integral,
+from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, LEAD_HALFPERIODS,
+                                 MAX_PANELS, _spherical_jn, adaptive,
+                                 gauss_panels, log_spaced_panels,
+                                 oscillatory_integral, panel_width,
                                  singular_origin_integral, static_integral)
 from fracwave.spectral import Parameters, QuadratureSnapshot
 from support import (body_nodes, quad_reference, reference_density,
@@ -343,3 +344,39 @@ def test_adaptive_failure_reported():
 
     with pytest.raises(NumericalFailureError):
         adaptive(nasty, 0.0, 1.0, rel_tol=1e-13, limit=3)
+
+
+def test_adaptive_refuses_an_interval_its_doubles_cannot_resolve():
+    def bell(x):
+        return np.exp(-(x - c) ** 2)
+
+    # 12.8 wide at 1e6: the ends' rounding unit is 1e-11 of the width
+    c = 1e6
+    assert adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10) == pytest.approx(
+        np.sqrt(np.pi), rel=1e-10)
+    # at 3e6 it is 3.6e-11, and moves the value by 2.4e-10
+    for c in (3e6, 1e300):
+        with pytest.raises(NumericalFailureError, match="cannot resolve"):
+            adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10)
+
+
+def test_panel_width_of_centred_data_is_two_pi_over_the_radius():
+    radius = np.sqrt(np.log(1.0 / CUTOFF_TOL))
+    assert panel_width([Gaussian()]) == 2.0 * np.pi / radius
+    # the hull of the data, not their distance from the origin
+    assert panel_width([Gaussian(center=1e12)]) == pytest.approx(
+        2.0 * np.pi / radius, rel=1e-4)
+    assert panel_width([Gaussian(center=1e300)]) == np.inf
+    assert panel_width([Gaussian(center=-3.0), Gaussian(center=3.0)]) == (
+        4.0 * np.pi / (6.0 + 2.0 * radius))
+
+
+def test_panel_budget_refuses_before_allocating():
+    width = 4.0 * np.pi / 1e12
+    with pytest.raises(NumericalFailureError, match="MAX_PANELS"):
+        static_integral(np.exp, 10.0, width=width)
+    with pytest.raises(NumericalFailureError, match="MAX_PANELS"):
+        oscillatory_integral(lambda xi, xi_s: (xi, xi, xi), 1e3, 0.5, 10.0,
+                             width=width)
+    # the budget stands far above what real data need
+    assert MAX_PANELS > 10 * 1573

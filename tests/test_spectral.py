@@ -12,7 +12,7 @@ from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
                       sine_multiplier)
 from fracwave.spectral import QuadratureSnapshot, SpectralField, propagate
 from fracwave.errors import (BackendCapError, BackendMismatchError, FracwaveError,
-                             UnsupportedDimensionError)
+                             NumericalFailureError, UnsupportedDimensionError)
 from fracwave.lemmas import gagliardo_constant
 
 from support import evolve_further, random_profile
@@ -608,3 +608,67 @@ def test_large_time_is_finite_or_refused(s, t):
             assert f"t = {t:g}" in str(exc) and f"s = {s:g}" in str(exc)
         else:
             assert np.isfinite(value)
+
+
+U1_HAT_NORM = np.sqrt(2.0 * np.pi * np.sqrt(np.pi / 2.0))   # of e^(-x^2)
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-153, 1e-160, 1e-170, 1e-200, 1e-300])
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_tiny_time_u1_only_norm_is_right_or_refused(s, t):
+    # u(t) = t*u1 to first order; its square underflows below t ~ 1e-154
+    snap = evolve_state((ZERO, Gaussian()), Parameters(s), t, QuadratureBackend())
+    try:
+        value = snap.spectral_l2()
+    except NumericalFailureError as exc:
+        assert f"t = {t:g}" in str(exc)
+    else:
+        assert value / t == pytest.approx(U1_HAT_NORM, rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-140, 1e-150, 1e-160, 1e-300])
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_tiny_time_u0_only_velocity_is_right_or_refused(s, t):
+    # u_t(t) = -t (-Lap)^s u0 to first order: the same sin^2 w form
+    u0 = Gaussian()
+    snap = evolve_state((u0, ZERO), Parameters(s), t, QuadratureBackend())
+    try:
+        value = snap.ut_l2()
+    except NumericalFailureError as exc:
+        assert f"t = {t:g}" in str(exc)
+    else:
+        assert value / t == pytest.approx(hs_seminorm(u0, 2 * s), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-300])
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_tiny_time_with_u0_keeps_computing(s, t):
+    data = (Gaussian(), Gaussian())
+    at = [evolve_state(data, Parameters(s), tt, QuadratureBackend())
+          for tt in (0.0, t)]
+    assert at[1].spectral_l2() == pytest.approx(at[0].spectral_l2(), rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e12, 1e300])
+def test_far_centred_data_match_centred_data(c):
+    params, t = Parameters(0.75), 100.0
+    far, near = (evolve_state((Gaussian(center=c), Gaussian(center=c)), params, t,
+                              QuadratureBackend()),
+                 evolve_state((Gaussian(), Gaussian()), params, t,
+                              QuadratureBackend()))
+    for norm in ("spectral_l2", "ut_l2", "energy"):
+        assert getattr(far, norm)() == pytest.approx(getattr(near, norm)(), rel=1e-15)
+
+
+def test_data_far_apart_are_refused_before_allocating():
+    # the cross term oscillates with period 2 pi / 1e12 in xi
+    import tracemalloc
+    snap = evolve_state((Gaussian(center=1e12), Gaussian()), Parameters(0.75),
+                        10.0, QuadratureBackend())
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalFailureError, match="MAX_PANELS"):
+            snap.spectral_l2()
+        assert tracemalloc.get_traced_memory()[1] < 50 * 2 ** 20
+    finally:
+        tracemalloc.stop()
