@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -215,7 +216,12 @@ class CompactBump(Profile):
         return -self.radius, self.radius
 
     def frequency_radius(self):
-        # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically.
+        return self._frequency_radius
+
+    @cached_property
+    def _frequency_radius(self):
+        # quasi-exponential decay ~ exp(-c*sqrt(r*xi)); scan geometrically,
+        # once per instance (not a field: equality and hash ignore it).
         # The computed transform floors near BUMP_FLOOR, so the scan stops
         # there: CUTOFF_TOL, far below it, is never reached.
         scale = abs(self.fourier(np.array([0.0]))[0]) or 1.0

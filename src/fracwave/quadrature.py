@@ -380,8 +380,10 @@ class _OscillatoryRule:
         w_lo = t * xi_lo ** s
         w_hi = t * xi_hi ** s
         k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
-        check_time(t, s, w_lo if w_lo > 0 else min(np.pi, w_hi) * 0.5 ** HEAD_DYADIC,
-                   k_lead)
+        if w_lo > 0 or w_hi >= np.pi:
+            check_time(t, s, w_lo or np.pi * 0.5 ** HEAD_DYADIC, k_lead)
+        else:
+            check_time(t, s, w_hi * 0.5 ** HEAD_DYADIC, k_lead, cutoff=xi_hi)
         edges = [_head_edges(w_lo, w_hi, k_lead)]
         if w_hi > k_lead * np.pi:
             edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
@@ -436,14 +438,21 @@ class _OscillatoryRule:
 
 
 def check_time(t: float, s: float, w_lowest: float = np.pi * 0.5 ** HEAD_DYADIC,
-               k_lead: int = LEAD_HALFPERIODS) -> None:
+               k_lead: int = LEAD_HALFPERIODS, cutoff: float | None = None) -> None:
     """Raise NumericalFailureError, naming t and s, when xi^(2s) at the
     rule's lowest edge w_lowest (a density's 1/xi^(2s)) or xi at the head's
     end k_lead*pi (the body's first edge) is not a normal double; xi alone
     may underflow there.  The defaults are a rule from the origin with a
     full head, which runners check on the whole time grid before any
-    sample."""
+    sample.  ``cutoff`` is the data's frequency cutoff when t*cutoff^s sets
+    w_lowest: t cancels from that edge's test, so its error names the
+    cutoff instead."""
     tiny = np.finfo(float).tiny
+    if cutoff is not None and not t * np.sqrt(tiny) <= w_lowest:
+        raise NumericalFailureError(
+            f"the data's frequency cutoff, {cutoff:g}, is too small for "
+            f"s = {s:g}: the oscillatory rule's frequencies are not normal "
+            f"doubles")
     if not (t * np.sqrt(tiny) <= w_lowest and t * tiny ** s <= k_lead * np.pi):
         raise NumericalFailureError(
             f"t = {t:g} is too large for s = {s:g}: the oscillatory rule's "

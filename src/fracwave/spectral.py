@@ -34,6 +34,7 @@ transform-level norms that the growth-law estimates are stated in.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,8 +45,8 @@ from .errors import (BackendCapError, BackendMismatchError,
                      UnsupportedDimensionError)
 from .grid import GridSpec
 from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
-from .quadrature import (check_time, frequency_cutoff, oscillatory_integral,
-                         panel_width)
+from .quadrature import (MASS_FLOOR, check_time, frequency_cutoff,
+                         oscillatory_integral, panel_width, support_hull)
 
 TWO_PI = 2.0 * np.pi
 
@@ -171,30 +172,31 @@ class SpectralField:
 class Snapshot:
     """Common surface of the two backend-specific solution states.
 
-    Every norm is a spectral mass, the line integral of |fieldhat|^2
-    |xi|^weight_exp for the field "u" or "ut", which ``_mass`` computes.
+    Every norm is the square root of a spectral mass, the line integral of
+    |fieldhat|^2 |xi|^weight_exp for the field "u" or "ut", divided by
+    ``over``; ``_norm`` computes it.
     """
 
     t: float
     params: Parameters
 
-    def _mass(self, field: str, weight_exp: float) -> float:
+    def _norm(self, field: str, weight_exp: float, over: float = 1.0) -> float:
         raise NotImplementedError
 
     def spectral_l2(self) -> float:
         """Transform-level norm of u(t)."""
-        return float(np.sqrt(self._mass("u", 0.0)))
+        return self._norm("u", 0.0)
 
     def physical_l2(self) -> float:
         return self.spectral_l2() / np.sqrt(TWO_PI)
 
     def ut_l2(self) -> float:
         """Physical-level norm of u_t(t)."""
-        return float(np.sqrt(self._mass("ut", 0.0) / TWO_PI))
+        return self._norm("ut", 0.0, TWO_PI)
 
     def hs_seminorm(self, s: float) -> float:
         """Physical-level norm of (-Laplacian)^(s/2) applied to u(t)."""
-        return float(np.sqrt(self._mass("u", 2 * s) / TWO_PI))
+        return self._norm("u", 2 * s, TWO_PI)
 
     def energy(self) -> float:
         """Total energy (1/2)(||u_t||_2^2 + ||(-Lap)^(s/2) u||_2^2)."""
@@ -207,45 +209,84 @@ class GridSnapshot(Snapshot):
     A zero datum has no spectrum (None) and its term is skipped.  Real data
     have Hermitian spectra, fhat(-xi) = conj fhat(xi), and the multipliers
     are even in xi, so every field is Hermitian too: the data spectra are
-    held on the bins k = -N/2..0 (``GridSpec.half_forward``), every field is
-    propagated there only, and the norms read those with Hermitian weights.
-    The full fields ``u_hat`` and ``ut_hat`` mirror the half into the
-    positive bins, and the physical ``u`` and ``ut`` transform them back;
-    all four are built on first read, so a norm of u never builds u_t or
-    any full-length field.
+    held on the bins k = -N/2..0 (``GridSpec.half_forward``).  A norm
+    propagates only the bins -band..0 (``GridBackend._band``) and reads
+    them with Hermitian weights.  The full fields ``u_hat`` and ``ut_hat``
+    propagate every bin -N/2..0 of ``field_spectra()`` (the data sampled at
+    every grid point, where ``spectra`` sampled a window; None: the same)
+    and mirror them into the positive bins, and the physical ``u`` and
+    ``ut`` transform them back.  All four are built on first read, so a
+    norm of u never builds u_t or any full-length field.
     """
 
     def __init__(self, t: float, params: Parameters, grid: GridSpec,
-                 u0_hat: np.ndarray | None, u1_hat: np.ndarray | None):
+                 spectra: tuple, band: int, field_spectra=None):
         self.t = t
         self.params = params
         self.grid = grid
-        self._data = (u0_hat, u1_hat)
-        self._half = slice(grid.points // 2 + 1)     # bins -N/2..0
+        self._data = spectra
+        self._field_spectra = field_spectra
+        self._band = band
+        # the norms' bins and spectra are the fields' own
+        self._shared = band == grid.points // 2 and field_spectra is None
 
-    def _half_fields(self, field: str | None):
-        """``propagate`` on bins -N/2..0; all-zero data gives zero bins."""
-        if all(d is None for d in self._data):
-            zero = np.zeros(self._half.stop, dtype=complex)
+    def _fields(self, field: str | None, full: bool = False):
+        """``propagate`` on the norms' bins -band..0, or on every bin -N/2..0
+        of the fields' spectra; all-zero data gives zero bins."""
+        half = self.grid.points // 2
+        k, data = (half, self._field_data) if full else (self._band, self._data)
+        if all(d is None for d in data):
+            zero = np.zeros(k + 1, dtype=complex)
             return zero if field else (zero, zero)
-        return propagate(self.params.s, self.t, self.grid.xi()[self._half],
-                         *self._data, field)
+        return propagate(self.params.s, self.t, self.grid.xi()[half - k:half + 1],
+                         *(None if d is None else d[half - k:] for d in data), field)
+
+    @cached_property
+    def _field_data(self) -> tuple:
+        return self._data if self._field_spectra is None else self._field_spectra()
+
+    @cached_property
+    def _u_band(self) -> np.ndarray:
+        return self._u_half if self._shared else self._fields("u")
+
+    @cached_property
+    def _ut_band(self) -> np.ndarray:
+        return self._ut_half if self._shared else self._fields("ut")
 
     @cached_property
     def _u_half(self) -> np.ndarray:
-        return self._half_fields("u")
+        return self._fields("u", full=True)
 
     @cached_property
     def _ut_half(self) -> np.ndarray:
-        return self._half_fields("ut")
+        return self._fields("ut", full=True)
 
-    def _mass(self, field, weight_exp):
-        """dxi times the sum over all N bins of |fieldhat|^2 |xi|^weight_exp:
-        bins -N/2+1..-1 count twice, for their mirrors; -N/2 and 0 have none."""
-        density = np.abs(self._u_half if field == "u" else self._ut_half) ** 2
+    def _norm(self, field, weight_exp, over=1.0):
+        """sqrt(mass / over) on the band.  A mass below MASS_FLOOR has lost
+        digits to underflow (tiny t or tiny data), so it is taken again on
+        the field scaled by its largest bin."""
+        values = self._u_band if field == "u" else self._ut_band
+        mass = self._band_mass(values, weight_exp)
+        if mass < MASS_FLOOR:
+            peak = np.max(np.abs(values))
+            if peak > 0.0:
+                return float(peak * np.sqrt(
+                    self._band_mass(values / peak, weight_exp) / over))
+        return float(np.sqrt(mass / over))
+
+    def _band_mass(self, values, weight_exp):
+        """dxi times the sum of |value|^2 |xi|^weight_exp over the band and
+        its mirror: bins -band+1..-1 count twice, and 0 and -N/2, which
+        have no mirror, once."""
+        half = self.grid.points // 2
+        density = np.abs(values) ** 2
         if weight_exp != 0.0:
-            density = np.abs(self.grid.xi()[self._half]) ** weight_exp * density
-        return self.grid.dxi * (2.0 * np.sum(density) - density[0] - density[-1])
+            xi = self.grid.xi()[half - self._band:half + 1]
+            density = np.abs(xi) ** weight_exp * density
+        mirrored = 2.0 * density.sum()
+        if self._band == half:
+            mirrored -= density[0]
+        return self.grid.dxi * (mirrored - density[-1])
 
     @cached_property
     def u_hat(self) -> SpectralField:
@@ -264,9 +305,11 @@ class GridSnapshot(Snapshot):
         return self.ut_hat.physical()
 
     def energy(self):
-        if "_u_half" not in self.__dict__ and "_ut_half" not in self.__dict__:
+        if "_u_band" not in self.__dict__ and "_ut_band" not in self.__dict__:
             # both fields are read: build them from one phase
-            self._u_half, self._ut_half = self._half_fields(None)
+            self._u_band, self._ut_band = self._fields(None)
+            if self._shared:
+                self._u_half, self._ut_half = self._u_band, self._ut_band
         return super().energy()
 
 
@@ -376,8 +419,9 @@ class QuadratureSnapshot(Snapshot):
             self._masses[key] = mass
         return mass
 
-    def _mass(self, field, weight_exp):
-        return self.spectral_mass(0.0, field=field, weight_exp=weight_exp)
+    def _norm(self, field, weight_exp, over=1.0):
+        return float(np.sqrt(
+            self.spectral_mass(0.0, field=field, weight_exp=weight_exp) / over))
 
 
 @dataclass(frozen=True)
@@ -396,29 +440,74 @@ class GridBackend:
 
     def evolve(self, data, params: Parameters, t: float) -> GridSnapshot:
         check_time_cap(self, (t,), params.s)
-        u0, u1 = data
-        u0_hat = self._spectrum(u0)
-        # one datum given twice is transformed once; spectra are read-only
-        u1_hat = u0_hat if u1 is u0 else self._spectrum(u1)
-        return GridSnapshot(t, params, self.grid, u0_hat, u1_hat)
+        windows = [None if p.is_zero else self._window(p) for p in data]
+        # the fields read the data sampled at every point
+        full = (None if windows == [None, None]
+                else lambda: self._spectra(data, (None, None)))
+        return GridSnapshot(t, params, self.grid, self._spectra(data, windows),
+                            self._band([p for p in data if not p.is_zero]), full)
 
-    def _spectrum(self, p: Profile) -> np.ndarray | None:
+    def _spectra(self, data, windows) -> tuple:
+        """(u0hat, u1hat), the ``_spectrum`` of each datum in its window;
+        one datum given twice is transformed once."""
+        u0_hat = self._spectrum(data[0], windows[0])
+        u1_hat = u0_hat if data[1] is data[0] else self._spectrum(data[1], windows[1])
+        return u0_hat, u1_hat
+
+    def _inside(self, lo: float, hi: float) -> bool:
+        """Whether [lo, hi] lies inside the box, clear of its edges."""
+        return -self.grid.half_width < lo and hi < self.grid.half_width
+
+    def _band(self, data) -> int:
+        """K of the bins -K..0 a norm reads: |xi| up to the data's
+        ``frequency_cutoff``, or up to the grid's highest frequency.
+
+        Data whose ``support_hull`` reaches the box edge are cut off by it,
+        so their spectrum beyond the cutoff is not rounding: they keep every
+        bin, K = N/2, as do sampled data, whose support is the box.
+        """
+        half = self.grid.points // 2
+        if not self._inside(*support_hull(data)):
+            return half
+        k = frequency_cutoff(data) / self.grid.dxi
+        return int(k) if k < half else half
+
+    def _window(self, p: Profile) -> slice | None:
+        """The grid points inside the profile's ``support()``, or None when
+        the support reaches the box edge, as a sampled profile's does."""
+        lo, hi = p.support()
+        if not self._inside(lo, hi):
+            return None
+        L, dx = self.grid.half_width, self.grid.dx
+        return slice(math.ceil((lo + L) / dx),
+                     min(math.floor((hi + L) / dx) + 1, self.grid.points))
+
+    def _spectrum(self, p: Profile, window: slice | None) -> np.ndarray | None:
         """The datum's FFT bins -N/2..0, or None for zero data (not
-        transformed); the snapshot reads no other bin."""
+        transformed); the snapshot reads no other bin.  An analytic datum
+        with a ``window`` is evaluated at its points only and is zero
+        elsewhere, where it is below CUTOFF_TOL of its scale."""
         sampled = isinstance(p, SampledProfile)
         if sampled and p.grid != self.grid:
             raise BackendMismatchError(
                 "sampled profile lives on a different grid than the backend")
         if p.is_zero:
             return None
-        samples = p.values if sampled else p.evaluate(self.grid.x())
-        peak = max(np.max(samples), -np.min(samples)) if samples.size else 0.0
+        if window is None:
+            samples = inside = p.values if sampled else p.evaluate(self.grid.x())
+        else:
+            L, dx = self.grid.half_width, self.grid.dx
+            samples = np.zeros(self.grid.points)
+            # -L + dx*j, as GridSpec.x() computes it, without the full axis
+            inside = samples[window] = p.evaluate(
+                -L + dx * np.arange(window.start, window.stop))
+        peak = max(inside.max(), -inside.min()) if inside.size else 0.0
         edge = max(abs(samples[0]), abs(samples[-1]))
         if peak > 0 and edge > 1e-14 * peak:
             warnings.warn(
                 f"initial data magnitude {edge/peak:.2e} (relative) at |x| = "
                 f"{self.grid.half_width:g}; periodization error may be visible",
-                TruncationWarning, stacklevel=3)
+                TruncationWarning, stacklevel=4)
         spectrum = self.grid.half_forward(samples)
         spectrum.setflags(write=False)
         return spectrum

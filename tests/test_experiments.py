@@ -454,7 +454,13 @@ class TestCli:
         ("sandwich", "u1 = gaussian c=1e300\n", "cannot resolve"),
         ("lemmas", "u1 = gaussian c=1e300\n", "cannot resolve"),
         ("solve", "u0 = none\nt_grid = list 1e-160 1\n", "t = 1e-160"),
-    ], ids=["far-apart", "sandwich-far", "lemmas-far", "tiny-t"])
+        # the cutoff, not t, puts the rule's lowest edge below the doubles
+        ("solve", "u1 = gaussian sigma=1e300\nt_grid = list 1 10\n",
+         "frequency cutoff, 1.28758e-299, is too small"),
+        ("solve", "u1 = bump r=1e300\nt_grid = list 1 10\n",
+         "frequency cutoff, 1.536e-297, is too small"),
+    ], ids=["far-apart", "sandwich-far", "lemmas-far", "tiny-t", "too-wide",
+            "bump-too-wide"])
     def test_unresolvable_data_exit_one_with_one_line(self, tmp_path, capsys,
                                                       command, cfg, message):
         rc = main([command, "--config", self._write(tmp_path, cfg),

@@ -1,5 +1,7 @@
 """Profiles: closed-form transforms, moments, weighted norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -133,6 +135,23 @@ def test_bump_fourier_in_chunks_and_bounded_cache():
     assert len(bump._fourier_cache) <= 4
     # the quadrature transform floors near 1e-15 relative: the probe stops
     assert bump.frequency_radius() < 2e3
+
+
+def test_bump_frequency_radius_is_scanned_once_per_instance(monkeypatch):
+    scans = []
+    original = CompactBump._fourier_uncached
+    monkeypatch.setattr(CompactBump, "_fourier_uncached",
+                        lambda p, xi: scans.append(p) or original(p, xi))
+    bump = CompactBump(2.0, 1.5)
+    radius = bump.frequency_radius()
+    scanned = len(scans)
+    assert scanned > 1
+    assert bump.frequency_radius() == radius and len(scans) == scanned
+    # the kept radius is not part of the value
+    twin = CompactBump(2.0, 1.5)
+    assert twin == bump and hash(twin) == hash(bump)
+    assert dataclasses.replace(bump, radius=3.0).frequency_radius() != radius
+    assert len(scans) > scanned
 
 
 def test_bump_data_on_the_quadrature_backend():

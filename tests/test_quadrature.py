@@ -380,3 +380,17 @@ def test_panel_budget_refuses_before_allocating():
                              width=width)
     # the budget stands far above what real data need
     assert MAX_PANELS > 10 * 1573
+
+
+def test_rule_refusal_names_what_sets_its_lowest_edge():
+    def form(xi, xi_s):
+        return np.ones_like(xi), np.ones_like(xi), np.zeros_like(xi)
+
+    # a cutoff of 1e-299 puts t*cutoff^s*2^-61 below the normal doubles at
+    # any t: the cutoff is named, not t
+    for t in (1.0, 10.0):
+        with pytest.raises(NumericalFailureError,
+                           match=r"frequency cutoff, 1e-299, is too small for s = 0\.75"):
+            oscillatory_integral(form, t, 0.75, 1e-299)
+    with pytest.raises(NumericalFailureError, match=r"t = 1e\+300 is too large"):
+        oscillatory_integral(form, 1e300, 0.75, 10.0)

@@ -6,14 +6,16 @@ from scipy.integrate import quad
 from scipy.special import erf
 from scipy.special import gamma as gamma_fn
 
-from fracwave import (Gaussian, GaussianDerivative, GridBackend, GridSpec,
-                      Parameters, QuadratureBackend, SampledProfile, ZERO,
-                      evolve_state, hs_norm, hs_seminorm, l2_norm,
-                      sine_multiplier)
+from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridBackend,
+                      GridSpec, Parameters, QuadratureBackend, SampledProfile,
+                      ZERO, combine, evolve_state, hs_norm, hs_seminorm,
+                      l2_norm, scaled, sine_multiplier)
 from fracwave.spectral import QuadratureSnapshot, SpectralField, propagate
 from fracwave.errors import (BackendCapError, BackendMismatchError, FracwaveError,
                              NumericalFailureError, UnsupportedDimensionError)
 from fracwave.lemmas import gagliardo_constant
+from fracwave.profiles import TruncationWarning
+from fracwave.quadrature import frequency_cutoff
 
 from support import evolve_further, random_profile
 
@@ -139,12 +141,15 @@ class TestEvolution:
                             4.0, BACKEND)
         snap.spectral_l2()
         snap.physical_l2()
-        # a norm of u builds one field, u on the half spectrum, and no
-        # full-length field: neither ut_hat, u, ut nor u_hat itself
+        # a norm of u builds one field, u on the band -K..0 up to the data's
+        # frequency cutoff, and no full-length field: neither ut_hat, u, ut
+        # nor u_hat itself
         assert not {"u_hat", "ut_hat", "u", "ut"} & set(snap.__dict__)
-        assert _built_fields(snap) == [BACKEND.grid.points // 2 + 1]
+        band = int(frequency_cutoff([Gaussian()]) / BACKEND.grid.dxi) + 1
+        assert band < BACKEND.grid.points // 2
+        assert _built_fields(snap) == [band]
         ut_l2 = snap.ut_l2()
-        assert _built_fields(snap) == [BACKEND.grid.points // 2 + 1] * 2
+        assert _built_fields(snap) == [band] * 2
         assert "ut_hat" not in snap.__dict__
         # energy builds both fields at once; the values do not depend on how
         fresh = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
@@ -283,6 +288,95 @@ class TestHalfSpectrum:
         u_full = snap.u_hat.values
         assert snap.spectral_l2() == pytest.approx(
             np.sqrt(grid.dxi * np.sum(np.abs(u_full) ** 2)), rel=1e-15)
+
+
+class TestSupportWindowAndBand:
+    """Analytic data are sampled inside their support and norms sum the bins
+    up to the data's frequency cutoff; against every bin of the full
+    sampling, norms move by rounding only, and not at all for data that
+    reach the box edge or are sampled."""
+
+    GRID = GridSpec(40.0, 4096)
+    NORMS = ("spectral_l2", "ut_l2", "hs_seminorm", "energy")
+
+    def _reference(self, data, s, t):
+        """The norms from ``propagate`` on every bin -N/2..0 of
+        ``forward(evaluate(x))``, with the backend's Hermitian sum."""
+        grid, half = self.GRID, self.GRID.points // 2 + 1
+        spectra = [None if p.is_zero else grid.forward(
+            p.values if isinstance(p, SampledProfile) else p.evaluate(grid.x()))[:half]
+            for p in data]
+        xi = grid.xi()[:half]
+        u, ut = propagate(s, t, xi, *spectra)
+
+        def norm(values, weight_exp, over=1.0):
+            density = np.abs(values) ** 2
+            if weight_exp != 0.0:
+                density = np.abs(xi) ** weight_exp * density
+            mass = grid.dxi * (2.0 * np.sum(density) - density[0] - density[-1])
+            return float(np.sqrt(mass / over))
+
+        ut_l2 = norm(ut, 0.0, 2 * np.pi)
+        return {"spectral_l2": norm(u, 0.0), "ut_l2": ut_l2,
+                "hs_seminorm": norm(u, 0.9, 2 * np.pi),
+                "energy": 0.5 * (ut_l2 ** 2 + norm(u, 2 * s, 2 * np.pi) ** 2)}
+
+    def _norms(self, data, s, t):
+        backend = GridBackend(self.GRID)
+        snap = evolve_state(data, Parameters(s), t, backend)
+        return {"spectral_l2": snap.spectral_l2(), "ut_l2": snap.ut_l2(),
+                "hs_seminorm": snap.hs_seminorm(0.45),
+                "energy": evolve_state(data, Parameters(s), t, backend).energy()}
+
+    @pytest.mark.parametrize("profile", [
+        Gaussian(), GaussianDerivative(1.0, 0.8, 3.5), CompactBump(1.0, 2.0),
+        combine((1.0, Gaussian(1.0, 0.7, -1.0)), (0.5, CompactBump(1.0, 1.5)))],
+        ids=["gaussian", "derivative-off-centre", "bump", "sum"])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
+    def test_norms_match_every_bin(self, profile, s, t):
+        data = (profile, scaled(profile, -0.6))
+        expected = self._reference(data, s, t)
+        for name, value in self._norms(data, s, t).items():
+            assert value == pytest.approx(expected[name], rel=1e-15, abs=0.0), name
+
+    def test_narrow_data_keep_the_grids_highest_frequency(self):
+        # the cutoff of a width-0.01 Gaussian is past the highest frequency
+        data = (ZERO, Gaussian(1.0, 0.01))
+        expected = self._reference(data, 0.75, 10.0)
+        for name, value in self._norms(data, 0.75, 10.0).items():
+            assert value == pytest.approx(expected[name], rel=1e-15, abs=0.0), name
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
+    def test_wide_and_sampled_data_keep_every_bin(self, s, t):
+        # sigma = 12 reaches the box edge: the edge cuts the data off, so
+        # their spectrum past the cutoff is real and every bin is summed
+        wide = (ZERO, Gaussian(1.0, 12.0))
+        with pytest.warns(TruncationWarning):
+            assert self._norms(wide, s, t) == self._reference(wide, s, t)
+        sampled = (SampledProfile(Gaussian(1.0, 1.5, 0.2).evaluate(self.GRID.x()),
+                                  self.GRID),
+                   SampledProfile(GaussianDerivative().evaluate(self.GRID.x()),
+                                  self.GRID))
+        assert self._norms(sampled, s, t) == self._reference(sampled, s, t)
+
+    def test_data_are_evaluated_inside_their_support_only(self, monkeypatch):
+        seen = []
+        original = Gaussian.evaluate
+        monkeypatch.setattr(Gaussian, "evaluate",
+                            lambda p, x: seen.append(np.array(x)) or original(p, x))
+        grid, g = self.GRID, Gaussian(1.0, 1.0, 2.0)
+        snap = evolve_state((ZERO, g), Parameters(0.75), 1.0, GridBackend(grid))
+        lo, hi = g.support()
+        (x,) = seen
+        # the points of GridSpec.x() in [lo, hi], bit for bit
+        assert np.array_equal(x, grid.x()[(grid.x() >= lo) & (grid.x() <= hi)])
+        snap.spectral_l2()
+        assert len(seen) == 1
+        # the fields are built from the data sampled at every point
+        assert np.array_equal(snap.u_hat.values, propagate(
+            0.75, 1.0, grid.xi(), None, grid.forward(original(g, grid.x())), "u"))
 
 
 class TestInvariants:
@@ -638,6 +732,27 @@ def test_tiny_time_u0_only_velocity_is_right_or_refused(s, t):
         assert f"t = {t:g}" in str(exc)
     else:
         assert value / t == pytest.approx(hs_seminorm(u0, 2 * s), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-200, 1e-300])
+def test_tiny_time_grid_norm_survives_underflow(t):
+    # |t u1hat|^2 leaves the normal doubles: the mass is taken on the field
+    # scaled by its largest bin
+    params = Parameters(0.75)
+    u1_hat = evolve_state((Gaussian(), ZERO), params, 0.0, BACKEND).spectral_l2()
+    value = evolve_state((ZERO, Gaussian()), params, t, BACKEND).spectral_l2()
+    assert value / t == pytest.approx(u1_hat, rel=1e-14)
+
+
+def test_tiny_amplitude_grid_norms_survive_underflow():
+    params, a = Parameters(0.75), 1e-160
+    tiny, unit = (evolve_state((ZERO, Gaussian(amp)), params, 1.0, BACKEND)
+                  for amp in (a, 1.0))
+    for norm in ("spectral_l2", "ut_l2", "physical_l2"):
+        assert getattr(tiny, norm)() / a == pytest.approx(getattr(unit, norm)(),
+                                                          rel=1e-14), norm
+    assert tiny.hs_seminorm(0.75) / a == pytest.approx(unit.hs_seminorm(0.75),
+                                                       rel=1e-14)
 
 
 @pytest.mark.parametrize("t", [1e-160, 1e-300])
