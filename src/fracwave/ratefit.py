@@ -110,8 +110,9 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
     """Evaluate the norm of the evolved solution over a time grid.
 
     Every sample is one ``evolve_state`` call, mapped over the grid by
-    ``experiments.map_times`` (so FRACWAVE_THREADS applies), once the grid
-    has passed ``_check_time_grid`` and ``check_time_cap``.  Zero data
+    ``experiments.map_times`` with the backend (so its thread policy
+    applies: FRACWAVE_THREADS on a large grid, serial otherwise), once the
+    grid has passed ``_check_time_grid`` and ``check_time_cap``.  Zero data
     yields the explicit zero-series variant.
     """
     from .experiments import map_times   # experiments imports this module
@@ -134,7 +135,7 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
         snap = evolve_state(data, params, float(t), backend)
         return snap.spectral_l2() if level == "u_hat" else snap.physical_l2()
 
-    return NormSeries(t_grid, np.array(map_times(norm, t_grid)), level,
+    return NormSeries(t_grid, np.array(map_times(norm, t_grid, backend)), level,
                       provenance)
 
 

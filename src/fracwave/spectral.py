@@ -229,6 +229,8 @@ class GridSnapshot(Snapshot):
         self._band = band
         # the norms' bins and spectra are the fields' own
         self._shared = band == grid.points // 2 and field_spectra is None
+        # band mass per (field, weight_exp), shared by the norm methods
+        self._masses: dict[tuple, float] = {}
 
     def _fields(self, field: str | None, full: bool = False):
         """``propagate`` on the norms' bins -band..0, or on every bin -N/2..0
@@ -266,7 +268,10 @@ class GridSnapshot(Snapshot):
         digits to underflow (tiny t or tiny data), so it is taken again on
         the field scaled by its largest bin."""
         values = self._u_band if field == "u" else self._ut_band
-        mass = self._band_mass(values, weight_exp)
+        mass = self._masses.get((field, weight_exp))
+        if mass is None:
+            mass = self._masses[field, weight_exp] = self._band_mass(values,
+                                                                     weight_exp)
         if mass < MASS_FLOOR:
             peak = np.max(np.abs(values))
             if peak > 0.0:
@@ -328,8 +333,8 @@ class QuadratureSnapshot(Snapshot):
         self.params = params
         self.u0 = u0
         self.u1 = u1
-        # spectral_mass per (lo, hi, field, weight_exp): the norm methods and
-        # energy() share integrals instead of recomputing them
+        # spectral_mass per (lo, hi, field, weight_exp, scale): the norm
+        # methods and energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
         # their oscillatory rules, and the transforms at the rules' nodes
         self._rules: dict[tuple, object] = {}
@@ -368,8 +373,10 @@ class QuadratureSnapshot(Snapshot):
     def ut_hat_at(self, xi) -> np.ndarray:
         return self._field_at("ut", xi)
 
-    def _field_density(self, field: str, weight_exp: float):
-        """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract.
+    def _field_density(self, field: str, weight_exp: float,
+                       scale: float = 1.0):
+        """|fieldhat|^2 |xi|^weight in the ``oscillatory_integral`` contract,
+        for the data transforms divided by ``scale``.
 
         At xi > 0 the field is a sin w + b cos w, with (a, b) =
         (u1hat/xi^s, u0hat) for u and (-xi^s u0hat, u1hat) for u_t (the
@@ -380,6 +387,9 @@ class QuadratureSnapshot(Snapshot):
         def density(xi, xi_s):
             xi = np.asarray(xi, dtype=float)
             u0_hat, u1_hat = self._node_transforms(xi)
+            if scale != 1.0:
+                u0_hat, u1_hat = (None if d is None else d / scale
+                                  for d in (u0_hat, u1_hat))
             m, datum, b = ((1.0 / xi_s, u1_hat, u0_hat) if field == "u"
                            else (-xi_s, u0_hat, u1_hat))
             a = None if datum is None else m * datum
@@ -396,8 +406,10 @@ class QuadratureSnapshot(Snapshot):
         return density
 
     def spectral_mass(self, lo: float, hi: float | None = None,
-                      field: str = "u", weight_exp: float = 0.0) -> float:
-        """Integral of |fieldhat(t,xi)|^2 |xi|^weight over lo <= |xi| <= hi.
+                      field: str = "u", weight_exp: float = 0.0,
+                      scale: float = 1.0) -> float:
+        """Integral of |fieldhat(t,xi)|^2 |xi|^weight over lo <= |xi| <= hi,
+        for the data divided by ``scale``.
 
         Real initial data make the density even in xi, so the line integral
         is twice the half-line one.  ``hi`` None is the data's
@@ -409,10 +421,10 @@ class QuadratureSnapshot(Snapshot):
             hi = frequency_cutoff(data)
         if hi <= lo or not data:
             return 0.0
-        key = (lo, hi, field, weight_exp)
+        key = (lo, hi, field, weight_exp, scale)
         mass = self._masses.get(key)
         if mass is None:
-            density = self._field_density(field, weight_exp)
+            density = self._field_density(field, weight_exp, scale)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
                 width=panel_width(data), rules=self._rules)
@@ -420,8 +432,20 @@ class QuadratureSnapshot(Snapshot):
         return mass
 
     def _norm(self, field, weight_exp, over=1.0):
-        return float(np.sqrt(
-            self.spectral_mass(0.0, field=field, weight_exp=weight_exp) / over))
+        """sqrt(mass / over).  A mass below MASS_FLOOR has lost digits to
+        underflow (tiny data), so it is taken again on the data transforms
+        divided by their largest modulus at 64 frequencies up to the cutoff,
+        as ``GridSnapshot._norm`` does on its bins."""
+        mass = self.spectral_mass(0.0, field=field, weight_exp=weight_exp)
+        if mass < MASS_FLOOR:
+            data = [p for p in (self.u0, self.u1) if not p.is_zero]
+            probe = np.linspace(0.0, frequency_cutoff(data), 65)[1:]
+            peak = max((np.max(np.abs(d)) for d in self._transforms(probe)
+                        if d is not None), default=0.0)
+            if peak > 0.0:
+                return float(peak * np.sqrt(self.spectral_mass(
+                    0.0, field=field, weight_exp=weight_exp, scale=peak) / over))
+        return float(np.sqrt(mass / over))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Experiment configs, runners, file outputs, CLI contract."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracwave import experiments
+from fracwave import GridBackend, GridSpec, cli, experiments
 from fracwave.cli import main
 from fracwave.errors import ConfigError
 from fracwave.experiments import (ExperimentConfig, canonical_text, map_times,
@@ -270,7 +271,8 @@ class TestRunners:
 
     def test_map_times_parallel_order(self, monkeypatch):
         monkeypatch.setenv("FRACWAVE_THREADS", "3")
-        assert map_times(lambda t: t * t, [1.0, 2.0, 3.0]) == [1.0, 4.0, 9.0]
+        large = GridBackend(GridSpec(points=experiments.THREAD_MIN_POINTS))
+        assert map_times(lambda t: t * t, [1.0, 2.0, 3.0], large) == [1.0, 4.0, 9.0]
 
     def test_csv_uses_17_significant_digits(self, tmp_path):
         cfg = parse_config(ENERGY_CFG)
@@ -302,6 +304,27 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS energy_conserved" in out
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        argv = ["energy", "--config", self._write(tmp_path, ENERGY_CFG),
+                "--out", str(tmp_path / "out")]
+        runs = []
+        for _ in range(2):
+            runs.append((main(argv), capsys.readouterr().out,
+                         (tmp_path / "out" / "norms.csv").read_bytes()))
+        cli.build_parser.cache_clear()
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        # the top parser and one per command, once for both calls
+        assert len(built) == 1 + len(experiments.RUNNERS)
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         rc = main(["energy", "--config",
@@ -480,16 +503,23 @@ class TestCli:
         texts = [el.text for el in svg.iter() if el.tag.endswith("text")]
         assert texts[0] == "a<b&c"
 
-    @pytest.mark.parametrize("command, cfg", [
-        ("sandwich", SANDWICH_CFG),
-        ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e2 1e4 12\n"),
+    # a pool of 2 only for a grid at or above THREAD_MIN_POINTS (2^15)
+    @pytest.mark.parametrize("command, cfg, expected", [
+        ("sandwich", SANDWICH_CFG, []),
+        ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e2 1e4 12\n",
+         []),
         ("solve", "s = 0.75\nu0 = gaussian a=0.5 sigma=1 c=0.3\nu1 = gaussian\n"
-                  "t_grid = log 1e2 1e4 12\nbackend = quadrature\n"),
+                  "t_grid = log 1e2 1e4 12\nbackend = quadrature\n", []),
         ("energy", "s = 0.6\nu0 = gaussian\nu1 = gaussian\n"
-                   "t_grid = log 1 1e5 12\nbackend = quadrature\n"),
-    ], ids=["sandwich", "rates", "solve", "energy"])
+                   "t_grid = log 1 1e5 12\nbackend = quadrature\n", []),
+        ("solve", "s = 0.75\nu0 = gaussian\nu1 = gaussian\nt_grid = lin 0 100 4\n"
+                  "backend = grid\ngrid_points = 32768\n", [2]),
+        ("solve", "s = 0.75\nu0 = gaussian\nu1 = gaussian\nt_grid = lin 0 100 4\n"
+                  "backend = grid\n", []),
+    ], ids=["sandwich", "rates", "solve", "energy", "grid-solve-large",
+            "grid-solve-small"])
     def test_threads_do_not_change_outputs(self, tmp_path, monkeypatch,
-                                           command, cfg):
+                                           command, cfg, expected):
         pools = []
         pool = experiments.ThreadPoolExecutor
 
@@ -503,7 +533,7 @@ class TestCli:
             monkeypatch.setenv("FRACWAVE_THREADS", threads)
             assert main([command, "--config", path,
                          "--out", str(tmp_path / threads)]) == 0
-        assert pools == [2]
+        assert pools == expected
         for name in ("norms.csv", "report.json"):
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())

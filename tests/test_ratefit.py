@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from fracwave import (BoundSpec, CompactBump, Gaussian, GridBackend, NormSeries,
-                      Parameters, QuadratureBackend, ZERO, combine, evolve_state,
-                      fit_log_rate, fit_power_exponent, log_lower_bound,
-                      power_lower_bound, power_upper_bound, sample_norm_curve,
-                      sandwich_check)
+from fracwave import (BoundSpec, CompactBump, Gaussian, GridBackend, GridSpec,
+                      NormSeries, Parameters, QuadratureBackend, ZERO, combine,
+                      evolve_state, fit_log_rate, fit_power_exponent,
+                      log_lower_bound, power_lower_bound, power_upper_bound,
+                      sample_norm_curve, sandwich_check)
 from fracwave import experiments
 from fracwave.errors import (BackendCapError, ConventionError, FracwaveError,
                              SeriesError, UnsupportedDimensionError)
@@ -97,32 +97,42 @@ class TestSampling:
         calls = []
         mapper = experiments.map_times
 
-        def counting(fn, ts):
-            calls.append(len(ts))
-            return mapper(fn, ts)
+        def counting(fn, ts, backend):
+            calls.append((len(ts), backend))
+            return mapper(fn, ts, backend)
 
         monkeypatch.setattr(experiments, "map_times", counting)
         t = np.array([1.0, 4.0, 9.0])
         data, params = (ZERO, Gaussian()), Parameters(0.75)
         series = sample_norm_curve(data, params, t, QuadratureBackend())
-        assert calls == [3]
+        assert calls == [(3, QuadratureBackend())]
         direct = [evolve_state(data, params, ti, QuadratureBackend()).spectral_l2()
                   for ti in t]
         assert series.values.tolist() == direct
 
     def test_threaded_samples_equal_serial(self, monkeypatch):
-        # more workers than cores and a short switch interval; the threads
-        # share the backend and the bump's transform cache
+        # more workers than cores and a short switch interval on a grid large
+        # enough to be threaded; the threads share the backend
         data = (ZERO, combine((1.0, Gaussian()), (0.5, CompactBump())))
         t = np.linspace(0.05, 0.4, 8)
-        serial = sample_norm_curve(data, Parameters(0.75), t)
+        backend = GridBackend(GridSpec(points=experiments.THREAD_MIN_POINTS))
+        serial = sample_norm_curve(data, Parameters(0.75), t, backend)
+        pools = []
+        pool = experiments.ThreadPoolExecutor
+
+        def counting_pool(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool)
         monkeypatch.setenv("FRACWAVE_THREADS", "6")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sample_norm_curve(data, Parameters(0.75), t)
+            threaded = sample_norm_curve(data, Parameters(0.75), t, backend)
         finally:
             sys.setswitchinterval(interval)
+        assert pools == [6]
         assert threaded.values.tolist() == serial.values.tolist()
 
     def test_levels_differ_by_plancherel(self):

@@ -755,6 +755,42 @@ def test_tiny_amplitude_grid_norms_survive_underflow():
                                                        rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("both", [False, True], ids=["u1", "u0-u1"])
+def test_tiny_amplitude_quadrature_norms_survive_underflow(both, t):
+    params, a = Parameters(0.75), 1e-160
+    tiny, unit = (evolve_state((Gaussian(amp) if both else ZERO, Gaussian(amp)),
+                               params, t, QuadratureBackend())
+                  for amp in (a, 1.0))
+    for norm, args in (("spectral_l2", ()), ("ut_l2", ()), ("hs_seminorm", (0.75,))):
+        assert getattr(tiny, norm)(*args) / a == pytest.approx(
+            getattr(unit, norm)(*args), rel=1e-14), norm
+
+
+def test_grid_solve_sample_takes_each_band_sum_once(monkeypatch):
+    from fracwave.spectral import GridSnapshot
+    data, params = (Gaussian(center=0.3), Gaussian()), Parameters(0.6)
+
+    # as run_solve reads them: energy() takes ut_l2 and hs_seminorm(s)
+    reads = [lambda snap: snap.energy(), lambda snap: snap.spectral_l2(),
+             lambda snap: snap.physical_l2(), lambda snap: snap.ut_l2(),
+             lambda snap: snap.hs_seminorm(0.6)]
+    # each norm from a snapshot of its own shares no band sum
+    alone = [read(evolve_state(data, params, 2.0, BACKEND)) for read in reads]
+    sums = []
+    band_mass = GridSnapshot._band_mass
+
+    def counting(snap, values, weight_exp):
+        sums.append(weight_exp)
+        return band_mass(snap, values, weight_exp)
+
+    monkeypatch.setattr(GridSnapshot, "_band_mass", counting)
+    snap = evolve_state(data, params, 2.0, BACKEND)
+    shared = [read(snap) for read in reads]
+    assert sorted(sums) == [0.0, 0.0, 1.2]
+    assert shared == alone
+
+
 @pytest.mark.parametrize("t", [1e-160, 1e-300])
 @pytest.mark.parametrize("s", [0.3, 0.75])
 def test_tiny_time_with_u0_keeps_computing(s, t):
