@@ -4,8 +4,8 @@ numerical laboratory for its conservation, boundedness, and growth laws."""
 from .errors import (BackendCapError, BackendMismatchError, ConfigError,
                      ConventionError, DivergenceError, FracwaveError,
                      InfeasibleThresholdError, NumericalFailureError,
-                     PreconditionError, SeriesError, UnsupportedDimensionError,
-                     ValidityError, WrongRegimeError)
+                     PreconditionError, SeriesError, ValidityError,
+                     WrongRegimeError)
 from .estimates import (AreaSumReport, BoundSpec, SplitReport, area_sums,
                         fourier_split, log_growth_integral, log_lower_bound,
                         log_upper_bound, measure_constant, power_lower_bound,

@@ -9,10 +9,6 @@ class FracwaveError(Exception):
     """Base class for all errors raised on purpose by this package."""
 
 
-class UnsupportedDimensionError(FracwaveError):
-    """Evolution requested in a spatial dimension the solver does not support."""
-
-
 class BackendMismatchError(FracwaveError):
     """Operation requires a capability the chosen backend does not have."""
 

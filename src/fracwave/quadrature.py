@@ -28,18 +28,25 @@ Every density here is a quadratic form in (sin w, cos w), so in the variable
 w the body integrand is A0(w) + A1(w) cos 2w + A2(w) sin 2w, whose
 amplitudes do not oscillate.  Its panels are the static rule's xi-panels
 with their edges moved to w = k*pi, so their number does not grow with the
-number of turns of w.  On each panel A0 gets a Gauss sum, and A1 and A2 are
-replaced by their Legendre interpolant at the same FILON_ORDER nodes, whose
-products with e^(2iw) have exact moments (the Filon idea of Iserles &
-Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov
-& Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  The moments are
-spherical Bessel functions, from ``_spherical_jn``.  These settings are
-module constants, the same for every norm.
+number of turns of w, and the last, partial half-period is a panel of its
+own.  A panel at most one half-period wide gets the head's Gauss rule.  On
+each wider one A0 gets a Gauss sum, and A1 and A2 are replaced by their
+Legendre interpolant at the same FILON_ORDER nodes, whose products with
+e^(2iw) have exact moments (the Filon idea of Iserles & Norsett, Proc. R.
+Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov & Vasil'eva, USSR
+Comput. Math. Math. Phys. 8 (1968)).  The moments are spherical Bessel
+functions j_k(omega) of the panel's width omega, which is a whole number m
+of half-periods: below FILON_TABLE half-periods they are a table of the m*pi,
+built once per process, and above it Hankel's terminating form (DLMF
+10.49.2), two matrix products for all panels (``_filon_weights``).  Only the
+parts of a split panel, at small t, run the recurrence of ``_spherical_jn``.
+These settings are module constants, the same for every norm.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -76,10 +83,9 @@ LEAD_HALFPERIODS = 4
 #: of an |xi|^p-weighted spectral integral, and is extrapolated from the
 #: panels above it
 HEAD_DYADIC = 61
-#: below this omega, the Filon moments j_k(omega) come from their power
-#: series, with this many terms
-BESSEL_SERIES_MAX = 1.0
-BESSEL_SERIES_TERMS = 9
+#: a Filon panel of at least this many half-periods takes its weights from
+#: Hankel's closed form; a narrower one of whole half-periods from a table
+FILON_TABLE = 32
 #: Miller's backward recurrence starts this many orders above the highest
 BESSEL_MILLER_EXTRA = 20
 
@@ -360,16 +366,15 @@ class _OscillatoryRule:
     same panels.
     """
 
-    def __init__(self, t, s, ka, da, kb, db, k_lead, width=np.inf,
-                 from_origin=False):
-        self.t, self.s, self.k_lead = t, s, k_lead
+    def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False):
+        self.t, self.s = t, s
         self.edges = (ka, da, kb, db)
         self.from_origin = from_origin
         self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
         self.pieces = np.ceil((self.xb - self.xa) / width)
         self.xi, self.xi_s, self.weights, self.faint = _form_weights(
-            t, s, *self.edges, k_lead)
+            t, s, *self.edges)
         self._splits: dict[tuple, _OscillatoryRule] = {}
 
     @classmethod
@@ -387,8 +392,8 @@ class _OscillatoryRule:
         edges = [_head_edges(w_lo, w_hi, k_lead)]
         if w_hi > k_lead * np.pi:
             edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
-        return cls(t, s, *(np.concatenate(e) for e in zip(*edges)), k_lead,
-                   width, from_origin=w_lo == 0)
+        return cls(t, s, *(np.concatenate(e) for e in zip(*edges)), width,
+                   from_origin=w_lo == 0)
 
     def panels(self, f) -> np.ndarray:
         """The integral of the form f over each panel."""
@@ -433,8 +438,7 @@ class _OscillatoryRule:
             k = np.concatenate([[ka[i]], np.floor(w / np.pi), [kb[i]]])
             d = np.concatenate([[da[i]], w - k[1:-1] * np.pi, [db[i]]])
             sub.append((k[:-1], d[:-1], k[1:], d[1:]))
-        return _OscillatoryRule(t, s, *(np.concatenate(e) for e in zip(*sub)),
-                               self.k_lead)
+        return _OscillatoryRule(t, s, *(np.concatenate(e) for e in zip(*sub)))
 
 
 def check_time(t: float, s: float, w_lowest: float = np.pi * 0.5 ** HEAD_DYADIC,
@@ -514,37 +518,41 @@ def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
 
     The xi-edges are those of the static rule: ratio-2 panels from the head's
     end up to 1, then ``_equal_panels``.  Each is moved to the nearest k*pi
-    (d = 0); the last edge is w_hi itself.  At small t that merges panels
-    into half-periods wider than ``width``, which ``oscillatory_integral``
-    splits.
+    (d = 0), so that every panel spans whole half-periods, but the partial
+    half-period [floor(w_hi/pi)*pi, w_hi] at the end, which is a panel of its
+    own.  At small t that merges panels into half-periods wider than
+    ``width``, which ``oscillatory_integral`` splits.
     """
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
     xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
     if xi_lead < 1.0:
         xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
     k = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
-    k = k[(k > k_lead) & (k * np.pi < w_hi)]
     k_end = np.floor(w_hi / np.pi)
-    ks = np.concatenate([[float(k_lead)], k, [k_end]])
+    ks = np.concatenate([[float(k_lead)], k[(k > k_lead) & (k < k_end)],
+                         [k_end] if k_end > k_lead else []])
     ds = np.zeros_like(ks)
-    ds[-1] = w_hi - k_end * np.pi
+    if w_hi > k_end * np.pi:
+        ks = np.append(ks, k_end)
+        ds = np.append(ds, w_hi - k_end * np.pi)
     return ks[:-1], ds[:-1], ks[1:], ds[1:]
 
 
-def _form_weights(t, s, ka, da, kb, db, k_lead):
+def _form_weights(t, s, ka, da, kb, db):
     """Nodes and form weights on the w-panels [ka*pi + da, kb*pi + db].
 
     Returns xi and xi^s at FILON_ORDER Gauss nodes per panel, and the
     weights of (alpha, beta, gamma) there, stacked on a first axis of 3.
     The integrand is the form times the Jacobian jac = d xi/dw = xi/(s*w).
-    On the head's panels (ka < k_lead), at most a half-period wide, the
-    Gauss rule takes the form itself, with sin w and cos w from the offset
-    w - ka*pi (the form is unchanged by the sign (-1)^ka): node j of a panel
-    of half-width h has the weights h w_j jac (sin^2 w, cos^2 w,
-    sin w cos w).  There the amplitudes can be as singular as xi^(-2s)
-    while the form stays bounded, so they are never integrated apart.
+    On a panel at most one half-period wide (the head's, and the body's last
+    and single half-periods) the Gauss rule takes the form itself, with
+    sin w and cos w from the offset w - ka*pi (the form is unchanged by the
+    sign (-1)^ka): node j of a panel of half-width h has the weights
+    h w_j jac (sin^2 w, cos^2 w, sin w cos w).  In the head the amplitudes
+    can be as singular as xi^(-2s) while the form stays bounded, so they are
+    never integrated apart.
 
-    On the body's panels the form is A0 + Re((A1 - i A2) e^(2iw)) with
+    On a wider panel the form is A0 + Re((A1 - i A2) e^(2iw)) with
     A0 = (alpha + beta)/2, A1 = (beta - alpha)/2 and A2 = gamma/2.  On a
     panel [a, b], w = (a + b)/2 + h*x and
 
@@ -553,8 +561,8 @@ def _form_weights(t, s, ka, da, kb, db, k_lead):
     whose right-hand side is the sum of the Legendre coefficients of G times
     the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
     j_k the spherical Bessel function and omega = b - a.  With pf_j the
-    Filon weight of node j times the phase e^(i(a+b)), the node's weights
-    are h jac/2 (w_j - Re pf_j, w_j + Re pf_j, Im pf_j).
+    Filon weight of node j (``_filon_weights``) times the phase e^(i(a+b)),
+    the node's weights are h jac/2 (w_j - Re pf_j, w_j + Re pf_j, Im pf_j).
 
     At tiny t a head weight gauss*sin^2 w can be subnormal where alpha =
     |u1hat|^2/xi^(2s) is large.  Such weights are set to 0, and ``faint`` =
@@ -571,31 +579,106 @@ def _form_weights(t, s, ka, da, kb, db, k_lead):
     scale = half[:, None] * (xi / (s * w))
     weights = np.empty((3,) + xi.shape)
 
-    head = ka < k_lead
-    sin_w, cos_w = np.sin(offset[head]), np.cos(offset[head])
-    gauss = scale[head] * wts
-    weights[0, head] = sin2 = gauss * sin_w ** 2
+    narrow = omega <= np.pi
+    sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
+    gauss = scale[narrow] * wts
+    weights[0, narrow] = sin2 = gauss * sin_w ** 2
     faint, tiny = None, np.finfo(float).tiny
     if sin2.min(initial=np.inf) < tiny:
         r, cols = np.nonzero(sin2 < tiny)
-        faint = (np.nonzero(head)[0][r], cols, gauss[r, cols], sin_w[r, cols])
+        faint = (np.nonzero(narrow)[0][r], cols, gauss[r, cols], sin_w[r, cols])
         weights[0, faint[0], cols] = 0.0
-    weights[1, head] = gauss * cos_w ** 2
-    weights[2, head] = gauss * (sin_w * cos_w)
+    weights[1, narrow] = gauss * cos_w ** 2
+    weights[2, narrow] = gauss * (sin_w * cos_w)
 
-    body = ~head
-    if np.any(body):
-        sign = 1.0 - 2.0 * ((ka[body] + kb[body]) % 2.0)
-        phase = sign * np.exp(1j * (da[body] + db[body]))
-        filon = phase[:, None] * (
-            _spherical_jn(FILON_ORDER, omega[body]) @ _moment_map(FILON_ORDER))
-        scale = 0.5 * scale[body]
-        weights[0, body] = scale * (wts - filon.real)
-        weights[1, body] = scale * (wts + filon.real)
-        weights[2, body] = scale * filon.imag
+    wide = ~narrow
+    if np.any(wide):
+        sign = 1.0 - 2.0 * ((ka[wide] + kb[wide]) % 2.0)
+        phase = sign * np.exp(1j * (da[wide] + db[wide]))
+        filon = phase[:, None] * _filon_weights(kb[wide] - ka[wide],
+                                                db[wide] - da[wide])
+        scale = 0.5 * scale[wide]
+        weights[0, wide] = scale * (wts - filon.real)
+        weights[1, wide] = scale * (wts + filon.real)
+        weights[2, wide] = scale * filon.imag
     for a in (xi, xi_s, weights):
         a.setflags(write=False)
     return xi, xi_s, weights, faint
+
+
+def _filon_weights(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The Filon weights j_k(omega) @ ``_moment_map`` of panels of width
+    omega = m*pi + d > pi, shape omega.shape + (FILON_ORDER,).
+
+    Three sources, none a recurrence per panel:
+
+    * omega >= FILON_TABLE*pi: the closed Hankel form of ``_hankel_maps``,
+      two matrix products with the powers of 1/omega, where sin omega =
+      (-1)^m sin d and cos omega = (-1)^m cos d are exact however large m is;
+    * whole half-periods (d = 0) below that: the rows m of ``_filon_table``;
+    * any other omega, which only the parts of a split panel have:
+      ``_spherical_jn``.
+    """
+    omega = m * np.pi + d
+    out = np.empty(omega.shape + (FILON_ORDER,), dtype=complex)
+    far = omega >= FILON_TABLE * np.pi
+    whole = ~far & (d == 0.0)
+    other = ~far & ~whole
+    if np.any(far):
+        u = 1.0 / omega[far]
+        sign = 1.0 - 2.0 * (m[far] % 2.0)
+        powers = (sign * u)[:, None] * u[:, None] ** np.arange(FILON_ORDER)
+        by_sin, by_cos = _hankel_maps(FILON_ORDER)
+        out[far] = ((powers * np.sin(d[far])[:, None]) @ by_sin
+                    + (powers * np.cos(d[far])[:, None]) @ by_cos)
+    if np.any(whole):
+        out[whole] = _filon_table()[m[whole].astype(int) - 2]
+    if np.any(other):
+        out[other] = (_spherical_jn(FILON_ORDER, omega[other])
+                      @ _moment_map(FILON_ORDER))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _filon_table() -> np.ndarray:
+    """Row m - 2 holds the Filon weights of omega = m*pi, 2 <= m <
+    FILON_TABLE, from ``_spherical_jn``.  Built on first use, once per
+    process, so that importing the module stays cheap."""
+    omega = np.arange(2, FILON_TABLE) * np.pi
+    table = _spherical_jn(FILON_ORDER, omega) @ _moment_map(FILON_ORDER)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_maps(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices taking the powers (1/omega)^(p+1), p < order, to the Filon
+    weights' parts in sin omega and in cos omega.
+
+    Hankel's expansion terminates for half-integer orders (DLMF 10.49.2):
+
+        omega j_n(omega) = sin(omega - n pi/2) sum_(k even) (-1)^(k/2) a_k u^k
+                         + cos(omega - n pi/2) sum_(k odd) (-1)^((k-1)/2) a_k u^k
+
+    with u = 1/omega and a_k = (n + k)!/(2^k k! (n - k)!), k <= n.  Expanding
+    the shifted sine and cosine gives omega j_n = S_n(u) sin omega +
+    C_n(u) cos omega; the coefficient matrices S and C, each folded into
+    ``_moment_map``, are the two maps.  From omega = 32 pi up it is
+    within 7e-18 of j_n; at omega = 16 pi it is 1.4e-16 off, as its terms
+    for n = 23 grow to about 40 there (4 at 32 pi) before they cancel.
+    """
+    by_sin, by_cos = np.zeros((order, order)), np.zeros((order, order))
+    for n in range(order):
+        c, s = (1, 0, -1, 0)[n % 4], (0, 1, 0, -1)[n % 4]
+        for k in range(n + 1):
+            a = math.factorial(n + k) // (
+                2 ** k * math.factorial(k) * math.factorial(n - k))
+            coeff = float((-1) ** (k // 2) * a)
+            # the even powers carry sin(omega - n pi/2), the odd ones cos
+            sin_part, cos_part = (c, -s) if k % 2 == 0 else (s, c)
+            by_sin[k, n], by_cos[k, n] = sin_part * coeff, cos_part * coeff
+    moments = _moment_map(order)
+    return by_sin @ moments, by_cos @ moments
 
 
 @functools.lru_cache(maxsize=None)
@@ -614,25 +697,25 @@ def _moment_map(order: int) -> np.ndarray:
 
 
 def _spherical_jn(order: int, omega: np.ndarray) -> np.ndarray:
-    """j_k(omega) for k < order and omega >= 0, shape omega.shape + (order,).
+    """j_k(omega) for k < order and omega > pi, shape omega.shape + (order,).
 
-    Three classical rules, each where it is stable:
+    Two classical rules, each where it is stable:
 
     * omega >= order - 1: the upward recurrence
       j_(k+1) = (2k + 1)/omega j_k - j_(k-1) from j_0 = sin(omega)/omega and
       j_1 = (j_0 - cos omega)/omega, stable while k <= omega;
-    * BESSEL_SERIES_MAX <= omega < order - 1: Miller's backward recurrence
-      from BESSEL_MILLER_EXTRA orders above the highest, scaled to the closed
-      forms of j_0 and j_1 by least squares (j_0 alone has zeros);
-    * omega < BESSEL_SERIES_MAX, where the backward recurrence would
-      overflow: the power series
-      j_k = omega^k/(2k+1)!! sum_m (-omega^2/2)^m / (m! (2k+3)...(2k+2m+1)).
+    * below: Miller's backward recurrence from BESSEL_MILLER_EXTRA orders
+      above the highest, scaled to the closed forms of j_0 and j_1 by least
+      squares (j_0 alone has zeros).
+
+    Only the Filon weights of ``_filon_table`` and of split panels narrower
+    than FILON_TABLE half-periods come from here; a panel of omega <= pi
+    takes the Gauss rule instead.
     """
     omega = np.asarray(omega, dtype=float)
     out = np.empty(omega.shape + (order,))
-    series = omega < BESSEL_SERIES_MAX
     upward = omega >= order - 1
-    miller = ~series & ~upward
+    miller = ~upward
     if np.any(upward):
         x = omega[upward]
         j = np.empty(x.shape + (order,))
@@ -653,15 +736,4 @@ def _spherical_jn(order: int, omega: np.ndarray) -> np.ndarray:
         j1 = (j0 - np.cos(x)) / x
         scale = (j0 * j[:, 0] + j1 * j[:, 1]) / (j[:, 0] ** 2 + j[:, 1] ** 2)
         out[miller] = j * scale[:, None]
-    if np.any(series):
-        x = omega[series][:, None]
-        k = np.arange(order)
-        term = np.ones((x.size, order))
-        total = term.copy()
-        for m in range(1, BESSEL_SERIES_TERMS):
-            term = term * (-0.5 * x * x) / (m * (2 * k + 2 * m + 1))
-            total += term
-        lead = np.cumprod(np.concatenate(
-            [np.ones((x.size, 1)), x / (2 * k[1:] + 1)], axis=1), axis=1)
-        out[series] = lead * total
     return out

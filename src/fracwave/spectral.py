@@ -41,8 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BackendCapError, BackendMismatchError,
-                     UnsupportedDimensionError)
+from .errors import BackendCapError, BackendMismatchError
 from .grid import GridSpec
 from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
 from .quadrature import (MASS_FLOOR, check_time, frequency_cutoff,
@@ -59,21 +58,14 @@ GRID_TIME_CAP = 100.0
 
 @dataclass(frozen=True)
 class Parameters:
-    """Problem parameters: dimension n and fractional order s."""
+    """Problem parameters: the fractional order s; the evolution is in one
+    space dimension."""
 
     s: float
-    n: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
             raise ValueError(f"fractional order s must lie in (0, 1], got {self.s}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n}")
-
-    def require_evolution(self):
-        if self.n != 1:
-            raise UnsupportedDimensionError(
-                f"numeric evolution is restricted to n=1 (got n={self.n})")
 
 
 def sine_multiplier(s: float, t: float, xi):
@@ -174,14 +166,30 @@ class Snapshot:
 
     Every norm is the square root of a spectral mass, the line integral of
     |fieldhat|^2 |xi|^weight_exp for the field "u" or "ut", divided by
-    ``over``; ``_norm`` computes it.
+    ``over``; ``_norm`` computes it from each backend's ``_mass``.
     """
 
     t: float
     params: Parameters
 
-    def _norm(self, field: str, weight_exp: float, over: float = 1.0) -> float:
+    def _mass(self, field: str, weight_exp: float, scale: float = 1.0) -> float:
+        """The spectral mass of the field divided by ``scale``."""
         raise NotImplementedError
+
+    def _peak(self, field: str) -> float:
+        """A scale of the field's spectrum, 0 for a zero field."""
+        raise NotImplementedError
+
+    def _norm(self, field: str, weight_exp: float, over: float = 1.0) -> float:
+        """sqrt(mass / over).  A mass below MASS_FLOOR has lost digits to
+        underflow (tiny t or tiny data), so it is taken again on the field
+        divided by its ``_peak``."""
+        mass = self._mass(field, weight_exp)
+        if mass < MASS_FLOOR:
+            peak = self._peak(field)
+            if peak > 0.0:
+                return float(peak * np.sqrt(self._mass(field, weight_exp, peak) / over))
+        return float(np.sqrt(mass / over))
 
     def spectral_l2(self) -> float:
         """Transform-level norm of u(t)."""
@@ -229,7 +237,7 @@ class GridSnapshot(Snapshot):
         self._band = band
         # the norms' bins and spectra are the fields' own
         self._shared = band == grid.points // 2 and field_spectra is None
-        # band mass per (field, weight_exp), shared by the norm methods
+        # band mass per (field, weight_exp, scale), shared by the norm methods
         self._masses: dict[tuple, float] = {}
 
     def _fields(self, field: str | None, full: bool = False):
@@ -263,21 +271,21 @@ class GridSnapshot(Snapshot):
     def _ut_half(self) -> np.ndarray:
         return self._fields("ut", full=True)
 
-    def _norm(self, field, weight_exp, over=1.0):
-        """sqrt(mass / over) on the band.  A mass below MASS_FLOOR has lost
-        digits to underflow (tiny t or tiny data), so it is taken again on
-        the field scaled by its largest bin."""
-        values = self._u_band if field == "u" else self._ut_band
-        mass = self._masses.get((field, weight_exp))
+    def _band_values(self, field):
+        return self._u_band if field == "u" else self._ut_band
+
+    def _peak(self, field):
+        """The field's largest bin modulus."""
+        return np.max(np.abs(self._band_values(field)))
+
+    def _mass(self, field, weight_exp, scale=1.0):
+        key = (field, weight_exp, scale)
+        mass = self._masses.get(key)
         if mass is None:
-            mass = self._masses[field, weight_exp] = self._band_mass(values,
-                                                                     weight_exp)
-        if mass < MASS_FLOOR:
-            peak = np.max(np.abs(values))
-            if peak > 0.0:
-                return float(peak * np.sqrt(
-                    self._band_mass(values / peak, weight_exp) / over))
-        return float(np.sqrt(mass / over))
+            values = self._band_values(field)
+            mass = self._masses[key] = self._band_mass(
+                values if scale == 1.0 else values / scale, weight_exp)
+        return mass
 
     def _band_mass(self, values, weight_exp):
         """dxi times the sum of |value|^2 |xi|^weight_exp over the band and
@@ -431,21 +439,17 @@ class QuadratureSnapshot(Snapshot):
             self._masses[key] = mass
         return mass
 
-    def _norm(self, field, weight_exp, over=1.0):
-        """sqrt(mass / over).  A mass below MASS_FLOOR has lost digits to
-        underflow (tiny data), so it is taken again on the data transforms
-        divided by their largest modulus at 64 frequencies up to the cutoff,
-        as ``GridSnapshot._norm`` does on its bins."""
-        mass = self.spectral_mass(0.0, field=field, weight_exp=weight_exp)
-        if mass < MASS_FLOOR:
-            data = [p for p in (self.u0, self.u1) if not p.is_zero]
-            probe = np.linspace(0.0, frequency_cutoff(data), 65)[1:]
-            peak = max((np.max(np.abs(d)) for d in self._transforms(probe)
-                        if d is not None), default=0.0)
-            if peak > 0.0:
-                return float(peak * np.sqrt(self.spectral_mass(
-                    0.0, field=field, weight_exp=weight_exp, scale=peak) / over))
-        return float(np.sqrt(mass / over))
+    def _mass(self, field, weight_exp, scale=1.0):
+        return self.spectral_mass(0.0, field=field, weight_exp=weight_exp,
+                                  scale=scale)
+
+    def _peak(self, field):
+        """The data transforms' largest modulus at 64 frequencies up to the
+        cutoff; both fields are made of them."""
+        data = [p for p in (self.u0, self.u1) if not p.is_zero]
+        probe = np.linspace(0.0, frequency_cutoff(data), 65)[1:]
+        return max((np.max(np.abs(d)) for d in self._transforms(probe)
+                    if d is not None), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -578,7 +582,6 @@ def evolve_state(data, params: Parameters, t: float, backend=None) -> Snapshot:
     ``evolve_state(data, params, 0.0)`` reproduces the initial data exactly:
     the multipliers reduce to (0, 1) at t = 0.
     """
-    params.require_evolution()
     if t < 0:
         raise ValueError("time must be nonnegative")
     if backend is None:

@@ -10,8 +10,7 @@ from fracwave import (AreaSumReport, BoundSpec, Gaussian, Parameters, ZERO,
                       log_lower_bound, log_upper_bound, measure_constant,
                       power_lower_bound, power_upper_bound, select_theta0,
                       uniform_bound)
-from fracwave.errors import (InfeasibleThresholdError,
-                             UnsupportedDimensionError, ValidityError,
+from fracwave.errors import (InfeasibleThresholdError, ValidityError,
                              WrongRegimeError)
 from fracwave.estimates import _exp1
 from fracwave.profiles import weighted_l1_norm
@@ -119,10 +118,6 @@ class TestFourierSplit:
     def test_requires_large_time(self):
         with pytest.raises(ValidityError):
             fourier_split((ZERO, Gaussian()), self.PARAMS, 1.0, 0.99)
-
-    def test_other_dimensions_rejected(self):
-        with pytest.raises(UnsupportedDimensionError):
-            fourier_split((ZERO, Gaussian()), Parameters(0.75, n=2), 10.0, 0.99)
 
     def test_zero_data(self):
         rep = fourier_split((ZERO, ZERO), self.PARAMS, 10.0, 0.99)

@@ -1,5 +1,10 @@
 """Quadrature engines: Filon panels, singular origins, divergence detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,10 +15,12 @@ from scipy.special import spherical_jn
 from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import ZERO, Gaussian, combine
 from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, LEAD_HALFPERIODS,
-                                 MAX_PANELS, _spherical_jn, adaptive,
-                                 gauss_panels, log_spaced_panels,
-                                 oscillatory_integral, panel_width,
-                                 singular_origin_integral, static_integral)
+                                 MAX_PANELS, _filon_weights, _moment_map,
+                                 _OscillatoryRule, _spherical_jn, adaptive,
+                                 frequency_cutoff, gauss_panels,
+                                 log_spaced_panels, oscillatory_integral,
+                                 panel_width, singular_origin_integral,
+                                 static_integral)
 from fracwave.spectral import Parameters, QuadratureSnapshot
 from support import (body_nodes, quad_reference, reference_density,
                      xi_panel_reference)
@@ -254,8 +261,10 @@ def test_short_interval_matches_quadpack(s, t):
 
 
 def spherical_jn_omegas():
-    return np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 4001),
-                           np.linspace(0.5, 40.0, 2001)])
+    # the domain omega > pi: a narrower panel takes the Gauss rule
+    omega = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 4001),
+                            np.linspace(0.5, 40.0, 2001)])
+    return omega[omega > np.pi]
 
 
 def test_spherical_jn_matches_scipy():
@@ -266,17 +275,85 @@ def test_spherical_jn_matches_scipy():
                                rtol=0.0, atol=2e-15)
 
 
+def mpmath_jn(mpmath, omega):
+    """j_k(omega), k < FILON_ORDER, at an mpmath omega."""
+    scale = mpmath.sqrt(mpmath.pi / (2 * omega))
+    return [float(scale * mpmath.besselj(k + 0.5, omega)) for k in range(FILON_ORDER)]
+
+
 def test_spherical_jn_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    omega = np.concatenate([[1e-300, 1e-18], np.geomspace(1e-8, 1e6, 29),
-                            np.linspace(0.9, 1.1, 3), np.linspace(9.5, 10.5, 3),
-                            np.linspace(21.0, 23.5, 6)])
+    omega = np.concatenate([np.geomspace(1e-8, 1e6, 29),
+                            np.linspace(9.5, 10.5, 3), np.linspace(21.0, 23.5, 6)])
+    omega = omega[omega > np.pi]
     got = _spherical_jn(FILON_ORDER, omega)
     for x, row in zip(omega, got):
-        scale = mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
-        exact = [float(scale * mpmath.besselj(k + 0.5, x)) for k in range(FILON_ORDER)]
-        np.testing.assert_allclose(row, exact, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(row, mpmath_jn(mpmath, mpmath.mpf(x)),
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_filon_weights_match_mpmath():
+    # the table (whole half-periods below FILON_TABLE), the closed Hankel
+    # form (from FILON_TABLE half-periods up, whole or not) and the
+    # recurrence of split parts, against j_k(m*pi + d) at 40 digits taken
+    # through the same moment map; pi is exact in the panel widths
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    whole = np.concatenate([np.arange(2.0, 41.0),
+                            np.round(np.geomspace(41.0, 1e6, 12))])
+    m = np.concatenate([whole, [32.0, 32.0, 40.0, 317.0, 1e4, 1e6, 3.0, 20.0]])
+    d = np.concatenate([np.zeros(whole.size),
+                        [1e-9, 0.3, -0.9, 2.5, -3.0, 1.0, 0.5, -1.2]])
+    got = _filon_weights(m, d)
+    moments = _moment_map(FILON_ORDER)
+    for mk, dk, row in zip(m, d, got):
+        exact = mpmath_jn(mpmath, int(mk) * mpmath.pi + mpmath.mpf(dk))
+        np.testing.assert_allclose(row, np.array(exact) @ moments,
+                                   rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 0.9, 1.0])
+def test_unsplit_filon_panels_span_whole_halfperiods(s):
+    # every panel wider than pi is m*pi, m >= 2, so its weights need no
+    # recurrence; only the last, partial half-period is not whole
+    data = [Gaussian(0.7, 1.3, 0.8), Gaussian()]
+    for t in np.geomspace(1e-2, 1e6, 17):
+        rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data),
+                                      panel_width(data))
+        ka, da, kb, db = rule.edges
+        wide = (kb - ka) * np.pi + (db - da) > np.pi
+        assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
+        assert np.all(kb[wide] - ka[wide] >= 2.0)
+        assert np.all(np.diff(ka * np.pi + da) > 0.0)
+
+
+def test_second_unsplit_build_takes_no_recurrence(monkeypatch):
+    from fracwave import quadrature
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _spherical_jn(*args)
+
+    data = [Gaussian()]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
+    _OscillatoryRule.build(1e2, 0.75, 0.0, cutoff, width)
+    monkeypatch.setattr(quadrature, "_spherical_jn", counted)
+    for t in (3e2, 1e4, 1e6):
+        rule = _OscillatoryRule.build(t, 0.75, 0.0, cutoff, width)
+        assert not np.any(rule.pieces > 1)
+    assert calls == []
+
+
+def test_import_does_not_build_the_filon_table():
+    # the table is built on first use, so that importing stays cheap
+    import fracwave
+    src = str(Path(fracwave.__file__).parents[1])
+    code = ("import fracwave, fracwave.quadrature as q; "
+            "assert q._filon_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 0.8])

@@ -13,7 +13,7 @@ from fracwave import (BoundSpec, CompactBump, Gaussian, GridBackend, GridSpec,
                       sample_norm_curve, sandwich_check)
 from fracwave import experiments
 from fracwave.errors import (BackendCapError, ConventionError, FracwaveError,
-                             SeriesError, UnsupportedDimensionError)
+                             SeriesError)
 from fracwave.ratefit import default_window
 
 
@@ -58,13 +58,6 @@ class TestSampling:
         with pytest.raises(BackendCapError, match="quadrature"):
             sample_norm_curve((ZERO, Gaussian()), Parameters(0.75),
                               np.array([10.0, 1e4]), GridBackend())
-
-    def test_other_dimensions_rejected(self):
-        # zero data never reaches evolve_state and is checked all the same
-        for u1 in (Gaussian(), ZERO):
-            with pytest.raises(UnsupportedDimensionError):
-                sample_norm_curve((ZERO, u1), Parameters(0.75, n=2),
-                                  np.array([1.0, 2.0]), QuadratureBackend())
 
     def test_bad_grid_rejected_before_any_sample(self, monkeypatch):
         from fracwave import ratefit
