@@ -18,6 +18,10 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   nodes plus the weights of the density's form there, built once per
   interval and applied to each density on it as a dot product.  In both
   rules ``_below_head`` adds the origin's tail, or raises DivergenceError.
+  A rule from the origin that reaches past the head has the same 64 head
+  panels in w at every t and s, so their nodes, sines, cosines and weights
+  are a table per order s, built on first use (``_head_table``); at t,
+  xi = (w/t)^(1/s) and every weight are the table's times c = t^(-1/s).
 
 ``gauss_panels`` also serves smooth integrands of the profiles and lemmas;
 ``adaptive``, a Gauss-Kronrod rule with global bisection, serves integrands
@@ -88,6 +92,8 @@ HEAD_DYADIC = 61
 FILON_TABLE = 32
 #: Miller's backward recurrence starts this many orders above the highest
 BESSEL_MILLER_EXTRA = 20
+#: orders s whose head table (``_head_table``, about 60 kB each) is kept
+HEAD_TABLES = 8
 
 # Cache of Gauss-Legendre rules keyed by order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -357,7 +363,10 @@ class _OscillatoryRule:
     of w, gets ``_head_edges``; the body gets ``_body_edges``.  Both rules
     are linear in the form (alpha, beta, gamma), so the rule is its nodes
     (xi, xi^s) and the three weight arrays of ``_form_weights``, and a
-    panel's integral is a dot product with the form at its nodes.
+    panel's integral is a dot product with the form at its nodes.  A rule
+    from the origin that reaches past the head takes the head's from
+    ``_scaled_head`` instead, the per-s table scaled to t, unless a scaled
+    value leaves the normal doubles; split parts are always built directly.
 
     A panel that spans more than ``width`` in xi is split into equal
     xi-parts unless its share of the integral is below SPLIT_TOL, where no
@@ -366,15 +375,16 @@ class _OscillatoryRule:
     same panels.
     """
 
-    def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False):
+    def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False,
+                 nodes=None):
         self.t, self.s = t, s
         self.edges = (ka, da, kb, db)
         self.from_origin = from_origin
         self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
         self.pieces = np.ceil((self.xb - self.xa) / width)
-        self.xi, self.xi_s, self.weights, self.faint = _form_weights(
-            t, s, *self.edges)
+        self.xi, self.xi_s, self.weights, self.faint = (
+            _form_weights(t, s, *self.edges) if nodes is None else nodes)
         self._splits: dict[tuple, _OscillatoryRule] = {}
 
     @classmethod
@@ -389,11 +399,14 @@ class _OscillatoryRule:
             check_time(t, s, w_lo or np.pi * 0.5 ** HEAD_DYADIC, k_lead)
         else:
             check_time(t, s, w_hi * 0.5 ** HEAD_DYADIC, k_lead, cutoff=xi_hi)
-        edges = [_head_edges(w_lo, w_hi, k_lead)]
+        head = _scaled_head(t, s) if w_lo == 0 and w_hi > k_lead * np.pi else None
+        edges = [_head_edges(w_lo, w_hi, k_lead) if head is None else head[0]]
         if w_hi > k_lead * np.pi:
             edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
+        nodes = None if head is None else _joined(
+            head[1], _form_weights(t, s, *edges[1]))
         return cls(t, s, *(np.concatenate(e) for e in zip(*edges)), width,
-                   from_origin=w_lo == 0)
+                   from_origin=w_lo == 0, nodes=nodes)
 
     def panels(self, f) -> np.ndarray:
         """The integral of the form f over each panel."""
@@ -536,6 +549,54 @@ def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
         ks = np.append(ks, k_end)
         ds = np.append(ds, w_hi - k_end * np.pi)
     return ks[:-1], ds[:-1], ks[1:], ds[1:]
+
+
+@functools.lru_cache(maxsize=HEAD_TABLES)
+def _head_table(s: float):
+    """The head of every rule from the origin at order s, as
+    (edges, w, w^(1/s), weights, low, high): ``_form_weights`` at t = 1 on
+    the panels of ``_head_edges`` with a full head, and the least and the
+    greatest of w^(1/s) and |weights|.  None where one of these is not a
+    normal double (at s below about 0.07).  Built on first use per s."""
+    edges = _head_edges(0.0, LEAD_HALFPERIODS * np.pi, LEAD_HALFPERIODS)
+    root, w, weights, faint = _form_weights(1.0, s, *edges)
+    magnitudes = np.abs(weights)
+    low = min(root.min(), magnitudes.min())
+    high = max(root.max(), magnitudes.max())
+    info = np.finfo(float)
+    if faint is not None or not info.tiny <= low <= high <= info.max:
+        return None
+    return edges, w, root, weights, low, high
+
+
+def _scaled_head(t: float, s: float):
+    """(edges, (xi, xi_s, weights, None)) of the head of a rule from the
+    origin at t, from ``_head_table``: with c = t^(-1/s), xi = (w/t)^(1/s)
+    is c*w^(1/s) and every weight is c times its value at t = 1.  None where
+    c or a scaled value leaves the normal doubles; the head is then built
+    by ``_form_weights``, which handles subnormal weights (``faint``)."""
+    table = _head_table(s)
+    if table is None:
+        return None
+    edges, w, root, weights, low, high = table
+    c = t ** (-1.0 / s)
+    info = np.finfo(float)
+    if not (info.tiny <= c and info.tiny <= c * low and c * high <= info.max):
+        return None
+    return edges, (c * root, w / t, c * weights, None)
+
+
+def _joined(head, body):
+    """``_form_weights`` of the head's panels, which have no faint nodes,
+    and of the body's after them, as one read-only set."""
+    rows = head[0].shape[0]
+    joined = [np.concatenate(pair, axis=-2) for pair in zip(head[:3], body[:3])]
+    for a in joined:
+        a.setflags(write=False)
+    faint = body[3]
+    if faint is not None:
+        faint = (faint[0] + rows,) + faint[1:]
+    return (*joined, faint)
 
 
 def _form_weights(t, s, ka, da, kb, db):

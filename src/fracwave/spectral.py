@@ -248,8 +248,13 @@ class GridSnapshot(Snapshot):
         if all(d is None for d in data):
             zero = np.zeros(k + 1, dtype=complex)
             return zero if field else (zero, zero)
-        return propagate(self.params.s, self.t, self.grid.xi()[half - k:half + 1],
+        return propagate(self.params.s, self.t, self._axis(k),
                          *(None if d is None else d[half - k:] for d in data), field)
+
+    def _axis(self, k):
+        """The frequencies of bins -k..0, made afresh: slicing the grid's
+        cached full axis would keep N points alive for the whole process."""
+        return self.grid.dxi * np.arange(-k, 1)
 
     @cached_property
     def _field_data(self) -> tuple:
@@ -294,8 +299,7 @@ class GridSnapshot(Snapshot):
         half = self.grid.points // 2
         density = np.abs(values) ** 2
         if weight_exp != 0.0:
-            xi = self.grid.xi()[half - self._band:half + 1]
-            density = np.abs(xi) ** weight_exp * density
+            density = np.abs(self._axis(self._band)) ** weight_exp * density
         mirrored = 2.0 * density.sum()
         if self._band == half:
             mirrored -= density[0]

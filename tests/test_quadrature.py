@@ -14,9 +14,10 @@ from scipy.special import spherical_jn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import ZERO, Gaussian, combine
-from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, LEAD_HALFPERIODS,
-                                 MAX_PANELS, _filon_weights, _moment_map,
-                                 _OscillatoryRule, _spherical_jn, adaptive,
+from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, HEAD_DYADIC,
+                                 LEAD_HALFPERIODS, MAX_PANELS, _filon_weights,
+                                 _form_weights, _moment_map, _OscillatoryRule,
+                                 _spherical_jn, adaptive, check_time,
                                  frequency_cutoff, gauss_panels,
                                  log_spaced_panels, oscillatory_integral,
                                  panel_width, singular_origin_integral,
@@ -346,14 +347,97 @@ def test_second_unsplit_build_takes_no_recurrence(monkeypatch):
     assert calls == []
 
 
-def test_import_does_not_build_the_filon_table():
-    # the table is built on first use, so that importing stays cheap
+def assert_after_fresh_import(check):
+    """Run ``check`` on fracwave.quadrature, as q, in a fresh process."""
     import fracwave
     src = str(Path(fracwave.__file__).parents[1])
-    code = ("import fracwave, fracwave.quadrature as q; "
-            "assert q._filon_table.cache_info().currsize == 0")
+    code = f"import fracwave, fracwave.quadrature as q; assert {check}"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_does_not_build_the_filon_table():
+    # the table is built on first use, so that importing stays cheap
+    assert_after_fresh_import("q._filon_table.cache_info().currsize == 0")
+
+
+def test_import_does_not_build_a_head_table():
+    assert_after_fresh_import("q._head_table.cache_info().currsize == 0")
+
+
+def assert_direct_build(rule):
+    """The rule's nodes and weights are ``_form_weights`` on all its panels,
+    bit for bit: the head table was not used."""
+    xi, xi_s, weights, faint = _form_weights(rule.t, rule.s, *rule.edges)
+    assert np.array_equal(rule.xi, xi) and np.array_equal(rule.xi_s, xi_s)
+    assert np.array_equal(rule.weights, weights)
+    assert (rule.faint is None) == (faint is None)
+    if faint is not None:
+        for got, want in zip(rule.faint, faint):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 0.9, 1.0])
+def test_head_table_matches_the_direct_build(s):
+    # Each side is a few rounding units from the exact values.  The direct
+    # build rounds w/t before the power 1/s, which multiplies that rounding
+    # by 1/s; the table rounds t^(-1/s), w^(1/s) and their product.  The
+    # weights add the roundings of their products on each side.
+    eps = np.finfo(float).eps
+    data = [Gaussian(0.7, 1.3, 0.8), Gaussian()]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
+    for t in np.geomspace(1e-2, 1e6, 17):
+        rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+        xi, xi_s, weights, faint = _form_weights(t, s, *rule.edges)
+        assert np.array_equal(rule.xi_s, xi_s)
+        np.testing.assert_allclose(rule.xi, xi, rtol=(1 / s + 4) * eps / 2, atol=0)
+        np.testing.assert_allclose(rule.weights, weights,
+                                   rtol=(1 / s + 16) * eps / 2, atol=0)
+        assert rule.faint is None and faint is None
+
+
+def test_sweep_forms_the_head_once(monkeypatch):
+    from fracwave import quadrature
+    quadrature._head_table.cache_clear()
+    head_rows = []
+
+    def counted(t, s, ka, *edges):
+        head_rows.append(int(np.sum(ka < LEAD_HALFPERIODS)))
+        return _form_weights(t, s, ka, *edges)
+
+    monkeypatch.setattr(quadrature, "_form_weights", counted)
+    for t in np.geomspace(1e2, 1e6, 10):
+        QuadratureSnapshot(t, Parameters(0.75), ZERO, Gaussian()).spectral_l2()
+    # the 61 dyadic panels below pi and the three whole half-periods above
+    assert sum(head_rows) == HEAD_DYADIC + LEAD_HALFPERIODS - 1 == 64
+    assert len(head_rows) == 11
+
+
+def test_rules_the_head_table_does_not_cover_are_built_directly():
+    data = [Gaussian()]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
+    # the upper part of a split interval, xi_lo > 0
+    assert_direct_build(_OscillatoryRule.build(1e3, 0.75, 0.5, cutoff, width))
+    # a head that ends before LEAD_HALFPERIODS*pi, at small t
+    rule = _OscillatoryRule.build(1e-2, 0.75, 0.0, cutoff, width)
+    assert 1e-2 * cutoff ** 0.75 < LEAD_HALFPERIODS * np.pi
+    assert_direct_build(rule)
+    # the tiny t of the underflow tests, whose head weights are subnormal
+    for t in (1e-150, 1e-300):
+        rule = _OscillatoryRule.build(t, 0.3, 0.0, cutoff, width)
+        assert rule.faint is not None
+        assert_direct_build(rule)
+    # the largest t that check_time accepts at s = 0.3: t^(-1/s) is subnormal
+    t = LEAD_HALFPERIODS * np.pi / np.finfo(float).tiny ** 0.3
+    while True:
+        try:
+            check_time(t, 0.3)
+            break
+        except NumericalFailureError:
+            t = np.nextafter(t, 0.0)
+    assert_direct_build(_OscillatoryRule.build(t, 0.3, 0.0, cutoff, width))
+    with pytest.raises(NumericalFailureError):
+        check_time(np.nextafter(t, np.inf), 0.3)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 0.8])

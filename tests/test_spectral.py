@@ -10,7 +10,9 @@ from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridBackend,
                       GridSpec, Parameters, QuadratureBackend, SampledProfile,
                       ZERO, combine, evolve_state, hs_norm, hs_seminorm,
                       l2_norm, scaled, sine_multiplier)
-from fracwave.spectral import QuadratureSnapshot, SpectralField, propagate
+from fracwave.grid import _xi_axis
+from fracwave.spectral import (GridSnapshot, QuadratureSnapshot, SpectralField,
+                               propagate)
 from fracwave.errors import (BackendCapError, BackendMismatchError, FracwaveError,
                              NumericalFailureError)
 from fracwave.lemmas import gagliardo_constant
@@ -373,6 +375,40 @@ class TestSupportWindowAndBand:
         # the fields are built from the data sampled at every point
         assert np.array_equal(snap.u_hat.values, propagate(
             0.75, 1.0, grid.xi(), None, grid.forward(original(g, grid.x())), "u"))
+
+    # the oracles' boxes that grow with t (L, N, t)
+    BOXES = ((4096.0, 2 ** 16, 10.0), (32768.0, 2 ** 19, 50.0),
+             (65536.0, 2 ** 20, 100.0))
+
+    @staticmethod
+    def _box_norms(half_width, points, t):
+        snap = evolve_state((Gaussian(), Gaussian(1.0, 1.5)), Parameters(0.75), t,
+                            GridBackend(GridSpec(half_width, points)))
+        return [snap.spectral_l2(), snap.ut_l2(), snap.hs_seminorm(0.75),
+                snap.energy()]
+
+    def test_band_axis_gives_the_full_axis_norms(self, monkeypatch):
+        # the band's frequencies, made afresh, give bit for bit the norms of
+        # the slice of GridSpec.xi() that they replace
+        fresh = [self._box_norms(*box) for box in self.BOXES]
+
+        def sliced(snap, k):
+            half = snap.grid.points // 2
+            return snap.grid.xi()[half - k:half + 1]
+
+        monkeypatch.setattr(GridSnapshot, "_axis", sliced)
+        try:
+            assert [self._box_norms(*box) for box in self.BOXES] == fresh
+        finally:
+            _xi_axis.cache_clear()
+
+    def test_band_norms_leave_the_full_axis_uncached(self):
+        before = _xi_axis.cache_info()
+        norms = self._box_norms(*self.BOXES[-1])
+        after = _xi_axis.cache_info()
+        assert all(np.isfinite(norms))
+        assert after.currsize == before.currsize
+        assert after.hits + after.misses == before.hits + before.misses
 
 
 class TestInvariants:
