@@ -256,6 +256,16 @@ class SampledProfile(Profile):
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    def __eq__(self, other):
+        """Value equality: the same grid and equal samples."""
+        if not isinstance(other, SampledProfile):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.grid, (self.values + 0.0).tobytes()))
+
     def evaluate(self, x):
         return np.interp(np.asarray(x, dtype=float), self.grid.x(), self.values,
                          left=0.0, right=0.0)

@@ -372,7 +372,8 @@ class _OscillatoryRule:
     xi-parts unless its share of the integral is below SPLIT_TOL, where no
     error of it can show.  That share depends on the form, so ``integrate``
     splits; the rule on the parts is kept for the next form that splits the
-    same panels.
+    same panels.  A rule with no panel wider than ``width`` (``splits``
+    False) sums its panels without that test.
     """
 
     def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False,
@@ -383,6 +384,8 @@ class _OscillatoryRule:
         self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
         self.pieces = np.ceil((self.xb - self.xa) / width)
+        # whether any panel is wider than width, so that a form can split it
+        self.splits = bool(np.any(self.pieces > 1))
         self.xi, self.xi_s, self.weights, self.faint = (
             _form_weights(t, s, *self.edges) if nodes is None else nodes)
         self._splits: dict[tuple, _OscillatoryRule] = {}
@@ -425,14 +428,17 @@ class _OscillatoryRule:
         """The integral of the form f over the rule's interval."""
         parts = self.panels(f)
         total = _below_head(parts) if self.from_origin else 0.0
-        split = (self.pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
-        total += float(np.sum(parts[~split]))
-        if np.any(split):
-            which = tuple(np.nonzero(split)[0].tolist())
-            sub = self._splits.get(which)
-            if sub is None:
-                sub = self._splits[which] = self._split(which)
-            total += float(np.sum(sub.panels(f)))
+        if not self.splits:
+            total += float(np.sum(parts))
+        else:
+            split = (self.pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
+            total += float(np.sum(parts[~split]))
+            if np.any(split):
+                which = tuple(np.nonzero(split)[0].tolist())
+                sub = self._splits.get(which)
+                if sub is None:
+                    sub = self._splits[which] = self._split(which)
+                total += float(np.sum(sub.panels(f)))
         if self.faint is not None and abs(total) < MASS_FLOOR:
             raise NumericalFailureError(
                 f"at t = {self.t:g} the integral, {total:.3g}, has lost its "

@@ -17,10 +17,11 @@ Two evaluation backends realize this:
 * ``GridBackend``        samples the data on a uniform grid and applies the
   multipliers to FFT bins.  Fast and general (works for sampled data) but
   trustworthy only while the solution's content fits the box, hence the hard
-  time cap.  Zero data is not transformed.  Real data make every field
-  Hermitian, so a snapshot propagates and takes norms on the bins
-  k = -N/2..0 alone, from one phase evaluation, and mirrors a full field
-  (u_hat, ut_hat, then their physical forms) on its first read.
+  time cap.  Zero data is not transformed, and equal data once.  Real
+  data make every field Hermitian, so a snapshot propagates and takes
+  norms on the bins k = -N/2..0 alone, from one phase evaluation, and
+  mirrors a full field (u_hat, ut_hat, then their physical forms) on its
+  first read.
 * ``QuadratureBackend``  keeps everything as closed-form functions of xi and
   evaluates norms by phase-aware quadrature (``oscillatory_integral``, whose
   cost does not grow with the number of oscillations; at t = 0 its static
@@ -335,9 +336,12 @@ class QuadratureSnapshot(Snapshot):
 
     Every norm is a ``spectral_mass``, an ``oscillatory_integral`` over an
     interval of |xi|.  A rule = nodes + form weights, built once per
-    snapshot interval: the snapshot keeps it and the data transforms at its
-    nodes, so the norms of u, u_t and (-Lap)^(s/2) u, which all run to the
-    data's one ``frequency_cutoff``, share them.
+    snapshot interval, and the snapshot keeps it.  At the rule's nodes it
+    keeps one squared form of the data, P = |u1hat|^2, Q = |u0hat|^2 and
+    R = 2 Re(u1hat conj(u0hat)), taken once per rule: the densities of u,
+    u_t and (-Lap)^(s/2) u, which all run to the data's one
+    ``frequency_cutoff``, are each a few products of it.  Equal data are
+    transformed once.
     """
 
     def __init__(self, t: float, params: Parameters, u0: Profile, u1: Profile):
@@ -348,32 +352,50 @@ class QuadratureSnapshot(Snapshot):
         # spectral_mass per (lo, hi, field, weight_exp, scale): the norm
         # methods and energy() share integrals instead of recomputing them
         self._masses: dict[tuple, float] = {}
-        # their oscillatory rules, and the transforms at the rules' nodes
+        # their oscillatory rules, and the form at the rules' nodes
         self._rules: dict[tuple, object] = {}
-        self._at_nodes: dict[int, tuple] = {}
+        self._forms: dict[tuple, tuple] = {}
+        # what every mass reads: the nonzero data, their frequency_cutoff
+        # and their panel_width
+        self._data = [p for p in (u0, u1) if not p.is_zero]
+        self._cutoff = frequency_cutoff(self._data)
+        self._width = panel_width(self._data)
 
     def _transforms(self, xi):
-        """(u0hat, u1hat) at xi; a zero profile's transform is not taken."""
-        u0_hat = None if self.u0.is_zero else self.u0.fourier(xi)
-        u1_hat = (None if self.u1.is_zero and u0_hat is not None
-                  else self.u1.fourier(xi))
-        return u0_hat, u1_hat
+        """(u0hat, u1hat) at xi; a zero profile's transform is not taken,
+        and equal data share one."""
+        if self.u0.is_zero:
+            return None, self.u1.fourier(xi)
+        u0_hat = self.u0.fourier(xi)
+        if self.u1.is_zero:
+            return u0_hat, None
+        return u0_hat, (u0_hat if _same_datum(self.u1, self.u0)
+                        else self.u1.fourier(xi))
 
-    def _node_transforms(self, xi):
-        """``_transforms`` at the nodes a density is evaluated on.
+    def _form(self, xi, scale):
+        """(P, Q, R) at xi for the data divided by ``scale``, None for the
+        terms of a zero datum (``_squared_form``).
 
         A rule's nodes are read-only arrays that live in ``_rules`` with the
-        rule, so the transforms at them are kept, by the array's identity,
-        for every later density on that rule.  Writable arrays, which the
-        static rule at t = 0 makes afresh for each panel, are not kept.
+        rule, so the form at them is kept, by the array's identity and the
+        scale, for every later density on that rule.  Writable arrays, which
+        the static rule at t = 0 makes afresh for each panel, are not kept.
         """
-        if xi.flags.writeable:
-            return self._transforms(xi)
+        key, kept = (id(xi), scale), not xi.flags.writeable
         # the entry holds xi, so no other array can take its id meanwhile
-        hit = self._at_nodes.get(id(xi))
-        if hit is None:
-            hit = self._at_nodes[id(xi)] = (xi, self._transforms(xi))
-        return hit[1]
+        hit = self._forms.get(key) if kept else None
+        if hit is not None:
+            return hit[1]
+        u0_hat, u1_hat = self._transforms(xi)
+        if scale != 1.0:
+            # the underflow rescue: the transforms are divided before they
+            # are squared, so the form keeps every digit
+            u0_hat, u1_hat = (None if d is None else d / scale
+                              for d in (u0_hat, u1_hat))
+        form = _squared_form(u0_hat, u1_hat)
+        if kept:
+            self._forms[key] = (xi, form)
+        return form
 
     def _field_at(self, field, xi):
         xi = np.asarray(xi, dtype=float)
@@ -393,27 +415,28 @@ class QuadratureSnapshot(Snapshot):
         At xi > 0 the field is a sin w + b cos w, with (a, b) =
         (u1hat/xi^s, u0hat) for u and (-xi^s u0hat, u1hat) for u_t (the
         multipliers of ``propagate``); its squared modulus has the
-        coefficients (|a|^2, |b|^2, 2 Re(a conj(b))).  A zero datum's terms
-        are zero and are not computed.
+        coefficients (|a|^2, |b|^2, 2 Re(a conj(b))), which are
+        (P/xi^2s, Q, R/xi^s) for u and (Q xi^2s, P, -R xi^s) for u_t in the
+        data's form (P, Q, R).  The weight |xi|^(2s) of the H^s seminorm is
+        xi^s xi^s.  A zero datum's terms are zero and are not computed.
         """
+        s = self.params.s
+
         def density(xi, xi_s):
             xi = np.asarray(xi, dtype=float)
-            u0_hat, u1_hat = self._node_transforms(xi)
-            if scale != 1.0:
-                u0_hat, u1_hat = (None if d is None else d / scale
-                                  for d in (u0_hat, u1_hat))
-            m, datum, b = ((1.0 / xi_s, u1_hat, u0_hat) if field == "u"
-                           else (-xi_s, u0_hat, u1_hat))
-            a = None if datum is None else m * datum
-            zero = np.zeros(xi.shape)
-            coeffs = (zero if a is None else a.real ** 2 + a.imag ** 2,
-                      zero if b is None else b.real ** 2 + b.imag ** 2,
-                      zero if a is None or b is None
-                      else 2.0 * (a.real * b.real + a.imag * b.imag))
+            p, q, r = self._form(xi, scale)
+            xi_2s = xi_s * xi_s
+            if field == "u":
+                coeffs = (None if p is None else p / xi_2s, q,
+                          None if r is None else r / xi_s)
+            else:
+                coeffs = (None if q is None else q * xi_2s, p,
+                          None if r is None else -(r * xi_s))
             if weight_exp != 0.0:
-                weight = np.abs(xi) ** weight_exp
-                coeffs = tuple(c * weight for c in coeffs)
-            return coeffs
+                weight = xi_2s if weight_exp == 2.0 * s else np.abs(xi) ** weight_exp
+                coeffs = tuple(None if c is None else c * weight for c in coeffs)
+            zero = np.zeros(xi.shape)
+            return tuple(zero if c is None else c for c in coeffs)
 
         return density
 
@@ -428,10 +451,9 @@ class QuadratureSnapshot(Snapshot):
         ``frequency_cutoff``.  Each value is computed once per snapshot, and
         the rule of an interval once for every mass on it.
         """
-        data = [p for p in (self.u0, self.u1) if not p.is_zero]
         if hi is None:
-            hi = frequency_cutoff(data)
-        if hi <= lo or not data:
+            hi = self._cutoff
+        if hi <= lo or not self._data:
             return 0.0
         key = (lo, hi, field, weight_exp, scale)
         mass = self._masses.get(key)
@@ -439,7 +461,7 @@ class QuadratureSnapshot(Snapshot):
             density = self._field_density(field, weight_exp, scale)
             mass = 2.0 * oscillatory_integral(
                 density, self.t, self.params.s, hi, xi_lo=lo,
-                width=panel_width(data), rules=self._rules)
+                width=self._width, rules=self._rules)
             self._masses[key] = mass
         return mass
 
@@ -450,10 +472,28 @@ class QuadratureSnapshot(Snapshot):
     def _peak(self, field):
         """The data transforms' largest modulus at 64 frequencies up to the
         cutoff; both fields are made of them."""
-        data = [p for p in (self.u0, self.u1) if not p.is_zero]
-        probe = np.linspace(0.0, frequency_cutoff(data), 65)[1:]
+        probe = np.linspace(0.0, self._cutoff, 65)[1:]
         return max((np.max(np.abs(d)) for d in self._transforms(probe)
                     if d is not None), default=0.0)
+
+
+def _same_datum(p: Profile, q: Profile) -> bool:
+    """Whether two data are one: the same object, or equal values, whose
+    transforms and grid samples are the same, so one is taken for both."""
+    return p is q or p == q
+
+
+def _squared_form(u0_hat, u1_hat):
+    """(P, Q, R) = (|u1hat|^2, |u0hat|^2, 2 Re(u1hat conj(u0hat))), None
+    for the terms of a None (zero) datum; one transform given twice is
+    squared once."""
+    p = None if u1_hat is None else u1_hat.real ** 2 + u1_hat.imag ** 2
+    if u1_hat is u0_hat:
+        return p, p, None if p is None else 2.0 * p
+    q = None if u0_hat is None else u0_hat.real ** 2 + u0_hat.imag ** 2
+    r = (None if p is None or q is None
+         else 2.0 * (u1_hat.real * u0_hat.real + u1_hat.imag * u0_hat.imag))
+    return p, q, r
 
 
 @dataclass(frozen=True)
@@ -481,9 +521,10 @@ class GridBackend:
 
     def _spectra(self, data, windows) -> tuple:
         """(u0hat, u1hat), the ``_spectrum`` of each datum in its window;
-        one datum given twice is transformed once."""
+        equal data (``_same_datum``) are transformed once."""
         u0_hat = self._spectrum(data[0], windows[0])
-        u1_hat = u0_hat if data[1] is data[0] else self._spectrum(data[1], windows[1])
+        u1_hat = (u0_hat if _same_datum(data[1], data[0])
+                  else self._spectrum(data[1], windows[1]))
         return u0_hat, u1_hat
 
     def _inside(self, lo: float, hi: float) -> bool:

@@ -235,6 +235,28 @@ def test_sampled_profile():
     assert np.max(np.abs(spec - Gaussian().fourier(grid.xi()))) < 1e-12
 
 
+def test_sampled_profiles_compare_and_hash_by_value():
+    grid = GridSpec(half_width=20.0, points=512)
+    values = Gaussian().evaluate(grid.x())
+    p = SampledProfile(values, grid)
+    # two copies of one array are one datum
+    q = SampledProfile(values.copy(), grid)
+    assert p == q and not p != q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+    # -0.0 == 0.0, so a sign flip of a zero sample keeps the hash
+    zeros = np.zeros(grid.points)
+    assert SampledProfile(zeros, grid) == SampledProfile(-zeros, grid)
+    assert hash(SampledProfile(zeros, grid)) == hash(SampledProfile(-zeros, grid))
+    # other samples, another grid or another profile type differ
+    other = values.copy()
+    other[100] += 1e-12
+    assert p != SampledProfile(other, grid) and not p == SampledProfile(other, grid)
+    assert p != SampledProfile(Gaussian().evaluate(GridSpec(10.0, 512).x()),
+                               GridSpec(10.0, 512))
+    assert p != Gaussian() and Gaussian() != p
+
+
 def test_sampled_profile_boundary_warning():
     grid = GridSpec(half_width=4.0, points=256)
     p = SampledProfile(Gaussian(width=3.0).evaluate(grid.x()), grid)

@@ -347,6 +347,26 @@ def test_second_unsplit_build_takes_no_recurrence(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_unsplittable_rule_sums_as_the_split_test_does(s, t):
+    # a rule with no panel wider than the data's width skips the split
+    # test; with the test forced on, every mass is the same to the bit
+    data = [Gaussian(0.5, 1.0, 0.3), Gaussian()]
+    rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data), panel_width(data))
+    assert not rule.splits and not np.any(rule.pieces > 1)
+    snap = QuadratureSnapshot(t, Parameters(s), *data)
+    for field, weight_exp in (("u", 0.0), ("ut", 0.0), ("u", 2.0 * s)):
+        density = snap._field_density(field, weight_exp)
+        rule.splits = False
+        skipped = rule.integrate(density)
+        rule.splits = True
+        tested = rule.integrate(density)
+        assert skipped == tested
+    assert _OscillatoryRule.build(0.05, s, 0.0, frequency_cutoff(data),
+                                  panel_width(data)).splits
+
+
 def assert_after_fresh_import(check):
     """Run ``check`` on fracwave.quadrature, as q, in a fresh process."""
     import fracwave

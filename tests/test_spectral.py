@@ -17,7 +17,8 @@ from fracwave.errors import (BackendCapError, BackendMismatchError, FracwaveErro
                              NumericalFailureError)
 from fracwave.lemmas import gagliardo_constant
 from fracwave.profiles import TruncationWarning
-from fracwave.quadrature import frequency_cutoff
+from fracwave.quadrature import (frequency_cutoff, oscillatory_integral,
+                                 panel_width)
 
 from support import evolve_further, random_profile
 
@@ -120,6 +121,34 @@ class TestEvolution:
         zero = SampledProfile(np.zeros(BACKEND.grid.points), BACKEND.grid)
         evolve_state((zero, Gaussian()), Parameters(0.5), 2.0, BACKEND).energy()
         assert len(forward_calls) == 2
+
+    def test_equal_data_are_transformed_once(self, forward_calls, monkeypatch):
+        # two equal but distinct data take one transform per norm spectrum
+        # (and one for the full fields), with the bits of two transforms
+        from fracwave import spectral
+        data, params = (Gaussian(0.5, 1.0, 0.3), Gaussian(0.5, 1.0, 0.3)), Parameters(0.6)
+        assert data[0] is not data[1] and BACKEND.grid.points == 2 ** 12
+
+        def norms(snap):
+            return [snap.spectral_l2(), snap.ut_l2(), snap.hs_seminorm(0.6),
+                    snap.energy()]
+
+        def outputs(snap):
+            return norms(snap), snap.u_hat.values, snap.ut_hat.values
+
+        equal = evolve_state(data, params, 4.0, BACKEND)
+        first = norms(equal)
+        assert len(forward_calls) == 1
+        fields = equal.u_hat.values, equal.ut_hat.values
+        assert len(forward_calls) == 2
+        shared = outputs(evolve_state((data[0], data[0]), params, 4.0, BACKEND))
+        monkeypatch.setattr(spectral, "_same_datum", lambda p, q: p is q)
+        forward_calls.clear()
+        apart = outputs(evolve_state(data, params, 4.0, BACKEND))
+        assert len(forward_calls) == 4
+        for other in (shared, apart):
+            assert other[0] == first
+            assert all(np.array_equal(a, b) for a, b in zip(other[1:], fields))
 
     def test_shared_datum_is_transformed_once(self, forward_calls):
         g, h = Gaussian(0.5, 1.0, 0.3), GaussianDerivative()
@@ -662,6 +691,48 @@ class TestNormsAndEnergy:
         assert counts == {"integrals": 3, "moments": 1, "transforms": 2}
         assert snap.energy() == 0.5 * (first[2] ** 2 + first[3] ** 2)
 
+    def test_sample_forms_the_data_once_per_rule(self, monkeypatch):
+        # the five functionals of a sample read one form (P, Q, R) on its
+        # one rule, and two equal but distinct data take one transform
+        from fracwave import spectral
+        counts = {"forms": 0, "transforms": 0}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(spectral, "_squared_form",
+                            counting("forms", spectral._squared_form))
+        monkeypatch.setattr(Gaussian, "fourier", counting("transforms", Gaussian.fourier))
+        for t in (1e2, 1e3, 1e4):
+            snap = evolve_state((Gaussian(), Gaussian()), Parameters(0.75), t,
+                                QuadratureBackend())
+            first = (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
+                     snap.hs_seminorm(0.75), snap.energy())
+            assert len(snap._rules) == 1
+            assert first[-1] == 0.5 * (first[2] ** 2 + first[3] ** 2)
+        assert counts == {"forms": 3, "transforms": 3}
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("data", [(ZERO, Gaussian()), (Gaussian(), ZERO),
+                                      (Gaussian(), Gaussian()),
+                                      (GaussianDerivative(0.7, 1.0, 0.7),
+                                       Gaussian(0.5, 1.3, -0.2))],
+                             ids=["u1", "u0", "u0=u1", "offcentre"])
+    def test_norms_match_the_transforms_squared_per_mass(self, data, s):
+        # every functional against the same rule applied to a density that
+        # squares the complex transforms for each mass, and weights by
+        # |xi|^p: a few rounding units apart.  hs_seminorm at another
+        # order than s takes a weight other than xi^s xi^s
+        for t in (0.05, 1.0, 1e2, 1e4, 1e6):
+            snap = evolve_state(data, Parameters(s), t, QuadratureBackend())
+            got = (snap.spectral_l2(), snap.ut_l2(), snap.hs_seminorm(s),
+                   snap.energy(), snap.hs_seminorm(0.5 * s))
+            ref = transforms_squared_norms(data, s, t, 0.5 * s)
+            assert got == pytest.approx(ref, rel=1e-15, abs=0.0), t
+
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_shared_rule_splits_as_separate_rules_do(self, t):
         # at small t the half-periods are wider than the data's panel width
@@ -691,6 +762,43 @@ class TestNormsAndEnergy:
         ref, _ = quad(u_sq, -t - 8.0, t + 8.0, epsabs=1e-13, epsrel=1e-12,
                       limit=800)
         assert snap.physical_l2() == pytest.approx(np.sqrt(ref), rel=1e-9)
+
+
+def transforms_squared_norms(data, s, t, other_order):
+    """(spectral_l2, ut_l2, hs_seminorm(s), energy, hs_seminorm(other_order))
+    of the quadrature backend, each mass on a rule of its own, from the
+    complex transforms squared for that mass: the field is a sin w + b cos w
+    with (a, b) = (u1hat/xi^s, u0hat) for u and (-xi^s u0hat, u1hat) for
+    u_t, and the form is (|a|^2, |b|^2, 2 Re(a conj b)) |xi|^p."""
+    u0, u1 = data
+    live = [p for p in data if not p.is_zero]
+    cutoff, width = frequency_cutoff(live), panel_width(live)
+
+    def density(field, weight_exp):
+        def f(xi, xi_s):
+            u0_hat = None if u0.is_zero else u0.fourier(xi)
+            u1_hat = None if u1.is_zero else u1.fourier(xi)
+            m, datum, b = ((1.0 / xi_s, u1_hat, u0_hat) if field == "u"
+                           else (-xi_s, u0_hat, u1_hat))
+            a = None if datum is None else m * datum
+            zero = np.zeros(xi.shape)
+            coeffs = (zero if a is None else a.real ** 2 + a.imag ** 2,
+                      zero if b is None else b.real ** 2 + b.imag ** 2,
+                      zero if a is None or b is None
+                      else 2.0 * (a.real * b.real + a.imag * b.imag))
+            weight = np.abs(xi) ** weight_exp
+            return tuple(c * weight for c in coeffs)
+        return f
+
+    def mass(field, weight_exp):
+        return 2.0 * oscillatory_integral(density(field, weight_exp), t, s,
+                                          cutoff, width=width)
+
+    l2 = np.sqrt(mass("u", 0.0))
+    ut = np.sqrt(mass("ut", 0.0) / (2.0 * np.pi))
+    hs = np.sqrt(mass("u", 2.0 * s) / (2.0 * np.pi))
+    return (l2, ut, hs, 0.5 * (ut ** 2 + hs ** 2),
+            np.sqrt(mass("u", 2.0 * other_order) / (2.0 * np.pi)))
 
 
 def _lincomb(a, p, b, q):
