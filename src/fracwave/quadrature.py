@@ -39,12 +39,14 @@ Legendre interpolant at the same FILON_ORDER nodes, whose products with
 e^(2iw) have exact moments (the Filon idea of Iserles & Norsett, Proc. R.
 Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov & Vasil'eva, USSR
 Comput. Math. Math. Phys. 8 (1968)).  The moments are spherical Bessel
-functions j_k(omega) of the panel's width omega, which is a whole number m
-of half-periods: below FILON_TABLE half-periods they are a table of the m*pi,
-built once per process, and above it Hankel's terminating form (DLMF
-10.49.2), two matrix products for all panels (``_filon_weights``).  Only the
-parts of a split panel, at small t, run the recurrence of ``_spherical_jn``.
-These settings are module constants, the same for every norm.
+functions j_k(omega) of the panel's width omega, a whole number m of
+half-periods, whose phase e^(i(a+b)) is (-1)^m, so the weights depend on m
+alone (``_whole_filon``): rows of a signed table below FILON_TABLE
+half-periods, built once per process, and the cosine half of Hankel's
+terminating form (DLMF 10.49.2) above.  Only the parts of a split panel, at
+small t, take a phase of their own and ``_filon_weights``.  One pass writes
+a rule's head and body rows into one node and weight set.  These settings
+are module constants, the same for every norm.
 """
 
 from __future__ import annotations
@@ -364,9 +366,9 @@ class _OscillatoryRule:
     are linear in the form (alpha, beta, gamma), so the rule is its nodes
     (xi, xi^s) and the three weight arrays of ``_form_weights``, and a
     panel's integral is a dot product with the form at its nodes.  A rule
-    from the origin that reaches past the head takes the head's from
-    ``_scaled_head`` instead, the per-s table scaled to t, unless a scaled
-    value leaves the normal doubles; split parts are always built directly.
+    from the origin that reaches past the head takes the head's rows from
+    ``_scaled_head``, the per-s table scaled to t, unless a scaled value
+    leaves the normal doubles; split parts are always formed directly.
 
     A panel that spans more than ``width`` in xi is split into equal
     xi-parts unless its share of the integral is below SPLIT_TOL, where no
@@ -377,7 +379,7 @@ class _OscillatoryRule:
     """
 
     def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False,
-                 nodes=None):
+                 head=None):
         self.t, self.s = t, s
         self.edges = (ka, da, kb, db)
         self.from_origin = from_origin
@@ -385,9 +387,9 @@ class _OscillatoryRule:
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
         self.pieces = np.ceil((self.xb - self.xa) / width)
         # whether any panel is wider than width, so that a form can split it
-        self.splits = bool(np.any(self.pieces > 1))
-        self.xi, self.xi_s, self.weights, self.faint = (
-            _form_weights(t, s, *self.edges) if nodes is None else nodes)
+        self.splits = bool((self.pieces > 1).any())
+        self.xi, self.xi_s, self.weights, self.faint = _form_weights(
+            t, s, *self.edges, head=head)
         self._splits: dict[tuple, _OscillatoryRule] = {}
 
     @classmethod
@@ -403,13 +405,12 @@ class _OscillatoryRule:
         else:
             check_time(t, s, w_hi * 0.5 ** HEAD_DYADIC, k_lead, cutoff=xi_hi)
         head = _scaled_head(t, s) if w_lo == 0 and w_hi > k_lead * np.pi else None
-        edges = [_head_edges(w_lo, w_hi, k_lead) if head is None else head[0]]
+        k, d = _head_edges(w_lo, w_hi, k_lead) if head is None else head[0]
         if w_hi > k_lead * np.pi:
-            edges.append(_body_edges(t, s, k_lead, w_hi, xi_hi, width))
-        nodes = None if head is None else _joined(
-            head[1], _form_weights(t, s, *edges[1]))
-        return cls(t, s, *(np.concatenate(e) for e in zip(*edges)), width,
-                   from_origin=w_lo == 0, nodes=nodes)
+            k_body, d_body = _body_edges(t, s, k_lead, w_hi, xi_hi, width)
+            k, d = np.concatenate([k, k_body]), np.concatenate([d, d_body])
+        return cls(t, s, k[:-1], d[:-1], k[1:], d[1:], width,
+                   from_origin=w_lo == 0, head=None if head is None else head[1])
 
     def panels(self, f) -> np.ndarray:
         """The integral of the form f over each panel."""
@@ -506,7 +507,7 @@ def _below_head(parts: np.ndarray) -> float:
 
 
 def _head_edges(w_lo: float, w_hi: float, k_lead: int):
-    """(ka, da, kb, db) of the head panels, edges k*pi + d.
+    """(k, d) of the head's edges k*pi + d, in order.
 
     The head runs from w_lo to w_end = min(w_hi, k_lead*pi).  Its edges are
     the whole half-periods k*pi and, below b = min(pi, w_end), the dyadic
@@ -529,11 +530,11 @@ def _head_edges(w_lo: float, w_hi: float, k_lead: int):
     ds = np.concatenate([[first - k_first * np.pi],
                          w[inner] - k[inner] * np.pi,
                          [w_end - k_end * np.pi]])
-    return ks[:-1], ds[:-1], ks[1:], ds[1:]
+    return ks, ds
 
 
 def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
-    """(ka, da, kb, db) of the Filon panels on [k_lead*pi, w_hi].
+    """(k, d) of the Filon panels' edges k*pi + d on (k_lead*pi, w_hi].
 
     The xi-edges are those of the static rule: ratio-2 panels from the head's
     end up to 1, then ``_equal_panels``.  Each is moved to the nearest k*pi
@@ -546,26 +547,27 @@ def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
     xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
     if xi_lead < 1.0:
         xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
-    k = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
     k_end = np.floor(w_hi / np.pi)
-    ks = np.concatenate([[float(k_lead)], k[(k > k_lead) & (k < k_end)],
-                         [k_end] if k_end > k_lead else []])
-    ds = np.zeros_like(ks)
-    if w_hi > k_end * np.pi:
-        ks = np.append(ks, k_end)
-        ds = np.append(ds, w_hi - k_end * np.pi)
-    return ks[:-1], ds[:-1], ks[1:], ds[1:]
+    k = np.round(t * np.concatenate(xi_edges) ** s / np.pi)
+    # the xi-edges ascend, so the k do: keep the last of each run of equal k
+    k = k[np.concatenate([k[1:] != k[:-1], [True]]) & (k > k_lead) & (k < k_end)]
+    partial = w_hi > k_end * np.pi
+    k = np.concatenate([k, [k_end] * (int(k_end > k_lead) + int(partial))])
+    d = np.zeros_like(k)
+    if partial:
+        d[-1] = w_hi - k_end * np.pi
+    return k, d
 
 
 @functools.lru_cache(maxsize=HEAD_TABLES)
 def _head_table(s: float):
     """The head of every rule from the origin at order s, as
     (edges, w, w^(1/s), weights, low, high): ``_form_weights`` at t = 1 on
-    the panels of ``_head_edges`` with a full head, and the least and the
+    the edges of ``_head_edges`` with a full head, and the least and the
     greatest of w^(1/s) and |weights|.  None where one of these is not a
     normal double (at s below about 0.07).  Built on first use per s."""
-    edges = _head_edges(0.0, LEAD_HALFPERIODS * np.pi, LEAD_HALFPERIODS)
-    root, w, weights, faint = _form_weights(1.0, s, *edges)
+    k, d = edges = _head_edges(0.0, LEAD_HALFPERIODS * np.pi, LEAD_HALFPERIODS)
+    root, w, weights, faint = _form_weights(1.0, s, k[:-1], d[:-1], k[1:], d[1:])
     magnitudes = np.abs(weights)
     low = min(root.min(), magnitudes.min())
     high = max(root.max(), magnitudes.max())
@@ -576,11 +578,11 @@ def _head_table(s: float):
 
 
 def _scaled_head(t: float, s: float):
-    """(edges, (xi, xi_s, weights, None)) of the head of a rule from the
+    """(edges, (c, w^(1/s), w, weights)) of the head of a rule from the
     origin at t, from ``_head_table``: with c = t^(-1/s), xi = (w/t)^(1/s)
     is c*w^(1/s) and every weight is c times its value at t = 1.  None where
-    c or a scaled value leaves the normal doubles; the head is then built
-    by ``_form_weights``, which handles subnormal weights (``faint``)."""
+    c or a scaled value leaves the normal doubles; the head is then formed
+    like the body, which handles subnormal weights (``faint``)."""
     table = _head_table(s)
     if table is None:
         return None
@@ -589,27 +591,15 @@ def _scaled_head(t: float, s: float):
     info = np.finfo(float)
     if not (info.tiny <= c and info.tiny <= c * low and c * high <= info.max):
         return None
-    return edges, (c * root, w / t, c * weights, None)
+    return edges, (c, root, w, weights)
 
 
-def _joined(head, body):
-    """``_form_weights`` of the head's panels, which have no faint nodes,
-    and of the body's after them, as one read-only set."""
-    rows = head[0].shape[0]
-    joined = [np.concatenate(pair, axis=-2) for pair in zip(head[:3], body[:3])]
-    for a in joined:
-        a.setflags(write=False)
-    faint = body[3]
-    if faint is not None:
-        faint = (faint[0] + rows,) + faint[1:]
-    return (*joined, faint)
-
-
-def _form_weights(t, s, ka, da, kb, db):
+def _form_weights(t, s, ka, da, kb, db, head=None):
     """Nodes and form weights on the w-panels [ka*pi + da, kb*pi + db].
 
     Returns xi and xi^s at FILON_ORDER Gauss nodes per panel, and the
     weights of (alpha, beta, gamma) there, stacked on a first axis of 3.
+    ``head``, from ``_scaled_head``, gives the first panels' rows instead.
     The integrand is the form times the Jacobian jac = d xi/dw = xi/(s*w).
     On a panel at most one half-period wide (the head's, and the body's last
     and single half-periods) the Gauss rule takes the form itself, with
@@ -628,69 +618,96 @@ def _form_weights(t, s, ka, da, kb, db):
     whose right-hand side is the sum of the Legendre coefficients of G times
     the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
     j_k the spherical Bessel function and omega = b - a.  With pf_j the
-    Filon weight of node j (``_filon_weights``) times the phase e^(i(a+b)),
-    the node's weights are h jac/2 (w_j - Re pf_j, w_j + Re pf_j, Im pf_j).
+    Filon weight of node j times the phase e^(i(a+b)), the node's weights
+    are h jac/2 times ``_filon_parts``.  An unsplit rule's wide panels span
+    m whole half-periods, whose phase is (-1)^m: they take ``_whole_filon``.
 
     At tiny t a head weight gauss*sin^2 w can be subnormal where alpha =
     |u1hat|^2/xi^(2s) is large.  Such weights are set to 0, and ``faint`` =
     (rows, columns, gauss, sin w) of their nodes lets ``panels`` take
     ((alpha*gauss)*sin w)*sin w there; it is None at every t > 1e-100.
     """
+    xi, xi_s = np.empty((2, ka.size, FILON_ORDER))
+    weights = np.empty((3,) + xi.shape)
+    first = 0
+    if head is not None:
+        c, root, w_head, table = head
+        first = root.shape[0]
+        np.multiply(c, root, out=xi[:first])
+        np.divide(w_head, t, out=xi_s[:first])
+        np.multiply(c, table, out=weights[:, :first])
+        ka, da, kb, db = ka[first:], da[first:], kb[first:], db[first:]
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
     x, wts = gauss_rule(FILON_ORDER)
     offset = da[:, None] + half[:, None] * (1.0 + x)
     w = ka[:, None] * np.pi + offset
-    xi_s = w / t
-    xi = xi_s ** (1.0 / s)
-    scale = half[:, None] * (xi / (s * w))
-    weights = np.empty((3,) + xi.shape)
+    body_s = np.divide(w, t, out=xi_s[first:])
+    body_xi = np.power(body_s, 1.0 / s, out=xi[first:])
+    scale = half[:, None] * (body_xi / (s * w))
+    body = weights[:, first:]
 
     narrow = omega <= np.pi
     sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
     gauss = scale[narrow] * wts
-    weights[0, narrow] = sin2 = gauss * sin_w ** 2
+    body[0, narrow] = sin2 = gauss * sin_w ** 2
     faint, tiny = None, np.finfo(float).tiny
     if sin2.min(initial=np.inf) < tiny:
         r, cols = np.nonzero(sin2 < tiny)
-        faint = (np.nonzero(narrow)[0][r], cols, gauss[r, cols], sin_w[r, cols])
-        weights[0, faint[0], cols] = 0.0
-    weights[1, narrow] = gauss * cos_w ** 2
-    weights[2, narrow] = gauss * (sin_w * cos_w)
+        rows = np.nonzero(narrow)[0][r]
+        body[0, rows, cols] = 0.0
+        faint = (rows + first, cols, gauss[r, cols], sin_w[r, cols])
+    body[1, narrow] = gauss * cos_w ** 2
+    body[2, narrow] = gauss * (sin_w * cos_w)
 
     wide = ~narrow
-    if np.any(wide):
-        sign = 1.0 - 2.0 * ((ka[wide] + kb[wide]) % 2.0)
-        phase = sign * np.exp(1j * (da[wide] + db[wide]))
-        filon = phase[:, None] * _filon_weights(kb[wide] - ka[wide],
-                                                db[wide] - da[wide])
-        scale = 0.5 * scale[wide]
-        weights[0, wide] = scale * (wts - filon.real)
-        weights[1, wide] = scale * (wts + filon.real)
-        weights[2, wide] = scale * filon.imag
+    if wide.any():
+        ka, da, kb, db = ka[wide], da[wide], kb[wide], db[wide]
+        if da.any() or db.any():
+            # the parts of split panels, each with a phase of its own
+            phase = (1.0 - 2.0 * ((ka + kb) % 2.0)) * np.exp(1j * (da + db))
+            parts = _filon_parts(phase[:, None] * _filon_weights(kb - ka, db - da))
+        else:
+            parts = _whole_filon(kb - ka)
+        body[:, wide] = (0.5 * scale[wide]) * parts
     for a in (xi, xi_s, weights):
         a.setflags(write=False)
     return xi, xi_s, weights, faint
 
 
+def _whole_filon(m: np.ndarray) -> np.ndarray:
+    """``_filon_parts`` of (-1)^m times the Filon weights of m >= 2 whole
+    half-periods: the rows of ``_filon_table`` below FILON_TABLE, and above
+    the cosine half of Hankel's form, as sin(m*pi) = 0 and (-1)^m cos(m*pi)
+    = 1: the powers (1/(m*pi))^(p+1) times the second of ``_hankel_maps``."""
+    # a row from FILON_TABLE up reads the table's last, then is replaced
+    out = _filon_table().take(np.minimum(m, FILON_TABLE - 1).astype(int) - 2, 1)
+    far = m >= FILON_TABLE
+    if far.any():
+        u = 1.0 / (m[far] * np.pi)
+        out[:, far] = _filon_parts((u[:, None] * u[:, None] ** np.arange(
+            FILON_ORDER)) @ _hankel_maps(FILON_ORDER)[1])
+    return out
+
+
+def _filon_parts(pf: np.ndarray) -> np.ndarray:
+    """(w_j - Re pf_j, w_j + Re pf_j, Im pf_j) of phased Filon weights pf,
+    stacked on a first axis of 3."""
+    wts = gauss_rule(FILON_ORDER)[1]
+    return np.stack([wts - pf.real, wts + pf.real, pf.imag])
+
+
 def _filon_weights(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The Filon weights j_k(omega) @ ``_moment_map`` of panels of width
-    omega = m*pi + d > pi, shape omega.shape + (FILON_ORDER,).
-
-    Three sources, none a recurrence per panel:
-
-    * omega >= FILON_TABLE*pi: the closed Hankel form of ``_hankel_maps``,
-      two matrix products with the powers of 1/omega, where sin omega =
-      (-1)^m sin d and cos omega = (-1)^m cos d are exact however large m is;
-    * whole half-periods (d = 0) below that: the rows m of ``_filon_table``;
-    * any other omega, which only the parts of a split panel have:
-      ``_spherical_jn``.
+    omega = m*pi + d > pi, shape omega.shape + (FILON_ORDER,): from
+    FILON_TABLE*pi up the closed Hankel form of ``_hankel_maps``, two matrix
+    products with the powers of 1/omega, where sin omega = (-1)^m sin d and
+    cos omega = (-1)^m cos d are exact however large m is, and below it
+    ``_spherical_jn``.  Only ``_filon_table`` and split parts take them.
     """
     omega = m * np.pi + d
     out = np.empty(omega.shape + (FILON_ORDER,), dtype=complex)
     far = omega >= FILON_TABLE * np.pi
-    whole = ~far & (d == 0.0)
-    other = ~far & ~whole
     if np.any(far):
         u = 1.0 / omega[far]
         sign = 1.0 - 2.0 * (m[far] % 2.0)
@@ -698,21 +715,20 @@ def _filon_weights(m: np.ndarray, d: np.ndarray) -> np.ndarray:
         by_sin, by_cos = _hankel_maps(FILON_ORDER)
         out[far] = ((powers * np.sin(d[far])[:, None]) @ by_sin
                     + (powers * np.cos(d[far])[:, None]) @ by_cos)
-    if np.any(whole):
-        out[whole] = _filon_table()[m[whole].astype(int) - 2]
-    if np.any(other):
-        out[other] = (_spherical_jn(FILON_ORDER, omega[other])
-                      @ _moment_map(FILON_ORDER))
+    if not np.all(far):
+        out[~far] = (_spherical_jn(FILON_ORDER, omega[~far])
+                     @ _moment_map(FILON_ORDER))
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _filon_table() -> np.ndarray:
-    """Row m - 2 holds the Filon weights of omega = m*pi, 2 <= m <
-    FILON_TABLE, from ``_spherical_jn``.  Built on first use, once per
+    """[:, m - 2] holds ``_filon_parts`` of (-1)^m times the Filon weights
+    of omega = m*pi, 2 <= m < FILON_TABLE.  Built on first use, once per
     process, so that importing the module stays cheap."""
-    omega = np.arange(2, FILON_TABLE) * np.pi
-    table = _spherical_jn(FILON_ORDER, omega) @ _moment_map(FILON_ORDER)
+    m = np.arange(2.0, FILON_TABLE)
+    sign = 1.0 - 2.0 * (m % 2.0)
+    table = _filon_parts(sign[:, None] * _filon_weights(m, np.zeros_like(m)))
     table.setflags(write=False)
     return table
 

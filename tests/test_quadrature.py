@@ -13,15 +13,17 @@ from scipy.special import gammainc
 from scipy.special import spherical_jn
 
 from fracwave.errors import DivergenceError, NumericalFailureError
-from fracwave.profiles import ZERO, Gaussian, combine
+from fracwave.profiles import (ZERO, CompactBump, Gaussian,
+                               GaussianDerivative, combine)
 from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, HEAD_DYADIC,
-                                 LEAD_HALFPERIODS, MAX_PANELS, _filon_weights,
-                                 _form_weights, _moment_map, _OscillatoryRule,
-                                 _spherical_jn, adaptive, check_time,
-                                 frequency_cutoff, gauss_panels,
-                                 log_spaced_panels, oscillatory_integral,
-                                 panel_width, singular_origin_integral,
-                                 static_integral)
+                                 LEAD_HALFPERIODS, MAX_PANELS, _equal_panels,
+                                 _filon_parts, _filon_weights, _form_weights,
+                                 _head_edges, _moment_map, _OscillatoryRule,
+                                 _scaled_head, _spherical_jn, _whole_filon,
+                                 adaptive, check_time, frequency_cutoff,
+                                 gauss_panels, gauss_rule, log_spaced_panels,
+                                 oscillatory_integral, panel_width,
+                                 singular_origin_integral, static_integral)
 from fracwave.spectral import Parameters, QuadratureSnapshot
 from support import (body_nodes, quad_reference, reference_density,
                      xi_panel_reference)
@@ -314,19 +316,165 @@ def test_filon_weights_match_mpmath():
                                    rtol=0.0, atol=1e-15)
 
 
+def largest_accepted_time(s):
+    """The largest t that ``check_time`` accepts at order s, where
+    t^(-1/s) is subnormal."""
+    t = LEAD_HALFPERIODS * np.pi / np.finfo(float).tiny ** s
+    while True:
+        try:
+            check_time(t, s)
+            return t
+        except NumericalFailureError:
+            t = np.nextafter(t, 0.0)
+
+
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 0.9, 1.0])
 def test_unsplit_filon_panels_span_whole_halfperiods(s):
-    # every panel wider than pi is m*pi, m >= 2, so its weights need no
-    # recurrence; only the last, partial half-period is not whole
+    # every panel wider than pi is m*pi, m >= 2, so its weights are a row of
+    # _whole_filon; only the last, partial half-period is not whole
+    times = list(np.geomspace(1e-2, 1e6, 17))
+    if s == 0.3:
+        times.append(largest_accepted_time(s))
+    for data in ([Gaussian(0.7, 1.3, 0.8), Gaussian()], [CompactBump()],
+                 [GaussianDerivative(0.7, 1.0, 0.7)]):
+        for t in times:
+            rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data),
+                                          panel_width(data))
+            ka, da, kb, db = rule.edges
+            wide = (kb - ka) * np.pi + (db - da) > np.pi
+            assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
+            assert np.all(kb[wide] - ka[wide] >= 2.0)
+            assert np.all(np.diff(ka * np.pi + da) > 0.0)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_whole_filon_rows_are_the_phased_filon_weights():
+    # a panel of m whole half-periods has the phase (-1)^m: its rows, from
+    # the signed table below FILON_TABLE and the cosine half of Hankel's
+    # form above, are that phase times _filon_weights(m, 0), to the bit
+    m = np.concatenate([np.arange(2.0, 41.0),
+                        np.round(np.geomspace(41.0, 1e6, 12))])
+    sign = 1.0 - 2.0 * (m % 2.0)
+    want = _filon_parts(sign[:, None] * _filon_weights(m, np.zeros_like(m)))
+    assert same_bits(_whole_filon(m), want)
+
+
+def reference_form_weights(t, s, ka, da, kb, db):
+    """``_form_weights`` with one formula for every wide panel: the phase
+    (-1)^(ka+kb) e^(i(da+db)) times ``_filon_weights``, with no table of
+    whole half-periods."""
+    omega = (kb - ka) * np.pi + (db - da)
+    half = 0.5 * omega
+    x, wts = gauss_rule(FILON_ORDER)
+    offset = da[:, None] + half[:, None] * (1.0 + x)
+    w = ka[:, None] * np.pi + offset
+    xi_s = w / t
+    xi = xi_s ** (1.0 / s)
+    scale = half[:, None] * (xi / (s * w))
+    weights = np.empty((3,) + xi.shape)
+    narrow = omega <= np.pi
+    sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
+    gauss = scale[narrow] * wts
+    weights[0, narrow] = sin2 = gauss * sin_w ** 2
+    faint = None
+    r, cols = np.nonzero(sin2 < np.finfo(float).tiny)
+    if r.size:
+        faint = (np.nonzero(narrow)[0][r], cols, gauss[r, cols], sin_w[r, cols])
+        weights[0, faint[0], cols] = 0.0
+    weights[1, narrow] = gauss * cos_w ** 2
+    weights[2, narrow] = gauss * (sin_w * cos_w)
+    wide = ~narrow
+    if np.any(wide):
+        sign = 1.0 - 2.0 * ((ka[wide] + kb[wide]) % 2.0)
+        phase = sign * np.exp(1j * (da[wide] + db[wide]))
+        filon = phase[:, None] * _filon_weights(kb[wide] - ka[wide],
+                                                db[wide] - da[wide])
+        scale = 0.5 * scale[wide]
+        weights[0, wide] = scale * (wts - filon.real)
+        weights[1, wide] = scale * (wts + filon.real)
+        weights[2, wide] = scale * filon.imag
+    return xi, xi_s, weights, faint
+
+
+def reference_edges(t, s, xi_lo, xi_hi, width):
+    """(k, d) of a rule's edges k*pi + d, with its body's k sorted and
+    deduplicated by ``np.unique``, and whether the head table applies."""
+    w_lo, w_hi = t * xi_lo ** s, t * xi_hi ** s
+    k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
+    scaled = w_lo == 0 and w_hi > k_lead * np.pi and _scaled_head(t, s) is not None
+    k, d = _head_edges(w_lo, w_hi, k_lead)
+    if w_hi <= k_lead * np.pi:
+        return k, d, scaled
+    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
+    xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
+    if xi_lead < 1.0:
+        xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
+    body = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
+    k_end = np.floor(w_hi / np.pi)
+    body = np.concatenate([body[(body > k_lead) & (body < k_end)],
+                           [k_end] if k_end > k_lead else []])
+    d_body = np.zeros_like(body)
+    if w_hi > k_end * np.pi:
+        body = np.append(body, k_end)
+        d_body = np.append(d_body, w_hi - k_end * np.pi)
+    return np.concatenate([k, body]), np.concatenate([d, d_body]), scaled
+
+
+def assert_rule_bits(rule, xi_lo, xi_hi, width):
+    """The rule's edges, nodes, weights and faint nodes, bit for bit: the
+    head's rows are ``_scaled_head``'s, or the body's formula where the
+    table does not apply, and the body's are ``reference_form_weights``."""
+    t, s = rule.t, rule.s
+    k, d, scaled = reference_edges(t, s, xi_lo, xi_hi, width)
+    edges = (k[:-1], d[:-1], k[1:], d[1:])
+    assert all(same_bits(got, want) for got, want in zip(rule.edges, edges))
+    xi, xi_s, weights, faint = reference_form_weights(t, s, *edges)
+    if scaled:
+        c, root, w, table = _scaled_head(t, s)[1]
+        rows = root.shape[0]
+        xi[:rows], xi_s[:rows], weights[:, :rows] = c * root, w / t, c * table
+        assert faint is None or np.all(faint[0] >= rows)
+    assert same_bits(rule.xi, xi) and same_bits(rule.xi_s, xi_s)
+    assert same_bits(rule.weights, weights)
+    assert (rule.faint is None) == (faint is None)
+    if faint is not None:
+        assert all(same_bits(got, want) for got, want in zip(rule.faint, faint))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+def test_rules_are_the_one_formula_to_the_bit(s):
     data = [Gaussian(0.7, 1.3, 0.8), Gaussian()]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
     for t in np.geomspace(1e-2, 1e6, 17):
-        rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data),
-                                      panel_width(data))
-        ka, da, kb, db = rule.edges
-        wide = (kb - ka) * np.pi + (db - da) > np.pi
-        assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
-        assert np.all(kb[wide] - ka[wide] >= 2.0)
-        assert np.all(np.diff(ka * np.pi + da) > 0.0)
+        rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+        assert_rule_bits(rule, 0.0, cutoff, width)
+
+
+def test_split_offset_and_faint_rules_are_the_one_formula_to_the_bit():
+    data = [Gaussian(0.5, 1.0, 0.3), Gaussian()]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
+    # xi_lo > 0, whose head is not the table's
+    assert_rule_bits(_OscillatoryRule.build(1e3, 0.75, 0.5, cutoff, width),
+                     0.5, cutoff, width)
+    # the subnormal head weights of tiny t
+    rule = _OscillatoryRule.build(1e-150, 0.3, 0.0, cutoff, width)
+    assert rule.faint is not None
+    assert_rule_bits(rule, 0.0, cutoff, width)
+    # a rule that splits, and the rule on its parts, whose edges are not
+    # whole half-periods
+    rule = _OscillatoryRule.build(0.05, 0.75, 0.0, cutoff, width)
+    assert rule.splits
+    assert_rule_bits(rule, 0.0, cutoff, width)
+    parts = rule._split(tuple(np.nonzero(rule.pieces > 1)[0].tolist()))
+    xi, xi_s, weights, faint = reference_form_weights(parts.t, parts.s,
+                                                      *parts.edges)
+    assert np.any(parts.edges[1] != 0.0)
+    assert same_bits(parts.xi, xi) and same_bits(parts.xi_s, xi_s)
+    assert same_bits(parts.weights, weights) and parts.faint is faint is None
 
 
 def test_second_unsplit_build_takes_no_recurrence(monkeypatch):
@@ -377,8 +525,11 @@ def assert_after_fresh_import(check):
 
 
 def test_import_does_not_build_the_filon_table():
-    # the table is built on first use, so that importing stays cheap
-    assert_after_fresh_import("q._filon_table.cache_info().currsize == 0")
+    # the signed table is built on first use, so that importing stays cheap
+    assert_after_fresh_import(
+        "q._filon_table.cache_info().currsize == 0 "
+        "and q._whole_filon(q.np.array([2.0, 40.0])).shape == (3, 2, q.FILON_ORDER) "
+        "and q._filon_table.cache_info().currsize == 1")
 
 
 def test_import_does_not_build_a_head_table():
@@ -421,9 +572,11 @@ def test_sweep_forms_the_head_once(monkeypatch):
     quadrature._head_table.cache_clear()
     head_rows = []
 
-    def counted(t, s, ka, *edges):
-        head_rows.append(int(np.sum(ka < LEAD_HALFPERIODS)))
-        return _form_weights(t, s, ka, *edges)
+    def counted(t, s, ka, *edges, head=None):
+        # the head rows formed here, not scaled from the table
+        given = 0 if head is None else head[1].shape[0]
+        head_rows.append(int(np.sum(ka[given:] < LEAD_HALFPERIODS)))
+        return _form_weights(t, s, ka, *edges, head=head)
 
     monkeypatch.setattr(quadrature, "_form_weights", counted)
     for t in np.geomspace(1e2, 1e6, 10):
@@ -448,13 +601,7 @@ def test_rules_the_head_table_does_not_cover_are_built_directly():
         assert rule.faint is not None
         assert_direct_build(rule)
     # the largest t that check_time accepts at s = 0.3: t^(-1/s) is subnormal
-    t = LEAD_HALFPERIODS * np.pi / np.finfo(float).tiny ** 0.3
-    while True:
-        try:
-            check_time(t, 0.3)
-            break
-        except NumericalFailureError:
-            t = np.nextafter(t, 0.0)
+    t = largest_accepted_time(0.3)
     assert_direct_build(_OscillatoryRule.build(t, 0.3, 0.0, cutoff, width))
     with pytest.raises(NumericalFailureError):
         check_time(np.nextafter(t, np.inf), 0.3)

@@ -680,8 +680,8 @@ class TestNormsAndEnergy:
         separate = [read(fresh()) for read in readers]
         monkeypatch.setattr(spectral, "oscillatory_integral",
                             counting("integrals", spectral.oscillatory_integral))
-        monkeypatch.setattr(quadrature, "_filon_weights",
-                            counting("moments", quadrature._filon_weights))
+        monkeypatch.setattr(quadrature, "_whole_filon",
+                            counting("moments", quadrature._whole_filon))
         monkeypatch.setattr(Gaussian, "fourier", counting("transforms", Gaussian.fourier))
         snap = fresh()
         first = functionals(snap)
