@@ -249,29 +249,30 @@ def check_pointwise_bound(p: Profile, gamma: float,
     stays at or below the declared constant 2.  At xi = 0 the bound collapses
     to the equality |fhat(0)| = |P|.
     """
-    return _pointwise_bound_checks(p, gamma, (xi_grid,))[0]
+    return _pointwise_bound_checks(p, (gamma,), (xi_grid,))[0]
 
 
-def _pointwise_bound_checks(p: Profile, gamma: float,
+def _pointwise_bound_checks(p: Profile, gammas,
                             xi_grids) -> list[InequalityCheck]:
-    """``check_pointwise_bound`` on each grid, with ||f||_{1,gamma} and the
-    mean computed once."""
-    if not 0.0 <= gamma <= 1.0:
+    """``check_pointwise_bound`` for each gamma on each grid, grids inner,
+    with |fhat| on each grid and the mean computed once."""
+    if not all(0.0 <= gamma <= 1.0 for gamma in gammas):
         raise PreconditionError("gamma must lie in [0, 1]")
-    weighted = weighted_l1_norm(p, gamma)
     mean = abs(moment0(p))
-    checks = []
+    grids = []
     for xi_grid in xi_grids:
         xi = np.abs(np.asarray(xi_grid, dtype=float))
         xi = xi[xi > 0]
-        vals = np.abs(p.fourier(xi))
-        if weighted == 0.0:
-            sup_ratio = 0.0
-        else:
-            sup_ratio = float(np.max((vals - mean) / (xi ** gamma * weighted)))
-        checks.append(InequalityCheck(
-            "fourier_pointwise", {"gamma": gamma, "n_points": int(xi.size)},
-            repr(p), left=sup_ratio, right=1.0, constant=POINTWISE_CONSTANT))
+        grids.append((xi, np.abs(p.fourier(xi))))
+    checks = []
+    for gamma in gammas:
+        weighted = weighted_l1_norm(p, gamma)
+        for xi, vals in grids:
+            sup_ratio = 0.0 if weighted == 0.0 else float(
+                np.max((vals - mean) / (xi ** gamma * weighted)))
+            checks.append(InequalityCheck(
+                "fourier_pointwise", {"gamma": gamma, "n_points": int(xi.size)},
+                repr(p), left=sup_ratio, right=1.0, constant=POINTWISE_CONSTANT))
     return checks
 
 

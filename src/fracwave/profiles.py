@@ -195,7 +195,8 @@ class CompactBump(Profile):
     def _fourier_uncached(self, xi):
         # even real profile: fhat(xi) = 2 * int_0^r cos(x xi) f(x) dx, real.
         # Frequencies go in chunks of at most BUMP_BLOCK (node, frequency)
-        # pairs, and each chunk's x panels resolve its own largest frequency.
+        # pairs; each chunk takes Gauss-16 on one x panel per period of cos at
+        # its own largest frequency, plus 8 (``_x_panels``).
         flat = np.abs(xi).ravel()
         out = np.empty(flat.shape)
         step = max(1, BUMP_BLOCK // (16 * self._x_panels(np.max(flat))))
@@ -210,7 +211,7 @@ class CompactBump(Profile):
         return out.reshape(xi.shape).astype(complex)
 
     def _x_panels(self, xi_max):
-        return int(np.ceil(self.radius * xi_max / np.pi)) + 8
+        return int(np.ceil(self.radius * xi_max / (2.0 * np.pi))) + 8
 
     def support(self):
         return -self.radius, self.radius

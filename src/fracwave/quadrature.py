@@ -25,7 +25,8 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
 
 ``gauss_panels`` also serves smooth integrands of the profiles and lemmas;
 ``adaptive``, a Gauss-Kronrod rule with global bisection, serves integrands
-with kinks at places only it finds (|x - c|, the sign changes of a sum).
+with kinks at places only it finds (|x - c|, the sign changes of a sum); a
+kink it is told of, such as |x|^gamma at 0, is graded toward in advance.
 
 The Filon body makes a norm at t = 1e6 cost about what one at t = 1e2 does.
 Every density here is a quadratic form in (sin w, cos w), so in the variable
@@ -176,7 +177,10 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-11, limit: int = 400,
              points=None) -> float:
     """Adaptive Gauss-Kronrod integration of a vectorized f on [a, b].
 
-    [a, b] is first cut at the interior ``points``.  Each interval gets a
+    [a, b] is first cut at the interior ``points``, each approached by a
+    dyadic cascade of edges (``_graded_edges``), so that a kink or an
+    |x - p|^gamma factor at p takes no bisection toward it (QUADPACK's
+    grading for algebraic end-point singularities).  Each interval gets a
     Kronrod-15 rule and an error estimate (``_kronrod``); while the summed
     estimate exceeds rel_tol times the value, every interval whose estimate
     is above its even share of that target is bisected, worst first, up to
@@ -192,7 +196,7 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-11, limit: int = 400,
             f"rounding unit of its ends is more than rel_tol/10 = "
             f"{rel_tol / 10:g} of its width")
     inner = sorted(p for p in (points or ()) if a < p < b)
-    edges = np.array([a, *inner, b], dtype=float)
+    edges = _graded_edges(np.array([a, *inner, b], dtype=float), rel_tol, limit)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _kronrod(f, lo, hi)
     while True:
@@ -219,6 +223,16 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-11, limit: int = 400,
             f"value={val:.6e}, error estimate={err:.2e}"
         )
     return val
+
+
+def _graded_edges(edges: np.ndarray, rel_tol: float, limit: int) -> np.ndarray:
+    """``edges`` with each interior one p approached from both neighbours q
+    by the dyadic cascade p + (q - p) 2^-j, j = 1..log2(1/rel_tol), cut to fit
+    ``limit`` intervals; edges that round onto p or onto each other merge."""
+    k = edges.size - 2
+    depth = min(math.ceil(-math.log2(rel_tol)), (limit - k - 1) // max(2 * k, 1))
+    p, q = edges[1:-1, None], np.stack([edges[:-2], edges[2:]])[..., None]
+    return np.unique(np.append(edges, p + (q - p) * 0.5 ** np.arange(1, depth + 1)))
 
 
 def log_spaced_panels(lo: float, hi: float, per_decade: int = 4) -> np.ndarray:

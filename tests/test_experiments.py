@@ -241,6 +241,27 @@ class TestRunners:
         assert report["verdicts"]["all_inequalities_hold"] is True
         assert any(c["check"] == "riesz_zero_mean" for c in report["checks"])
 
+    def test_lemmas_run_transforms_each_profile_once_per_grid(self, tmp_path,
+                                                             monkeypatch):
+        # the pointwise checks of all four gammas share one |fhat| per grid
+        rng = np.random.default_rng(3)
+        grids = [np.logspace(-3, 2, 500), 10.0 ** rng.uniform(-3, 2, size=100)]
+        cfg = parse_config("u0 = gaussian\nu1 = gaussian_derivative\nseed = 3\n")
+        calls = []
+        for cls in (Gaussian, GaussianDerivative):
+            original = cls.fourier
+            monkeypatch.setattr(cls, "fourier", lambda p, xi, original=original: (
+                calls.append((p, np.asarray(xi))) or original(p, xi)))
+        result = run_lemmas(cfg, out_dir=tmp_path)
+        assert result.passed
+        on_grids = [(name, k) for p, xi in calls for k, grid in enumerate(grids)
+                    for name in ("u0", "u1")
+                    if p is getattr(cfg, name) and np.array_equal(xi, grid)]
+        assert on_grids == [("u0", 0), ("u0", 1), ("u1", 0), ("u1", 1)]
+        checks = [c for c in result.report["checks"] if c["check"] == "fourier_pointwise"]
+        assert [(c["params"]["gamma"], c["params"]["n_points"]) for c in checks] == [
+            (g, n) for g in (0.0, 0.25, 0.5, 1.0) for n in (500, 100)] * 2
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SANDWICH_CFG)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -137,6 +137,28 @@ def test_bump_fourier_in_chunks_and_bounded_cache():
     assert bump.frequency_radius() < 2e3
 
 
+# QUADPACK notes roundoff where the transform is near 1e-15 of fhat(0)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bump_fourier_takes_one_x_panel_per_period(monkeypatch):
+    bump = CompactBump()
+    xi = np.linspace(0.0, 400.0, 201)
+    nodes = []
+    original = CompactBump.evaluate
+    monkeypatch.setattr(CompactBump, "evaluate",
+                        lambda p, x: nodes.append(np.size(x)) or original(p, x))
+    fhat = bump.fourier(xi)
+    monkeypatch.undo()
+    ref = np.array([2.0 * quad(bump.evaluate, 0.0, 1.0, weight="cos", wvar=k,
+                               epsabs=1e-16, epsrel=1e-12, limit=200)[0] for k in xi])
+    assert np.max(np.abs(fhat.real - ref)) <= 1e-13 * fhat[0].real
+    # 16 Gauss nodes on each of 400/(2 pi) + 8 panels: about half of one
+    # panel per half-period
+    assert nodes == [16 * (int(np.ceil(400.0 / (2.0 * np.pi))) + 8)]
+    assert nodes[0] <= 0.55 * 16 * (int(np.ceil(400.0 / np.pi)) + 8)
+    assert [CompactBump(radius=r).frequency_radius() for r in (1.0, 1.5, 3.0)] == [
+        1536.0, 1024.0, 512.0]
+
+
 def test_bump_frequency_radius_is_scanned_once_per_instance(monkeypatch):
     scans = []
     original = CompactBump._fourier_uncached

@@ -12,9 +12,10 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 from scipy.special import spherical_jn
 
+from fracwave import quadrature
 from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import (ZERO, CompactBump, Gaussian,
-                               GaussianDerivative, combine)
+                               GaussianDerivative, combine, weighted_l1_norm)
 from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, HEAD_DYADIC,
                                  LEAD_HALFPERIODS, MAX_PANELS, _equal_panels,
                                  _filon_parts, _filon_weights, _form_weights,
@@ -68,6 +69,77 @@ def test_adaptive_matches_quadpack_on_kinks(name):
     ref = quad(f, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
     assert adaptive(f, a, b, rel_tol=1e-10, limit=800, points=points) == pytest.approx(
         ref, rel=1e-10, abs=0.0)
+
+
+@pytest.fixture
+def kronrod_log(monkeypatch):
+    """The (lo, hi) interval arrays of every ``_kronrod`` pass."""
+    log = []
+    original = quadrature._kronrod
+
+    def logged(f, lo, hi):
+        log.append((lo.copy(), hi.copy()))
+        return original(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_kronrod", logged)
+    return log
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("profile", [Gaussian(), GaussianDerivative(), CompactBump(),
+                                     Gaussian(1.0, 1.0, 0.7)],
+                         ids=["gaussian", "derivative", "bump", "off-centre"])
+def test_weighted_l1_norms_match_quadpack(profile, gamma):
+    def f(x):
+        return (1.0 + np.abs(x) ** gamma) * np.abs(profile.evaluate(x))
+
+    lo, hi = profile.support()
+    ref = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+              for a, b in ((lo, 0.0), (0.0, hi)))
+    assert weighted_l1_norm(profile, gamma) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.25, 0.5])
+def test_graded_breakpoint_takes_few_passes(kronrod_log, gamma):
+    # the dyadic cascade toward 0 resolves |x|^gamma without bisecting to it
+    def f(x):
+        return np.abs(x) ** gamma * np.exp(-x * x)
+
+    ref = quad(f, -6.0, 6.0, points=[0.0], epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+    assert adaptive(f, -6.0, 6.0, rel_tol=1e-10, limit=800, points=[0.0]) == pytest.approx(
+        ref, rel=1e-10, abs=0.0)
+    assert len(kronrod_log) <= 5
+
+
+def test_graded_breakpoint_fits_a_small_limit(kronrod_log):
+    # the full cascade is 70 intervals; with limit 20 or 40 it is cut to fit,
+    # leaves no room to bisect, and the estimate is refused
+    f = KINKED["power-0.25"][0]
+    for limit in (20, 40):
+        kronrod_log.clear()
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            adaptive(f, -6.0, 6.0, rel_tol=1e-10, limit=limit, points=[0.0])
+        assert [lo.size for lo, _ in kronrod_log] == [limit]
+
+
+@pytest.mark.parametrize("c", [1e6, 1e12])
+def test_graded_edges_never_round_onto_each_other(kronrod_log, c):
+    # points an ulp or a few apart: cascade edges that round onto a point or
+    # onto each other merge, so no interval is narrower than one ulp
+    w = c / 10.0
+
+    def f(x):
+        u = (x - c) / w
+        return np.sqrt(np.abs(u)) * np.exp(-u * u)
+
+    ulp = np.spacing(c)
+    for points in ([c], [c, c + 4 * ulp], [c - 3 * ulp, c], [c, c + ulp]):
+        kronrod_log.clear()
+        assert adaptive(f, c - 6.4 * w, c + 6.4 * w, rel_tol=1e-10, limit=800,
+                        points=points) == pytest.approx(w * gamma_fn(0.75), rel=1e-10)
+        lo = np.concatenate([lo for lo, _ in kronrod_log])
+        hi = np.concatenate([hi for _, hi in kronrod_log])
+        assert np.all(hi - lo >= np.spacing(lo))
 
 
 @pytest.mark.parametrize("t,s", [(10.0, 0.75), (200.0, 0.5), (50.0, 0.9)])
@@ -678,14 +750,19 @@ def test_adaptive_refuses_an_interval_its_doubles_cannot_resolve():
     def bell(x):
         return np.exp(-(x - c) ** 2)
 
-    # 12.8 wide at 1e6: the ends' rounding unit is 1e-11 of the width
+    # 12.8 wide at 1e6: the ends' rounding unit is 1e-11 of the width; a
+    # breakpoint at the centre is graded toward only once that passes
     c = 1e6
-    assert adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10) == pytest.approx(
-        np.sqrt(np.pi), rel=1e-10)
+    for points in (None, [c]):
+        assert adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10,
+                        points=points) == pytest.approx(np.sqrt(np.pi), rel=1e-10)
     # at 3e6 it is 3.6e-11, and moves the value by 2.4e-10
     for c in (3e6, 1e300):
+        for points in (None, [c]):
+            with pytest.raises(NumericalFailureError, match="cannot resolve"):
+                adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10, points=points)
         with pytest.raises(NumericalFailureError, match="cannot resolve"):
-            adaptive(bell, c - 6.4, c + 6.4, rel_tol=1e-10)
+            weighted_l1_norm(Gaussian(center=c), 0.5)
 
 
 def test_panel_width_of_centred_data_is_two_pi_over_the_radius():
