@@ -314,10 +314,9 @@ def area_sums(t: float, tolerance: float = 1e-10) -> AreaSumReport:
         raise ValueError("tolerance must be positive")
 
     block = 8192
-    a_parts, b_parts, A_parts, B_parts = [], [], [], []
+    parts = []          # (a, b, A, B) of each block, up to the last panel
     start = 0
     sum_A = 0.0
-    tail = np.inf
     # hard stop: beyond a_i^2 ~ 750 the integrals underflow to zero anyway
     i_hard = int(np.ceil(1.7 * t)) + 8
     while start <= i_hard:
@@ -330,31 +329,23 @@ def area_sums(t: float, tolerance: float = 1e-10) -> AreaSumReport:
         edges = np.concatenate([a, b, a_last])
         e = 0.5 * _exp1(edges * edges)
         e_a, e_b = e[:i.size], e[i.size:-1]
-        e_next = np.append(e_a[1:], e[-1])
+        tails = np.append(e_a[1:], e[-1])
         A = e_a - e_b
-        B = e_b - e_next
-        tails = e_next
+        B = e_b - tails
         sums = sum_A + np.cumsum(A)
-        done = tails <= tolerance * sums
-        if np.any(done):
-            k = int(np.argmax(done))
-            sl = slice(0, k + 1)
-            a_parts.append(a[sl]); b_parts.append(b[sl])
-            A_parts.append(A[sl]); B_parts.append(B[sl])
-            tail = float(tails[k])
+        done = np.flatnonzero(tails <= tolerance * sums)
+        end = done[0] + 1 if done.size else i.size
+        parts.append((a[:end], b[:end], A[:end], B[:end]))
+        if done.size:
+            tail = float(tails[end - 1])
             break
-        a_parts.append(a); b_parts.append(b)
-        A_parts.append(A); B_parts.append(B)
         sum_A = float(sums[-1])
         start += block
     else:
         raise NumericalFailureError(
             f"area sums at t={t:g} failed to reach tolerance {tolerance:g}")
 
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
-    A = np.concatenate(A_parts)
-    B = np.concatenate(B_parts)
+    a, b, A, B = (np.concatenate(column) for column in zip(*parts))
     if np.any(A <= 0) or np.any(B <= 0):
         raise NumericalFailureError(
             "area panels lost positivity before the tail criterion was met; "

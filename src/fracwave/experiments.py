@@ -512,9 +512,9 @@ def run_lemmas(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     family = [p for p in (cfg.u0, cfg.u1) if not p.is_zero] or [Gaussian()]
     checks = []
     for p in family:
-        checks += lemmas._pointwise_bound_checks(p, (0.0, 0.25, 0.5, 1.0),
-                                                 (xi_grid, xi_random))
         mean = profiles.moment0(p)
+        checks += lemmas._pointwise_bound_checks(p, (0.0, 0.25, 0.5, 1.0),
+                                                 (xi_grid, xi_random), mean)
         if abs(mean) > 1e-12:
             checks.append(lemmas.check_riesz_bound(p, theta=0.4, n=1))
         else:

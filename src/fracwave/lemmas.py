@@ -129,31 +129,26 @@ class RadialGaussianLaplacian:
     def moment0(self) -> float:
         return 0.0
 
-    def l1(self) -> float:
-        # |Lap g| integrates in closed form for the radial gaussian profile;
-        # quadrature is simpler and this is test-family plumbing, not a hot path
+    def _radial_integral(self, norm) -> float:
+        """|S^(n-1)| int_0^(10 sigma) norm(r, f(r)) r^(n-1) dr, with f this
+        Laplacian; quadrature is simpler than its closed forms, and this is
+        test-family plumbing, not a hot path."""
         n, sig, a = self.dimension, self.width, self.amplitude
-        def absval(r):
+
+        def integrand(r):
             g = np.exp(-(r / sig) ** 2)
             lap = (4.0 * r ** 2 / sig ** 4 - 2.0 * n / sig ** 2) * g
-            return np.abs(a * lap) * r ** (n - 1)
-        return sphere_area(n) * adaptive(absval, 0.0, sig * 10.0, rel_tol=1e-10)
+            return norm(r, a * lap) * r ** (n - 1)
+        return sphere_area(n) * adaptive(integrand, 0.0, sig * 10.0, rel_tol=1e-10)
+
+    def l1(self) -> float:
+        return self._radial_integral(lambda r, f: np.abs(f))
 
     def l2(self) -> float:
-        n, sig, a = self.dimension, self.width, self.amplitude
-        def sq(r):
-            g = np.exp(-(r / sig) ** 2)
-            lap = (4.0 * r ** 2 / sig ** 4 - 2.0 * n / sig ** 2) * g
-            return (a * lap) ** 2 * r ** (n - 1)
-        return float(np.sqrt(sphere_area(n) * adaptive(sq, 0.0, sig * 10.0, rel_tol=1e-10)))
+        return float(np.sqrt(self._radial_integral(lambda r, f: f ** 2)))
 
     def weighted_l1(self, gamma: float) -> float:
-        n, sig, a = self.dimension, self.width, self.amplitude
-        def w(r):
-            g = np.exp(-(r / sig) ** 2)
-            lap = (4.0 * r ** 2 / sig ** 4 - 2.0 * n / sig ** 2) * g
-            return (1.0 + r ** gamma) * np.abs(a * lap) * r ** (n - 1)
-        return sphere_area(n) * adaptive(w, 0.0, sig * 10.0, rel_tol=1e-10)
+        return self._radial_integral(lambda r, f: (1.0 + r ** gamma) * np.abs(f))
 
     def frequency_radius(self) -> float:
         return self._base().frequency_radius() + 4.0 / self.width
@@ -201,9 +196,12 @@ def riesz_energy(p, theta: float, n: int = 1) -> float:
 
 
 def _norms_any(p, n: int):
+    """The functions (p) -> ||f||_1, ||f||_2, integral f and (p, gamma) ->
+    ||f||_{1,gamma}: a profile's in n = 1, else its radial family's."""
     if n == 1 and isinstance(p, Profile):
-        return l1_norm(p), l2_norm(p), moment0(p), (lambda g: weighted_l1_norm(p, g))
-    return p.l1(), p.l2(), p.moment0(), (lambda g: p.weighted_l1(g))
+        return l1_norm, l2_norm, moment0, weighted_l1_norm
+    family = type(p)
+    return family.l1, family.l2, family.moment0, family.weighted_l1
 
 
 def check_riesz_bound(p, theta: float, n: int = 1) -> InequalityCheck:
@@ -212,9 +210,9 @@ def check_riesz_bound(p, theta: float, n: int = 1) -> InequalityCheck:
         raise PreconditionError(
             f"hypothesis violated: theta in [0, n/2) required, "
             f"got theta={theta} with n={n}")
-    nrm1, nrm2, _, _ = _norms_any(p, n)
+    l1, l2, _, _ = _norms_any(p, n)
+    right = l1(p) ** 2 + l2(p) ** 2
     left = riesz_energy(p, theta, n)
-    right = nrm1 ** 2 + nrm2 ** 2
     return InequalityCheck("riesz_l1", {"theta": theta, "n": n}, repr(p),
                            left, right)
 
@@ -229,12 +227,13 @@ def check_riesz_bound_zero_mean(p, theta: float, gamma: float,
         raise PreconditionError(
             f"hypothesis violated: theta in [0, gamma + n/2) required, "
             f"got theta={theta} with gamma={gamma}, n={n}")
-    nrm1, nrm2, mean, weighted = _norms_any(p, n)
-    if abs(mean) > 1e-12 * max(nrm1, 1e-300):
+    l1, l2, mean_of, weighted = _norms_any(p, n)
+    mean = mean_of(p)
+    if abs(mean) > 1e-12 * max(l1(p), 1e-300):
         raise PreconditionError(
             f"hypothesis violated: integral f dx = 0 required, got {mean:.3e}")
     left = riesz_energy(p, theta, n)
-    right = weighted(gamma) ** 2 + nrm2 ** 2
+    right = weighted(p, gamma) ** 2 + l2(p) ** 2
     return InequalityCheck("riesz_zero_mean",
                            {"theta": theta, "gamma": gamma, "n": n}, repr(p),
                            left, right)
@@ -249,16 +248,15 @@ def check_pointwise_bound(p: Profile, gamma: float,
     stays at or below the declared constant 2.  At xi = 0 the bound collapses
     to the equality |fhat(0)| = |P|.
     """
-    return _pointwise_bound_checks(p, (gamma,), (xi_grid,))[0]
+    return _pointwise_bound_checks(p, (gamma,), (xi_grid,), moment0(p))[0]
 
 
-def _pointwise_bound_checks(p: Profile, gammas,
-                            xi_grids) -> list[InequalityCheck]:
+def _pointwise_bound_checks(p: Profile, gammas, xi_grids,
+                            mean: float) -> list[InequalityCheck]:
     """``check_pointwise_bound`` for each gamma on each grid, grids inner,
-    with |fhat| on each grid and the mean computed once."""
+    with |fhat| on each grid computed once; ``mean`` is ``moment0(p)``."""
     if not all(0.0 <= gamma <= 1.0 for gamma in gammas):
         raise PreconditionError("gamma must lie in [0, 1]")
-    mean = abs(moment0(p))
     grids = []
     for xi_grid in xi_grids:
         xi = np.abs(np.asarray(xi_grid, dtype=float))
@@ -269,7 +267,7 @@ def _pointwise_bound_checks(p: Profile, gammas,
         weighted = weighted_l1_norm(p, gamma)
         for xi, vals in grids:
             sup_ratio = 0.0 if weighted == 0.0 else float(
-                np.max((vals - mean) / (xi ** gamma * weighted)))
+                np.max((vals - abs(mean)) / (xi ** gamma * weighted)))
             checks.append(InequalityCheck(
                 "fourier_pointwise", {"gamma": gamma, "n_points": int(xi.size)},
                 repr(p), left=sup_ratio, right=1.0, constant=POINTWISE_CONSTANT))

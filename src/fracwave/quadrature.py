@@ -98,17 +98,11 @@ BESSEL_MILLER_EXTRA = 20
 #: orders s whose head table (``_head_table``, about 60 kB each) is kept
 HEAD_TABLES = 8
 
-# Cache of Gauss-Legendre rules keyed by order.
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = rule
-    return rule
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], per process."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_panels(f, edges: np.ndarray, order: int = 12) -> float:

@@ -42,8 +42,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import profiles
 from .errors import BackendCapError, BackendMismatchError
 from .grid import GridSpec
+from .lemmas import gagliardo_constant
 from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
 from .quadrature import (MASS_FLOOR, check_time, frequency_cutoff,
                          oscillatory_integral, panel_width, support_hull)
@@ -74,26 +76,12 @@ def sine_multiplier(s: float, t: float, xi):
 
     Total on t >= 0: at xi = 0 the removable singularity evaluates to t, and
     below phase 1e-8 the series t*(1 - (t|xi|^s)^2/6) replaces the quotient
-    to avoid cancellation.
+    to avoid cancellation.  It is ``propagate``'s u for u1hat = 1, u0 = 0.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    xi_s = np.abs(xi) ** s
-    w = t * xi_s
-    out = _sine_quotient(t, xi_s, w, np.sin(w))
+    out = propagate(s, t, np.asarray(xi, dtype=float), None, 1.0, "u")
     return out if out.ndim else float(out)
-
-
-def _sine_quotient(t: float, xi_s, w, sin_w):
-    """sin(w)/|xi|^s from a computed sin w, with the series below SERIES_PHASE."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.asarray(sin_w / xi_s)
-    small = np.asarray(w < SERIES_PHASE)
-    if small.any():
-        w_small = np.asarray(w)[small]
-        quotient[small] = t * (1.0 - w_small * w_small / 6.0)
-    return quotient
 
 
 def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None):
@@ -112,8 +100,15 @@ def propagate(s: float, t: float, xi, u0_hat, u1_hat, field: str | None = None):
     need_cos = (want_u and u0_hat is not None) or (want_ut and u1_hat is not None)
     sin_w = np.sin(w) if need_sin else None
     cos_w = np.cos(w) if need_cos else None
-    r1 = (_sine_quotient(t, xi_s, w, sin_w)
-          if want_u and u1_hat is not None else None)
+    r1 = None
+    if want_u and u1_hat is not None:
+        # sin(w)/|xi|^s, with the series below SERIES_PHASE
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = np.asarray(sin_w / xi_s)
+        small = np.asarray(w < SERIES_PHASE)
+        if small.any():
+            w_small = np.asarray(w)[small]
+            r1[small] = t * (1.0 - w_small * w_small / 6.0)
     del w   # on a 2^20-point grid every full-length array is 8-16 MB
     u = _superpose(r1, cos_w, u0_hat, u1_hat) if want_u else None
     if field == "u":
@@ -240,6 +235,9 @@ class GridSnapshot(Snapshot):
         self._shared = band == grid.points // 2 and field_spectra is None
         # band mass per (field, weight_exp, scale), shared by the norm methods
         self._masses: dict[tuple, float] = {}
+        # propagated bins per (field, full): the norms' (False) or every bin
+        # -N/2..0 (True); a shared snapshot's norms read the full entries
+        self._bins: dict[tuple, np.ndarray] = {}
 
     def _fields(self, field: str | None, full: bool = False):
         """``propagate`` on the norms' bins -band..0, or on every bin -N/2..0
@@ -261,34 +259,24 @@ class GridSnapshot(Snapshot):
     def _field_data(self) -> tuple:
         return self._data if self._field_spectra is None else self._field_spectra()
 
-    @cached_property
-    def _u_band(self) -> np.ndarray:
-        return self._u_half if self._shared else self._fields("u")
-
-    @cached_property
-    def _ut_band(self) -> np.ndarray:
-        return self._ut_half if self._shared else self._fields("ut")
-
-    @cached_property
-    def _u_half(self) -> np.ndarray:
-        return self._fields("u", full=True)
-
-    @cached_property
-    def _ut_half(self) -> np.ndarray:
-        return self._fields("ut", full=True)
-
-    def _band_values(self, field):
-        return self._u_band if field == "u" else self._ut_band
+    def _bins_of(self, field: str, full: bool = False) -> np.ndarray:
+        """The field's norm bins, or with ``full`` its bins -N/2..0, built on
+        first read and kept in ``_bins``."""
+        key = (field, full or self._shared)
+        bins = self._bins.get(key)
+        if bins is None:
+            bins = self._bins[key] = self._fields(field, key[1])
+        return bins
 
     def _peak(self, field):
         """The field's largest bin modulus."""
-        return np.max(np.abs(self._band_values(field)))
+        return np.max(np.abs(self._bins_of(field)))
 
     def _mass(self, field, weight_exp, scale=1.0):
         key = (field, weight_exp, scale)
         mass = self._masses.get(key)
         if mass is None:
-            values = self._band_values(field)
+            values = self._bins_of(field)
             mass = self._masses[key] = self._band_mass(
                 values if scale == 1.0 else values / scale, weight_exp)
         return mass
@@ -308,11 +296,11 @@ class GridSnapshot(Snapshot):
 
     @cached_property
     def u_hat(self) -> SpectralField:
-        return SpectralField(self.grid.mirror(self._u_half), self.grid)
+        return SpectralField(self.grid.mirror(self._bins_of("u", True)), self.grid)
 
     @cached_property
     def ut_hat(self) -> SpectralField:
-        return SpectralField(self.grid.mirror(self._ut_half), self.grid)
+        return SpectralField(self.grid.mirror(self._bins_of("ut", True)), self.grid)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -323,11 +311,10 @@ class GridSnapshot(Snapshot):
         return self.ut_hat.physical()
 
     def energy(self):
-        if "_u_band" not in self.__dict__ and "_ut_band" not in self.__dict__:
+        full = self._shared
+        if ("u", full) not in self._bins and ("ut", full) not in self._bins:
             # both fields are read: build them from one phase
-            self._u_band, self._ut_band = self._fields(None)
-            if self._shared:
-                self._u_half, self._ut_half = self._u_band, self._ut_band
+            self._bins["u", full], self._bins["ut", full] = self._fields(None)
         return super().energy()
 
 
@@ -638,18 +625,11 @@ def evolve_state(data, params: Parameters, t: float, backend=None) -> Snapshot:
 # norm functionals (accept snapshots, spectral fields, or profiles)
 # ---------------------------------------------------------------------------
 
-def _gagliardo_scale(s: float) -> float:
-    # lazily imported: the constant lives with the seminorm oracles
-    from .lemmas import gagliardo_constant
-    return 2.0 / gagliardo_constant(s)
-
-
 def l2_norm(obj) -> float:
     """Physical-level norm of a snapshot, spectral field, or profile."""
     if isinstance(obj, (Snapshot, SpectralField)):
         return obj.physical_l2()
     if isinstance(obj, Profile):
-        from . import profiles
         return profiles.l2_norm(obj)
     raise TypeError(f"cannot take the norm of {type(obj).__name__}")
 
@@ -677,4 +657,4 @@ def hs_norm(obj, s: float) -> float:
         raise ValueError("fractional order must be nonnegative")
     a = l2_norm(obj)
     b = hs_seminorm(obj, s)
-    return float(np.sqrt(a * a + _gagliardo_scale(s) * b * b))
+    return float(np.sqrt(a * a + 2.0 / gagliardo_constant(s) * b * b))

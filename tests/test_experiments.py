@@ -262,6 +262,27 @@ class TestRunners:
         assert [(c["params"]["gamma"], c["params"]["n_points"]) for c in checks] == [
             (g, n) for g in (0.0, 0.25, 0.5, 1.0) for n in (500, 100)] * 2
 
+    @pytest.mark.parametrize("profile,moments", [
+        ("gaussian", 1), ("gaussian_derivative", 2), ("bump", 1)])
+    def test_lemmas_run_takes_each_mean_once(self, tmp_path, monkeypatch,
+                                             profile, moments):
+        # the pointwise checks reuse the run's mean; only the zero-mean Riesz
+        # check takes its own, to check its hypothesis
+        from fracwave import lemmas, profiles
+        calls = []
+        original = profiles.moment0
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        for module in (profiles, lemmas):
+            monkeypatch.setattr(module, "moment0", counting)
+        cfg = parse_config(f"u1 = {profile}\n")
+        result = run_lemmas(cfg, out_dir=tmp_path)
+        assert result.passed
+        assert calls == [cfg.u1] * moments
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(SANDWICH_CFG)
         a, b = tmp_path / "a", tmp_path / "b"

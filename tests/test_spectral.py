@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 from scipy.special import gamma as gamma_fn
 
+from fracwave import spectral
 from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridBackend,
                       GridSpec, Parameters, QuadratureBackend, SampledProfile,
                       ZERO, combine, evolve_state, hs_norm, hs_seminorm,
@@ -57,6 +58,34 @@ class TestSineMultiplier:
         vals = sine_multiplier(0.6, 2.0, xi)
         assert vals.shape == xi.shape
         assert np.allclose(vals, vals[::-1])  # even in xi
+
+    @pytest.mark.parametrize("s,t", [(0.3, 1.0), (0.7, 1.0), (1.0, 2.5),
+                                     (0.5, 1e6), (0.75, 0.0)])
+    def test_is_the_propagator_bit_for_bit(self, s, t):
+        # sin(w)/|xi|^s with the series t(1 - w^2/6) below phase 1e-8, written
+        # out here; propagate's u for u0 = 0 and u1hat = c is c times it
+        switch = (1e-8 / t) ** (1.0 / s) if t else 1.0
+        xi = np.concatenate([[0.0, -0.0, switch, -switch],
+                             switch * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0]),
+                             np.logspace(-30, 3, 200), -np.logspace(-9, 2, 40)])
+        xi_s = np.abs(xi) ** s
+        w = t * xi_s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.sin(w) / xi_s
+        small = w < 1e-8
+        expected[small] = t * (1.0 - w[small] * w[small] / 6.0)
+        assert small.any() and (t == 0.0 or not small.all())
+        vals = sine_multiplier(s, t, xi)
+        assert np.array_equal(vals, expected)
+        c = np.full(xi.shape, 0.75 - 0.5j)
+        assert np.array_equal(propagate(s, t, xi, None, c, "u"), vals * c)
+        for k, x in enumerate(xi[:10]):
+            scalar = sine_multiplier(s, t, np.float64(x))
+            assert type(scalar) is float and scalar == expected[k]
+            assert type(sine_multiplier(s, t, np.array(x))) is float
+            assert sine_multiplier(s, t, float(x)) == expected[k]
+        assert np.array_equal(sine_multiplier(s, t, xi[:200].reshape(10, 20)),
+                              expected[:200].reshape(10, 20))
 
 
 class TestEvolution:
@@ -235,10 +264,59 @@ class TestEvolution:
         assert n2 / n1 == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::fracwave.profiles.TruncationWarning")
+@pytest.mark.parametrize("kind", ["windowed", "edge", "sampled"])
+@pytest.mark.parametrize("order", ["norms first", "fields first", "energy first",
+                                   "u_hat, then energy"])
+def test_grid_snapshot_builds_each_bin_entry_once(monkeypatch, kind, order):
+    # windowed data propagate a band for the norms and every bin for the
+    # fields; data that reach the box edge, or are sampled, share one set
+    grid, params, t = BACKEND.grid, Parameters(0.6), 4.0
+    rng = np.random.default_rng(21)
+    data = {"windowed": (Gaussian(0.5, 1.0, 0.3), Gaussian()),
+            "edge": (Gaussian(0.5, 12.0, 0.3), Gaussian(1.0, 12.0)),
+            "sampled": tuple(SampledProfile(np.exp(-grid.x() ** 2) * rng.uniform(
+                0.5, 1.5, grid.points), grid) for _ in range(2))}[kind]
+    norms = [lambda snap: snap.spectral_l2(), lambda snap: snap.ut_l2(),
+             lambda snap: snap.hs_seminorm(0.45), lambda snap: snap.energy()]
+    fields = [lambda snap: snap.u_hat.values, lambda snap: snap.ut_hat.values,
+              lambda snap: snap.u, lambda snap: snap.ut]
+    reads = {"norms first": norms + fields, "fields first": fields + norms,
+             "energy first": norms[::-1] + fields,
+             "u_hat, then energy": fields[:1] + norms[::-1] + fields[1:]}[order]
+    reference = evolve_state(data, params, t, BACKEND)
+    expected = [read(reference) for read in norms + fields]
+
+    built = []
+    original = spectral.propagate
+
+    def counting(s, t, xi, u0_hat, u1_hat, field=None):
+        built.extend((f, len(xi)) for f in ([field] if field else ["u", "ut"]))
+        return original(s, t, xi, u0_hat, u1_hat, field)
+
+    monkeypatch.setattr(spectral, "propagate", counting)
+    snap = evolve_state(data, params, t, BACKEND)
+    for read in reads:
+        read(snap)
+    got = [read(snap) for read in norms + fields]
+    assert got[:4] == expected[:4]
+    assert all(np.array_equal(a, b) for a, b in zip(got[4:], expected[4:]))
+    half = grid.points // 2 + 1
+    entries = {(f, half) for f in ("u", "ut")}
+    assert snap._shared == (kind != "windowed")
+    if not snap._shared:
+        band = snap._band + 1
+        assert band < half
+        entries |= {("u", band), ("ut", band)}
+    assert sorted(built) == sorted(entries)
+    assert sorted(snap._bins) == sorted({(f, full) for f in ("u", "ut")
+                                         for full in {True, snap._shared}})
+
+
 def _built_fields(snap):
-    """Lengths of the arrays and fields a grid snapshot has built so far."""
-    built = [v for k, v in vars(snap).items() if k != "_data"
-             and isinstance(v, (np.ndarray, SpectralField))]
+    """Lengths of the bins and fields a grid snapshot has built so far."""
+    built = [*snap._bins.values(), *(v for v in vars(snap).values()
+                                     if isinstance(v, (np.ndarray, SpectralField)))]
     return [len(v.values if isinstance(v, SpectralField) else v) for v in built]
 
 
