@@ -154,22 +154,29 @@ class RadialGaussianLaplacian:
         return self._base().frequency_radius() + 4.0 / self.width
 
 
-def _radial_density(p, n: int):
-    """|fhat|^2 as a function of rho = |xi|."""
+def _family(p, n: int):
+    """The datum p in n dimensions as the Riesz checks read it: |fhat|^2 as
+    a function of rho = |xi|, and the functions (p) -> ||f||_1, ||f||_2,
+    integral f and (p, gamma) -> ||f||_{1,gamma}.  These are a profile's
+    with an analytic transform in n = 1 and a radial Gaussian family's of
+    dimension n in n >= 2; any other pair raises PreconditionError."""
     if n == 1:
-        if isinstance(p, Profile):
-            if not p.has_analytic_fourier:
-                raise PreconditionError(
-                    "Riesz energy needs an analytic transform in n = 1")
-            return lambda rho: np.abs(p.fourier(rho)) ** 2
-        raise PreconditionError("n = 1 Riesz energy expects a Profile")
-    if isinstance(p, (RadialGaussian, RadialGaussianLaplacian)):
-        if p.dimension != n:
+        if not isinstance(p, Profile):
+            raise PreconditionError("n = 1 Riesz energy expects a Profile")
+        if not p.has_analytic_fourier:
             raise PreconditionError(
-                f"profile dimension {p.dimension} does not match n = {n}")
-        return lambda rho: np.abs(p.fourier_radial(rho)) ** 2
-    raise PreconditionError(
-        "dimensions n >= 2 admit closed-form radial Gaussian families only")
+                "Riesz energy needs an analytic transform in n = 1")
+        return (lambda rho: np.abs(p.fourier(rho)) ** 2,
+                l1_norm, l2_norm, moment0, weighted_l1_norm)
+    if not isinstance(p, (RadialGaussian, RadialGaussianLaplacian)):
+        raise PreconditionError(
+            "dimensions n >= 2 admit closed-form radial Gaussian families only")
+    if p.dimension != n:
+        raise PreconditionError(
+            f"profile dimension {p.dimension} does not match n = {n}")
+    family = type(p)
+    return (lambda rho: np.abs(p.fourier_radial(rho)) ** 2,
+            family.l1, family.l2, family.moment0, family.weighted_l1)
 
 
 def riesz_energy(p, theta: float, n: int = 1) -> float:
@@ -183,7 +190,7 @@ def riesz_energy(p, theta: float, n: int = 1) -> float:
     """
     if theta < 0:
         raise PreconditionError("theta must be nonnegative")
-    density = _radial_density(p, n)
+    density = _family(p, n)[0]
     area = 2.0 if n == 1 else sphere_area(n)
     power = n - 1 - 2.0 * theta
 
@@ -195,22 +202,13 @@ def riesz_energy(p, theta: float, n: int = 1) -> float:
                                   width=width)
 
 
-def _norms_any(p, n: int):
-    """The functions (p) -> ||f||_1, ||f||_2, integral f and (p, gamma) ->
-    ||f||_{1,gamma}: a profile's in n = 1, else its radial family's."""
-    if n == 1 and isinstance(p, Profile):
-        return l1_norm, l2_norm, moment0, weighted_l1_norm
-    family = type(p)
-    return family.l1, family.l2, family.moment0, family.weighted_l1
-
-
 def check_riesz_bound(p, theta: float, n: int = 1) -> InequalityCheck:
     """Finiteness of the Riesz energy against ||f||_1^2 + ||f||_2^2."""
     if not 0.0 <= theta < n / 2.0:
         raise PreconditionError(
             f"hypothesis violated: theta in [0, n/2) required, "
             f"got theta={theta} with n={n}")
-    l1, l2, _, _ = _norms_any(p, n)
+    _, l1, l2, _, _ = _family(p, n)
     right = l1(p) ** 2 + l2(p) ** 2
     left = riesz_energy(p, theta, n)
     return InequalityCheck("riesz_l1", {"theta": theta, "n": n}, repr(p),
@@ -227,7 +225,7 @@ def check_riesz_bound_zero_mean(p, theta: float, gamma: float,
         raise PreconditionError(
             f"hypothesis violated: theta in [0, gamma + n/2) required, "
             f"got theta={theta} with gamma={gamma}, n={n}")
-    l1, l2, mean_of, weighted = _norms_any(p, n)
+    _, l1, l2, mean_of, weighted = _family(p, n)
     mean = mean_of(p)
     if abs(mean) > 1e-12 * max(l1(p), 1e-300):
         raise PreconditionError(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BackendMismatchError
 from .grid import GridSpec
-from .quadrature import CUTOFF_TOL, adaptive, gauss_rule, support_hull
+from .quadrature import CUTOFF_TOL, adaptive, frequency_cutoff, gauss_rule, support_hull
 
 __all__ = [
     "Profile", "Gaussian", "GaussianDerivative", "CompactBump",
@@ -81,12 +81,11 @@ class Profile:
     def is_zero(self) -> bool:
         return False
 
-    def scaled(self, a: float) -> "Profile":
-        return scaled(self, a)
-
 
 @dataclass(frozen=True)
-class Gaussian(Profile):
+class _GaussianShape(Profile):
+    """Fields, width check and zero test of the two Gaussian profiles."""
+
     amplitude: float = 1.0
     width: float = 1.0
     center: float = 0.0
@@ -95,6 +94,13 @@ class Gaussian(Profile):
         if self.width <= 0:
             raise ValueError("width must be positive")
 
+    @property
+    def is_zero(self):
+        return self.amplitude == 0.0
+
+
+@dataclass(frozen=True)
+class Gaussian(_GaussianShape):
     def evaluate(self, x):
         u = (x - self.center) / self.width
         return self.amplitude * np.exp(-u * u)
@@ -113,22 +119,10 @@ class Gaussian(Profile):
     def frequency_radius(self):
         return (2.0 / self.width) * np.sqrt(np.log(1.0 / CUTOFF_TOL))
 
-    @property
-    def is_zero(self):
-        return self.amplitude == 0.0
-
 
 @dataclass(frozen=True)
-class GaussianDerivative(Profile):
+class GaussianDerivative(_GaussianShape):
     """Derivative of a Gaussian; its integral vanishes identically."""
-
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
 
     def evaluate(self, x):
         u = (x - self.center) / self.width
@@ -150,10 +144,6 @@ class GaussianDerivative(Profile):
         for _ in range(8):
             r = (2.0 / self.width) * np.sqrt(np.log(max(r, 1.0) / CUTOFF_TOL))
         return r
-
-    @property
-    def is_zero(self):
-        return self.amplitude == 0.0
 
 
 @dataclass(frozen=True)
@@ -320,8 +310,7 @@ class ProfileSum(Profile):
         return support_hull([p for _, p in self.terms])
 
     def frequency_radius(self):
-        radii = [p.frequency_radius() for _, p in self.terms]
-        return max(radii) if radii else 1.0
+        return frequency_cutoff(p for _, p in self.terms)
 
     @property
     def is_zero(self):
@@ -337,7 +326,7 @@ def combine(*weighted: tuple[float, Profile]) -> ProfileSum:
 
 
 def scaled(p: Profile, a: float) -> Profile:
-    if isinstance(p, (Gaussian, GaussianDerivative, CompactBump)):
+    if isinstance(p, (_GaussianShape, CompactBump)):
         return dataclasses.replace(p, amplitude=a * p.amplitude)
     if isinstance(p, ProfileSum):
         return ProfileSum(tuple((a * c, q) for c, q in p.terms))

@@ -271,7 +271,9 @@ def panel_width(profiles) -> float:
 
 def _equal_panels(lo: float, hi: float, width: float) -> np.ndarray:
     """Edges of EQUAL_PANELS equal panels on [lo, hi], or of more where that
-    keeps each no wider than ``width``."""
+    keeps each no wider than ``width``; hi <= lo is refused."""
+    if not hi > lo:
+        raise ValueError(f"equal panels need lo < hi, got [{lo:g}, {hi:g}]")
     n = (hi - lo) / width
     _check_panel_count(n, "[{:g}, {:g}] in panels of width {:.3g}", lo, hi, width)
     return np.linspace(lo, hi, max(EQUAL_PANELS, int(np.ceil(n))) + 1)
@@ -544,21 +546,23 @@ def _head_edges(w_lo: float, w_hi: float, k_lead: int):
 def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
     """(k, d) of the Filon panels' edges k*pi + d on (k_lead*pi, w_hi].
 
-    The xi-edges are those of the static rule: ratio-2 panels from the head's
-    end up to 1, then ``_equal_panels``.  Each is moved to the nearest k*pi
-    (d = 0), so that every panel spans whole half-periods, but the partial
+    The xi-edges are those of the static rule below the cutoff xi_hi:
+    ratio-2 edges from the head's end up to 1, then, for a cutoff above 1,
+    ``_equal_panels``.  Each is moved to the nearest k*pi (d = 0), so that
+    every panel spans whole half-periods, but the partial
     half-period [floor(w_hi/pi)*pi, w_hi] at the end, which is a panel of its
     own.  At small t that merges panels into half-periods wider than
     ``width``, which ``oscillatory_integral`` splits.
     """
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
-    if xi_lead < 1.0:
-        xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
+    lo = max(xi_lead, 1.0)
+    ratio_2 = 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1)  # none past 1
+    equal = _equal_panels(lo, xi_hi, width) if xi_hi > lo else np.empty(0)
     k_end = np.floor(w_hi / np.pi)
-    k = np.round(t * np.concatenate(xi_edges) ** s / np.pi)
+    k = np.round(t * np.concatenate([ratio_2[ratio_2 < xi_hi], equal]) ** s / np.pi)
     # the xi-edges ascend, so the k do: keep the last of each run of equal k
-    k = k[np.concatenate([k[1:] != k[:-1], [True]]) & (k > k_lead) & (k < k_end)]
+    last = np.concatenate([k[1:] != k[:-1], [True]])[:k.size]
+    k = k[last & (k > k_lead) & (k < k_end)]
     partial = w_hi > k_end * np.pi
     k = np.concatenate([k, [k_end] * (int(k_end > k_lead) + int(partial))])
     d = np.zeros_like(k)

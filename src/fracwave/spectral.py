@@ -162,7 +162,8 @@ class Snapshot:
 
     Every norm is the square root of a spectral mass, the line integral of
     |fieldhat|^2 |xi|^weight_exp for the field "u" or "ut", divided by
-    ``over``; ``_norm`` computes it from each backend's ``_mass``.
+    ``over``; ``_norm`` computes it from each backend's ``_mass`` and keeps
+    it in ``_norms``.
     """
 
     t: float
@@ -177,15 +178,18 @@ class Snapshot:
         raise NotImplementedError
 
     def _norm(self, field: str, weight_exp: float, over: float = 1.0) -> float:
-        """sqrt(mass / over).  A mass below MASS_FLOOR has lost digits to
-        underflow (tiny t or tiny data), so it is taken again on the field
-        divided by its ``_peak``."""
-        mass = self._mass(field, weight_exp)
-        if mass < MASS_FLOOR:
-            peak = self._peak(field)
-            if peak > 0.0:
-                return float(peak * np.sqrt(self._mass(field, weight_exp, peak) / over))
-        return float(np.sqrt(mass / over))
+        """sqrt(mass / over), kept in ``_norms`` per (field, weight_exp,
+        over), so the norm methods and energy() share it.  A mass below
+        MASS_FLOOR has lost digits to underflow (tiny t or tiny data), so it
+        is taken again on the field divided by its ``_peak``."""
+        key = (field, weight_exp, over)
+        if key not in self._norms:
+            mass = self._mass(field, weight_exp)
+            peak = self._peak(field) if mass < MASS_FLOOR else 0.0
+            self._norms[key] = float(
+                peak * np.sqrt(self._mass(field, weight_exp, peak) / over)
+                if peak > 0.0 else np.sqrt(mass / over))
+        return self._norms[key]
 
     def spectral_l2(self) -> float:
         """Transform-level norm of u(t)."""
@@ -233,8 +237,7 @@ class GridSnapshot(Snapshot):
         self._band = band
         # the norms' bins and spectra are the fields' own
         self._shared = band == grid.points // 2 and field_spectra is None
-        # band mass per (field, weight_exp, scale), shared by the norm methods
-        self._masses: dict[tuple, float] = {}
+        self._norms: dict[tuple, float] = {}
         # propagated bins per (field, full): the norms' (False) or every bin
         # -N/2..0 (True); a shared snapshot's norms read the full entries
         self._bins: dict[tuple, np.ndarray] = {}
@@ -273,13 +276,9 @@ class GridSnapshot(Snapshot):
         return np.max(np.abs(self._bins_of(field)))
 
     def _mass(self, field, weight_exp, scale=1.0):
-        key = (field, weight_exp, scale)
-        mass = self._masses.get(key)
-        if mass is None:
-            values = self._bins_of(field)
-            mass = self._masses[key] = self._band_mass(
-                values if scale == 1.0 else values / scale, weight_exp)
-        return mass
+        values = self._bins_of(field)
+        return self._band_mass(values if scale == 1.0 else values / scale,
+                               weight_exp)
 
     def _band_mass(self, values, weight_exp):
         """dxi times the sum of |value|^2 |xi|^weight_exp over the band and
@@ -336,10 +335,8 @@ class QuadratureSnapshot(Snapshot):
         self.params = params
         self.u0 = u0
         self.u1 = u1
-        # spectral_mass per (lo, hi, field, weight_exp, scale): the norm
-        # methods and energy() share integrals instead of recomputing them
-        self._masses: dict[tuple, float] = {}
-        # their oscillatory rules, and the form at the rules' nodes
+        self._norms: dict[tuple, float] = {}
+        # oscillatory rules per interval, and the form at the rules' nodes
         self._rules: dict[tuple, object] = {}
         self._forms: dict[tuple, tuple] = {}
         # what every mass reads: the nonzero data, their frequency_cutoff
@@ -435,22 +432,16 @@ class QuadratureSnapshot(Snapshot):
 
         Real initial data make the density even in xi, so the line integral
         is twice the half-line one.  ``hi`` None is the data's
-        ``frequency_cutoff``.  Each value is computed once per snapshot, and
-        the rule of an interval once for every mass on it.
+        ``frequency_cutoff``.  Each call integrates afresh, on the rule its
+        interval builds once per snapshot; ``Snapshot._norm`` keeps norms.
         """
         if hi is None:
             hi = self._cutoff
         if hi <= lo or not self._data:
             return 0.0
-        key = (lo, hi, field, weight_exp, scale)
-        mass = self._masses.get(key)
-        if mass is None:
-            density = self._field_density(field, weight_exp, scale)
-            mass = 2.0 * oscillatory_integral(
-                density, self.t, self.params.s, hi, xi_lo=lo,
-                width=self._width, rules=self._rules)
-            self._masses[key] = mass
-        return mass
+        return 2.0 * oscillatory_integral(
+            self._field_density(field, weight_exp, scale), self.t,
+            self.params.s, hi, xi_lo=lo, width=self._width, rules=self._rules)
 
     def _mass(self, field, weight_exp, scale=1.0):
         return self.spectral_mass(0.0, field=field, weight_exp=weight_exp,

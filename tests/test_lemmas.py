@@ -78,6 +78,17 @@ class TestRieszEnergy:
 
 
 class TestRieszChecks:
+    @pytest.mark.parametrize("profile", [Gaussian(), GaussianDerivative()])
+    def test_riesz_checks_refuse_a_line_profile_in_two_dimensions(self, profile):
+        # every Riesz entry point refuses a (datum, n) pair the one way
+        message = "radial Gaussian families only"
+        with pytest.raises(PreconditionError, match=message):
+            riesz_energy(profile, 0.9, n=2)
+        with pytest.raises(PreconditionError, match=message):
+            check_riesz_bound(profile, 0.9, n=2)
+        with pytest.raises(PreconditionError, match=message):
+            check_riesz_bound_zero_mean(profile, 0.9, 0.5, n=2)
+
     def test_riesz_hypotheses_enforced(self):
         with pytest.raises(PreconditionError):
             check_riesz_bound(Gaussian(), theta=0.5)          # theta >= n/2

@@ -12,6 +12,7 @@ from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridSpec,
                       combine, fourier_at, l1_norm, moment0, scaled,
                       sine_multiplier, weighted_l1_norm)
 from fracwave.errors import BackendMismatchError
+from fracwave.experiments import canonical_text, parse_config
 from fracwave.profiles import TruncationWarning, l2_norm
 from fracwave.quadrature import static_integral
 from support import body_nodes, reference_density, xi_panel_reference
@@ -243,6 +244,37 @@ def test_scaled_copies_every_field_and_not_the_bump_cache():
     assert half == CompactBump(1.0, 1.5)
     assert half._fourier_cache is not bump._fourier_cache
     np.testing.assert_allclose(half.fourier(xi), 0.5 * base, rtol=1e-14)
+
+
+@pytest.mark.parametrize("cls", [Gaussian, GaussianDerivative])
+def test_gaussian_profiles_keep_their_identity_on_one_base(cls):
+    # the two Gaussian profiles share their fields, width check and zero
+    # test; each keeps its own repr, equality, hash, copies and config kind
+    p = cls(2.0, 0.5, -1.0)
+    other = GaussianDerivative if cls is Gaussian else Gaussian
+    assert repr(p) == f"{cls.__name__}(amplitude=2.0, width=0.5, center=-1.0)"
+    assert cls(1, 1, 0) != other(1, 1, 0) and p != other(2.0, 0.5, -1.0)
+    assert hash(p) == hash(cls(2.0, 0.5, -1.0)) == hash((2.0, 0.5, -1.0))
+    for copy in (dataclasses.replace(p, center=3.0), scaled(p, -2.0)):
+        assert type(copy) is cls
+    assert scaled(p, -2.0) == cls(-4.0, 0.5, -1.0)
+    assert cls(amplitude=0.0).is_zero and not p.is_zero
+    for width in (0.0, -1.0):
+        with pytest.raises(ValueError, match="width must be positive"):
+            cls(width=width)
+        with pytest.raises(ValueError, match="width must be positive"):
+            dataclasses.replace(p, width=width)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.amplitude = 3.0
+    cfg = dataclasses.replace(
+        parse_config("experiment = x\ns = 0.75\nu0 = none\n"
+                     "u1 = gaussian a=1 sigma=1 c=0\nt_grid = list 1\n"),
+        u0=p, u1=scaled(p, -0.25))
+    text = canonical_text(cfg)
+    assert f"u0 = {'gaussian' if cls is Gaussian else 'gaussian_derivative'} " \
+        "a=2 sigma=0.5 c=-1\n" in text
+    again = parse_config(text)
+    assert again == cfg and type(again.u0) is type(again.u1) is cls
 
 
 def test_sampled_profile():

@@ -482,9 +482,12 @@ def reference_edges(t, s, xi_lo, xi_hi, width):
     if w_hi <= k_lead * np.pi:
         return k, d, scaled
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    xi_edges = [_equal_panels(max(xi_lead, 1.0), xi_hi, width)]
-    if xi_lead < 1.0:
-        xi_edges.insert(0, 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1))
+    xi_edges = [0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1)
+                if xi_lead < 1.0 else np.empty(0)]
+    if xi_hi > max(xi_lead, 1.0):
+        # equal panels only above 1; ratio-2 edges past a cutoff below 1
+        # fall to the k < k_end filter
+        xi_edges.append(_equal_panels(max(xi_lead, 1.0), xi_hi, width))
     body = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
     k_end = np.floor(w_hi / np.pi)
     body = np.concatenate([body[(body > k_lead) & (body < k_end)],
@@ -524,6 +527,30 @@ def test_rules_are_the_one_formula_to_the_bit(s):
     for t in np.geomspace(1e-2, 1e6, 17):
         rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
         assert_rule_bits(rule, 0.0, cutoff, width)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.0])
+def test_rules_with_a_cutoff_below_one_take_no_equal_panels(s):
+    # Gaussian(width=20) stops at xi = 0.643: the body has the ratio-2
+    # edges below the cutoff and no equal panels, which would run from 1
+    # down to it
+    data = [Gaussian(width=20.0)]
+    cutoff, width = frequency_cutoff(data), panel_width(data)
+    assert 0.6 < cutoff < 0.7
+    for lo, hi in ((1.0, cutoff), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            _equal_panels(lo, hi, width)
+    bodies = 0
+    for t in np.geomspace(1e-2, 1e6, 17):
+        rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+        k, d, _ = reference_edges(t, s, 0.0, cutoff, width)
+        want = (k[:-1], d[:-1], k[1:], d[1:])
+        assert all(same_bits(got, w) for got, w in zip(rule.edges, want))
+        ka, da, kb, db = rule.edges
+        assert np.all(ka * np.pi + da < kb * np.pi + db)
+        assert np.array_equal(kb[:-1], ka[1:]) and np.array_equal(db[:-1], da[1:])
+        bodies += t * cutoff ** s > LEAD_HALFPERIODS * np.pi
+    assert bodies >= 8
 
 
 def test_split_offset_and_faint_rules_are_the_one_formula_to_the_bit():
