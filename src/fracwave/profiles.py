@@ -186,7 +186,7 @@ class CompactBump(Profile):
         # even real profile: fhat(xi) = 2 * int_0^r cos(x xi) f(x) dx, real.
         # Frequencies go in chunks of at most BUMP_BLOCK (node, frequency)
         # pairs; each chunk takes Gauss-16 on one x panel per period of cos at
-        # its own largest frequency, plus 8 (``_x_panels``).
+        # its own largest frequency, plus 12 (``_x_panels``).
         flat = np.abs(xi).ravel()
         out = np.empty(flat.shape)
         step = max(1, BUMP_BLOCK // (16 * self._x_panels(np.max(flat))))
@@ -201,7 +201,7 @@ class CompactBump(Profile):
         return out.reshape(xi.shape).astype(complex)
 
     def _x_panels(self, xi_max):
-        return int(np.ceil(self.radius * xi_max / (2.0 * np.pi))) + 8
+        return int(np.ceil(self.radius * xi_max / (2.0 * np.pi))) + 12
 
     def support(self):
         return -self.radius, self.radius

@@ -6,8 +6,10 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
 
 * static integrands (t = 0 norms, Riesz energies with p < 0, H^s seminorms of
   profiles) -> ``static_integral``: ``singular_origin_integral`` on (0, 1],
-  the dyadic panels of the oscillatory rule's head taken in xi, then
-  EQUAL_PANELS equal Gauss-Legendre panels (``gauss_panels``) to the cutoff;
+  the dyadic panels of the oscillatory rule's head taken in xi, then Gauss
+  panels (``gauss_panels``) to the cutoff on the graded layout of
+  ``_graded_panels``: ratio-2 panels from 1 while they are no wider than the
+  data's ``panel_width``, then as few equal ones as keep within it;
 * oscillatory integrands with phase w = t*|xi|^s -> ``oscillatory_integral``,
   integrated in w.  The first LEAD_HALFPERIODS half-periods, the head, hold
   the algebraic |xi|^(2s) kink at the origin: there w is cut into the
@@ -31,23 +33,25 @@ kink it is told of, such as |x|^gamma at 0, is graded toward in advance.
 The Filon body makes a norm at t = 1e6 cost about what one at t = 1e2 does.
 Every density here is a quadratic form in (sin w, cos w), so in the variable
 w the body integrand is A0(w) + A1(w) cos 2w + A2(w) sin 2w, whose
-amplitudes do not oscillate.  Its panels are the static rule's xi-panels
-with their edges moved to w = k*pi, so their number does not grow with the
-number of turns of w, and the last, partial half-period is a panel of its
-own.  A panel at most one half-period wide gets the head's Gauss rule.  On
-each wider one A0 gets a Gauss sum, and A1 and A2 are replaced by their
-Legendre interpolant at the same FILON_ORDER nodes, whose products with
-e^(2iw) have exact moments (the Filon idea of Iserles & Norsett, Proc. R.
-Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov & Vasil'eva, USSR
-Comput. Math. Math. Phys. 8 (1968)).  The moments are spherical Bessel
-functions j_k(omega) of the panel's width omega, a whole number m of
-half-periods, whose phase e^(i(a+b)) is (-1)^m, so the weights depend on m
-alone (``_whole_filon``): rows of a signed table below FILON_TABLE
-half-periods, built once per process, and the cosine half of Hankel's
-terminating form (DLMF 10.49.2) above.  Only the parts of a split panel, at
-small t, take a phase of their own and ``_filon_weights``.  One pass writes
-a rule's head and body rows into one node and weight set.  These settings
-are module constants, the same for every norm.
+amplitudes do not oscillate.  Its panels are the graded layout from the
+head's end, narrowed by the moves of their edges to w = k*pi, so their
+number does not grow with the number of turns of w, and the last, partial
+half-period is a panel of its own.  A panel at most one half-period wide
+gets the head's Gauss rule.  On each wider one A0 gets a Gauss sum, and A1
+and A2 are replaced by their Legendre interpolant at the same FILON_ORDER
+nodes, whose products with e^(2iw) have exact moments (the Filon idea of
+Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of
+Bakhvalov & Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  The
+moments are spherical Bessel functions j_k(omega) of the panel's width
+omega, a whole number m of half-periods, whose phase e^(i(a+b)) is (-1)^m,
+so the weights depend on m alone (``_whole_filon``): rows of a signed table
+below FILON_TABLE half-periods, built once per process, and the cosine half
+of Hankel's terminating form (DLMF 10.49.2) above.  Only the parts of a
+split panel, at small t, take a phase of their own and ``_filon_weights``.
+Each panel's weights are a product of its own (``_by_rows``), the same bits
+whichever panels share its call.  One pass writes a rule's head and body
+rows into one node and weight set.  These settings are module constants,
+the same for every norm.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ from .errors import DivergenceError, NumericalFailureError
 #: its peak
 CUTOFF_TOL = 1e-18
 
-#: equal panels of the static rule on [1, cutoff], at least
-EQUAL_PANELS = 63
 #: Gauss nodes per panel of the oscillatory rule, head and body, and of the
 #: static rule's head; the body's amplitudes are interpolated by Legendre
 #: polynomials of one degree less.
@@ -72,7 +74,7 @@ EQUAL_PANELS = 63
 #: ratio-2 panels at the origin) and 7e-11 of a CompactBump norm (two periods
 #: of |fhat|^2 per panel); 24 leave under 1e-13 of both.
 FILON_ORDER = 24
-#: most panels a rule may take on [1, cutoff] or in one split, refused before
+#: most panels a rule may take above its head or in one split, refused before
 #: allocating: at about 4 kB a panel, a rule and its splits stay near 0.5 GB,
 #: two threads of them under 2 GiB.  Data 1e12 apart would need 1e12
 MAX_PANELS = 1 << 16
@@ -269,14 +271,24 @@ def panel_width(profiles) -> float:
     return 4.0 * np.pi / (hi - lo) if hi > lo else np.inf
 
 
-def _equal_panels(lo: float, hi: float, width: float) -> np.ndarray:
-    """Edges of EQUAL_PANELS equal panels on [lo, hi], or of more where that
-    keeps each no wider than ``width``; hi <= lo is refused."""
-    if not hi > lo:
-        raise ValueError(f"equal panels need lo < hi, got [{lo:g}, {hi:g}]")
-    n = (hi - lo) / width
-    _check_panel_count(n, "[{:g}, {:g}] in panels of width {:.3g}", lo, hi, width)
-    return np.linspace(lo, hi, max(EQUAL_PANELS, int(np.ceil(n))) + 1)
+def _graded_panels(lo: float, hi: float, width: float) -> np.ndarray:
+    """Edges of both rules' panels above their heads, on [lo, hi], 0 < lo:
+    ratio-2 edges lo*2^j while a ratio-2 panel is no wider than ``width``,
+    which resolve a power of xi at every scale (Gauss convergence is set by
+    the distance of the singularity at xi = 0 relative to the panel, as in
+    Trefethen, SIAM Rev. 50 (2008) 67), then the fewest equal panels to hi
+    within ``width``.  hi <= lo gives the edges [lo, hi]."""
+    octave = math.log2(lo)
+    ratio = max(0, math.floor(min(math.ceil(math.log2(hi) - octave) - 1,
+                                  math.log2(width) - octave + 1)))
+    start = math.ldexp(lo, ratio)
+    n = (hi - start) / width
+    _check_panel_count(n + ratio, "[{:g}, {:g}] in panels of width {:.3g}", lo, hi, width)
+    n = max(1, math.ceil(n))
+    edges = np.concatenate([np.ldexp(lo, np.arange(ratio)),
+                            np.arange(n + 1) * ((hi - start) / n) + start])
+    edges[-1] = hi
+    return edges
 
 
 def _check_panel_count(n: float, what: str, *args) -> None:
@@ -294,7 +306,8 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
     The part in (0, 1] goes to ``singular_origin_integral``, which resolves a
     power-law kink or singularity at the origin and raises DivergenceError
     for a non-integrable one.  [1, xi_hi] gets Gauss-16 panels on
-    ``_equal_panels``, no wider than ``width`` (``panel_width``).
+    ``_graded_panels`` from 1: ratio-2 panels while they are no wider than
+    ``width`` (``panel_width``), then equal ones within it.
     An interval starting at xi_lo > 0 never reaches the origin, so its part
     below 1 uses geometric panels toward xi_lo instead.
     """
@@ -310,7 +323,7 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
     lo = max(xi_lo, 1.0)
     if xi_hi <= lo:
         return head
-    return head + gauss_panels(f, _equal_panels(lo, xi_hi, width), order=16)
+    return head + gauss_panels(f, _graded_panels(lo, xi_hi, width), order=16)
 
 
 def singular_origin_integral(f, upper: float) -> float:
@@ -546,28 +559,31 @@ def _head_edges(w_lo: float, w_hi: float, k_lead: int):
 def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
     """(k, d) of the Filon panels' edges k*pi + d on (k_lead*pi, w_hi].
 
-    The xi-edges are those of the static rule below the cutoff xi_hi:
-    ratio-2 edges from the head's end up to 1, then, for a cutoff above 1,
-    ``_equal_panels``.  Each is moved to the nearest k*pi (d = 0), so that
-    every panel spans whole half-periods, but the partial
-    half-period [floor(w_hi/pi)*pi, w_hi] at the end, which is a panel of its
-    own.  At small t that merges panels into half-periods wider than
-    ``width``, which ``oscillatory_integral`` splits.
+    The xi-edges are ``_graded_panels`` from the head's end xi_lead to the
+    cutoff xi_hi, as in the static rule.  Each inner one is moved to the
+    nearest k*pi (d = 0), so that every panel spans whole half-periods, but
+    the partial half-period [floor(w_hi/pi)*pi, w_hi] at the end, which is
+    a panel of its own.  A move is at most half a half-period, in xi
+    (pi/2)*xi^(1-s)/(s*t) to first order, which for s <= 1 grows with xi:
+    taken half a half-period above the cutoff, it bounds every move.  The
+    panels are laid out within ``width`` less two such moves, so that a
+    moved panel stays within ``width`` and is not split.  At small t, where
+    that would leave less than half of ``width``, they take half of it, and
+    half-periods wider than ``width`` are split by ``integrate``.
     """
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    lo = max(xi_lead, 1.0)
-    ratio_2 = 0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1)  # none past 1
-    equal = _equal_panels(lo, xi_hi, width) if xi_hi > lo else np.empty(0)
-    k_end = np.floor(w_hi / np.pi)
-    k = np.round(t * np.concatenate([ratio_2[ratio_2 < xi_hi], equal]) ** s / np.pi)
-    # the xi-edges ascend, so the k do: keep the last of each run of equal k
-    last = np.concatenate([k[1:] != k[:-1], [True]])[:k.size]
-    k = k[last & (k > k_lead) & (k < k_end)]
-    partial = w_hi > k_end * np.pi
-    k = np.concatenate([k, [k_end] * (int(k_end > k_lead) + int(partial))])
-    d = np.zeros_like(k)
-    if partial:
-        d[-1] = w_hi - k_end * np.pi
+    top = ((w_hi + 0.5 * np.pi) / t) ** (1.0 / s)
+    moved = np.pi * top ** (1.0 - s) / (s * t)
+    xi = _graded_panels(xi_lead, xi_hi, width - min(moved, 0.5 * width))
+    k_end = math.floor(w_hi / np.pi)
+    # the xi-edges ascend, so the k do, from the head's end k_lead; each
+    # beyond the last whole half-period k_end is that one, and of each run
+    # of equal k the first is kept
+    k = np.minimum(np.round(xi ** s * (t / np.pi)), k_end)
+    k = k[1:][k[1:] > k[:-1]]
+    d = np.zeros(k.size)
+    if w_hi > k_end * np.pi:
+        k, d = np.append(k, k_end), np.append(d, w_hi - k_end * np.pi)
     return k, d
 
 
@@ -659,21 +675,23 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     scale = half[:, None] * (body_xi / (s * w))
     body = weights[:, first:]
 
-    narrow = omega <= np.pi
-    sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
-    gauss = scale[narrow] * wts
-    body[0, narrow] = sin2 = gauss * sin_w ** 2
-    faint, tiny = None, np.finfo(float).tiny
-    if sin2.min(initial=np.inf) < tiny:
-        r, cols = np.nonzero(sin2 < tiny)
-        rows = np.nonzero(narrow)[0][r]
-        body[0, rows, cols] = 0.0
-        faint = (rows + first, cols, gauss[r, cols], sin_w[r, cols])
-    body[1, narrow] = gauss * cos_w ** 2
-    body[2, narrow] = gauss * (sin_w * cos_w)
+    faint = None
+    rows = np.flatnonzero(omega <= np.pi)
+    if rows.size:
+        narrow = _run(rows)
+        sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
+        gauss = scale[narrow] * wts
+        body[0, narrow] = sin2 = gauss * sin_w ** 2
+        tiny = np.finfo(float).tiny
+        if sin2.min() < tiny:
+            r, cols = np.nonzero(sin2 < tiny)
+            body[0, rows[r], cols] = 0.0
+            faint = (rows[r] + first, cols, gauss[r, cols], sin_w[r, cols])
+        body[1, narrow] = gauss * cos_w ** 2
+        body[2, narrow] = gauss * (sin_w * cos_w)
 
-    wide = ~narrow
-    if wide.any():
+    if rows.size < omega.size:
+        wide = _run(np.flatnonzero(omega > np.pi))
         ka, da, kb, db = ka[wide], da[wide], kb[wide], db[wide]
         if da.any() or db.any():
             # the parts of split panels, each with a phase of its own
@@ -687,6 +705,14 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     return xi, xi_s, weights, faint
 
 
+def _run(rows: np.ndarray):
+    """Ascending indices as a slice where they are one run (a view, with no
+    copy), else as they are."""
+    if rows[-1] - rows[0] == rows.size - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
 def _whole_filon(m: np.ndarray) -> np.ndarray:
     """``_filon_parts`` of (-1)^m times the Filon weights of m >= 2 whole
     half-periods: the rows of ``_filon_table`` below FILON_TABLE, and above
@@ -697,9 +723,16 @@ def _whole_filon(m: np.ndarray) -> np.ndarray:
     far = m >= FILON_TABLE
     if far.any():
         u = 1.0 / (m[far] * np.pi)
-        out[:, far] = _filon_parts((u[:, None] * u[:, None] ** np.arange(
-            FILON_ORDER)) @ _hankel_maps(FILON_ORDER)[1])
+        out[:, far] = _filon_parts(_by_rows(u[:, None] * u[:, None] ** np.arange(
+            FILON_ORDER), _hankel_maps(FILON_ORDER)[1]))
     return out
+
+
+def _by_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an (n, k) a, one row of a at a time: BLAS rounds a one-row
+    product otherwise than a row of a batch, so a batched product would make
+    a panel's Filon weights depend on the other panels in its call."""
+    return (a[:, None, :] @ b)[:, 0]
 
 
 def _filon_parts(pf: np.ndarray) -> np.ndarray:
@@ -725,11 +758,11 @@ def _filon_weights(m: np.ndarray, d: np.ndarray) -> np.ndarray:
         sign = 1.0 - 2.0 * (m[far] % 2.0)
         powers = (sign * u)[:, None] * u[:, None] ** np.arange(FILON_ORDER)
         by_sin, by_cos = _hankel_maps(FILON_ORDER)
-        out[far] = ((powers * np.sin(d[far])[:, None]) @ by_sin
-                    + (powers * np.cos(d[far])[:, None]) @ by_cos)
+        out[far] = (_by_rows(powers * np.sin(d[far])[:, None], by_sin)
+                    + _by_rows(powers * np.cos(d[far])[:, None], by_cos))
     if not np.all(far):
-        out[~far] = (_spherical_jn(FILON_ORDER, omega[~far])
-                     @ _moment_map(FILON_ORDER))
+        out[~far] = _by_rows(_spherical_jn(FILON_ORDER, omega[~far]),
+                             _moment_map(FILON_ORDER))
     return out
 
 

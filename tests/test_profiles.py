@@ -14,7 +14,8 @@ from fracwave import (CompactBump, Gaussian, GaussianDerivative, GridSpec,
 from fracwave.errors import BackendMismatchError
 from fracwave.experiments import canonical_text, parse_config
 from fracwave.profiles import TruncationWarning, l2_norm
-from fracwave.quadrature import static_integral
+from fracwave.quadrature import (_OscillatoryRule, frequency_cutoff,
+                                 gauss_rule, panel_width, static_integral)
 from support import body_nodes, reference_density, xi_panel_reference
 
 SQPI = np.sqrt(np.pi)
@@ -152,12 +153,35 @@ def test_bump_fourier_takes_one_x_panel_per_period(monkeypatch):
     ref = np.array([2.0 * quad(bump.evaluate, 0.0, 1.0, weight="cos", wvar=k,
                                epsabs=1e-16, epsrel=1e-12, limit=200)[0] for k in xi])
     assert np.max(np.abs(fhat.real - ref)) <= 1e-13 * fhat[0].real
-    # 16 Gauss nodes on each of 400/(2 pi) + 8 panels: about half of one
+    # 16 Gauss nodes on each of 400/(2 pi) + 12 panels: about half of one
     # panel per half-period
-    assert nodes == [16 * (int(np.ceil(400.0 / (2.0 * np.pi))) + 8)]
-    assert nodes[0] <= 0.55 * 16 * (int(np.ceil(400.0 / np.pi)) + 8)
+    assert nodes == [16 * (int(np.ceil(400.0 / (2.0 * np.pi))) + 12)]
+    assert nodes[0] <= 0.55 * 16 * (int(np.ceil(400.0 / np.pi)) + 12)
     assert [CompactBump(radius=r).frequency_radius() for r in (1.0, 1.5, 3.0)] == [
         1536.0, 1024.0, 512.0]
+
+
+def converged_bump_transform(bump, xi):
+    """2 int_0^r cos(x xi) f(x) dx on 3*ceil(r xi/pi) + 40 equal Gauss-16
+    x-panels: six per period of the cosine and forty across the flat ends."""
+    n = 3 * int(np.ceil(bump.radius * xi / np.pi)) + 40
+    edges = np.linspace(0.0, bump.radius, n + 1)
+    nodes, weights = gauss_rule(16)
+    half = 0.5 * np.diff(edges)
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    return 2.0 * np.sum(np.cos(x * xi) * bump.evaluate(x) * weights * half[:, None])
+
+
+@pytest.mark.parametrize("bump", [CompactBump(), CompactBump(2.0, 1.5)])
+def test_bump_fourier_resolves_the_flat_ends(bump):
+    # exp(-1/(1 - x^2)) is flat to all orders at the ends, which Gauss-16
+    # resolves on 12 x-panels at least to a few rounding units of fhat
+    # (on 8, to 1e-13)
+    for xi in (0.0, 0.5, 3.0):
+        got = bump.fourier(np.array([xi]))[0]
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(converged_bump_transform(bump, xi),
+                                         rel=1e-14, abs=0.0)
 
 
 def test_bump_frequency_radius_is_scanned_once_per_instance(monkeypatch):
@@ -211,14 +235,18 @@ def test_bump_mass_at_small_t(t):
 @pytest.mark.parametrize("t", [1.0, 10.0])
 def test_bump_mass_matches_xi_panels(t):
     # the snapshot integrates to its cutoff, 1536; past |xi| = 400, where
-    # the reference stops, |fhat|^2 is below 1e-21 of its peak.  At t = 10
-    # moving the edges to w = k*pi widens panels near the mass past the
-    # bump's panel width, 2*pi, and they must be split
+    # the reference stops, |fhat|^2 is below 1e-21 of its peak.  At t = 1
+    # half-periods near the mass are wider than the bump's panel width,
+    # 2*pi, and must be split; at t = 10 the panels are laid out narrower
+    # by the edges' moves to w = k*pi, and none is
     s, bump = 0.75, CompactBump()
     got = QuadratureSnapshot(t, Parameters(s), ZERO, bump).spectral_mass(0.0)
     ref = 2.0 * xi_panel_reference(reference_density(s, t, ZERO, bump, "u", 0.0),
                                    t, s, 400.0, width=0.5)
     assert got == pytest.approx(ref, rel=1e-12)
+    rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff([bump]),
+                                  panel_width([bump]))
+    assert rule.splits == (t == 1.0)
 
 
 def test_bump_mass_nodes_do_not_grow_with_t():

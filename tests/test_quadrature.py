@@ -17,7 +17,7 @@ from fracwave.errors import DivergenceError, NumericalFailureError
 from fracwave.profiles import (ZERO, CompactBump, Gaussian,
                                GaussianDerivative, combine, weighted_l1_norm)
 from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, HEAD_DYADIC,
-                                 LEAD_HALFPERIODS, MAX_PANELS, _equal_panels,
+                                 LEAD_HALFPERIODS, MAX_PANELS,
                                  _filon_parts, _filon_weights, _form_weights,
                                  _head_edges, _moment_map, _OscillatoryRule,
                                  _scaled_head, _spherical_jn, _whole_filon,
@@ -435,6 +435,23 @@ def test_whole_filon_rows_are_the_phased_filon_weights():
     assert same_bits(_whole_filon(m), want)
 
 
+@pytest.mark.parametrize("d", [0.0, 0.4])
+def test_a_panels_filon_weights_do_not_depend_on_its_call(d):
+    # a one-row matrix product rounds otherwise than a batch's rows; a
+    # panel's weights are the same bits alone and next to any other panel,
+    # below FILON_TABLE half-periods (the recurrence) and above (Hankel's
+    # form), and so are the rows _whole_filon reads from the table
+    for m in range(3, 41):
+        for first in (2.0, 35.0):
+            alone = _filon_weights(np.array([first]), np.array([d]))
+            pair = _filon_weights(np.array([first, m]), np.array([d, d]))
+            assert same_bits(alone[0], pair[0])
+        assert same_bits(_whole_filon(np.array([2.0, m]))[:, :1],
+                         _whole_filon(np.array([2.0])))
+        assert same_bits(_whole_filon(np.array([40.0, m]))[:, :1],
+                         _whole_filon(np.array([40.0])))
+
+
 def reference_form_weights(t, s, ka, da, kb, db):
     """``_form_weights`` with one formula for every wide panel: the phase
     (-1)^(ka+kb) e^(i(da+db)) times ``_filon_weights``, with no table of
@@ -472,9 +489,24 @@ def reference_form_weights(t, s, ka, da, kb, db):
     return xi, xi_s, weights, faint
 
 
+def reference_layout(lo, hi, width):
+    """The graded layout written out: ratio-2 edges from lo while a ratio-2
+    panel is no wider than width and ends below hi, then the fewest equal
+    panels to hi no wider than width."""
+    edges = [lo]
+    while edges[-1] <= width and 2.0 * edges[-1] < hi:
+        edges.append(2.0 * edges[-1])
+    n = max(1, int(np.ceil((hi - edges[-1]) / width)))
+    return np.concatenate([edges[:-1], np.linspace(edges[-1], hi, n + 1)])
+
+
 def reference_edges(t, s, xi_lo, xi_hi, width):
     """(k, d) of a rule's edges k*pi + d, with its body's k sorted and
-    deduplicated by ``np.unique``, and whether the head table applies."""
+    deduplicated by ``np.unique``, and whether the head table applies.  The
+    body's xi-edges are ``reference_layout`` from the head's end, within
+    width less twice the largest move to a whole half-period,
+    (pi/2) xi^(1-s)/(s t) half a half-period above the cutoff, but at least
+    half of width."""
     w_lo, w_hi = t * xi_lo ** s, t * xi_hi ** s
     k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
     scaled = w_lo == 0 and w_hi > k_lead * np.pi and _scaled_head(t, s) is not None
@@ -482,13 +514,10 @@ def reference_edges(t, s, xi_lo, xi_hi, width):
     if w_hi <= k_lead * np.pi:
         return k, d, scaled
     xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    xi_edges = [0.5 ** np.arange(np.ceil(-np.log2(xi_lead)) - 1, 0, -1)
-                if xi_lead < 1.0 else np.empty(0)]
-    if xi_hi > max(xi_lead, 1.0):
-        # equal panels only above 1; ratio-2 edges past a cutoff below 1
-        # fall to the k < k_end filter
-        xi_edges.append(_equal_panels(max(xi_lead, 1.0), xi_hi, width))
-    body = np.unique(np.round(t * np.concatenate(xi_edges) ** s / np.pi))
+    top = ((w_hi + 0.5 * np.pi) / t) ** (1.0 / s)
+    moved = np.pi * top ** (1.0 - s) / (s * t)
+    xi_edges = reference_layout(xi_lead, xi_hi, width - min(moved, 0.5 * width))
+    body = np.unique(np.round(xi_edges[1:-1] ** s * (t / np.pi)))
     k_end = np.floor(w_hi / np.pi)
     body = np.concatenate([body[(body > k_lead) & (body < k_end)],
                            [k_end] if k_end > k_lead else []])
@@ -522,30 +551,35 @@ def assert_rule_bits(rule, xi_lo, xi_hi, width):
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
 def test_rules_are_the_one_formula_to_the_bit(s):
-    data = [Gaussian(0.7, 1.3, 0.8), Gaussian()]
-    cutoff, width = frequency_cutoff(data), panel_width(data)
-    for t in np.geomspace(1e-2, 1e6, 17):
-        rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
-        assert_rule_bits(rule, 0.0, cutoff, width)
+    # data of three widths, whose layouts end their ratio-2 panels and
+    # start their equal ones at different xi
+    for data in ([Gaussian(0.7, 1.3, 0.8), Gaussian()], [Gaussian(width=0.05)],
+                 [CompactBump()]):
+        cutoff, width = frequency_cutoff(data), panel_width(data)
+        for t in np.geomspace(1e-2, 1e6, 17):
+            rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+            assert_rule_bits(rule, 0.0, cutoff, width)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 1.0])
-def test_rules_with_a_cutoff_below_one_take_no_equal_panels(s):
-    # Gaussian(width=20) stops at xi = 0.643: the body has the ratio-2
-    # edges below the cutoff and no equal panels, which would run from 1
-    # down to it
+def test_rules_with_a_cutoff_below_one_take_no_equal_panels(s, monkeypatch):
+    # Gaussian(width=20) stops at xi = 0.643: the static rule's head covers
+    # it all and takes no panels above it; the oscillatory rule's body runs
+    # the graded layout from the head's end, and is the reference's to the
+    # bit, its Filon weights included
     data = [Gaussian(width=20.0)]
     cutoff, width = frequency_cutoff(data), panel_width(data)
     assert 0.6 < cutoff < 0.7
-    for lo, hi in ((1.0, cutoff), (1.0, 1.0)):
-        with pytest.raises(ValueError, match="lo < hi"):
-            _equal_panels(lo, hi, width)
+    panels = []
+    monkeypatch.setattr(quadrature, "gauss_panels",
+                        lambda *args, **kw: panels.append(args) or 0.0)
+    assert static_integral(np.exp, cutoff, width=width) == (
+        singular_origin_integral(np.exp, cutoff))
+    assert panels == []
     bodies = 0
     for t in np.geomspace(1e-2, 1e6, 17):
         rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
-        k, d, _ = reference_edges(t, s, 0.0, cutoff, width)
-        want = (k[:-1], d[:-1], k[1:], d[1:])
-        assert all(same_bits(got, w) for got, w in zip(rule.edges, want))
+        assert_rule_bits(rule, 0.0, cutoff, width)
         ka, da, kb, db = rule.edges
         assert np.all(ka * np.pi + da < kb * np.pi + db)
         assert np.array_equal(kb[:-1], ka[1:]) and np.array_equal(db[:-1], da[1:])
@@ -612,6 +646,45 @@ def test_unsplittable_rule_sums_as_the_split_test_does(s, t):
         assert skipped == tested
     assert _OscillatoryRule.build(0.05, s, 0.0, frequency_cutoff(data),
                                   panel_width(data)).splits
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0, 1e2])
+def test_narrow_data_norms_match_a_rule_with_four_times_the_panels(t):
+    # Gaussian(width=0.05) reaches xi = 257 and sets panels 19.5 wide: the
+    # first ones, from the head's end, are ratio-2 panels that resolve the
+    # |xi|^(-2s) of u1's density.  The reference takes [0, cutoff] in four
+    # parts, each laid out within a quarter of that width
+    s = 1.0
+    u0, u1 = Gaussian(0.7, 0.05, 0.0), Gaussian(width=0.05)
+    snap = QuadratureSnapshot(t, Parameters(s), u0, u1)
+    cutoff, width = frequency_cutoff([u0, u1]), panel_width([u0, u1])
+    parts = np.linspace(0.0, cutoff, 5)
+    for field, weight_exp in (("u", 0.0), ("ut", 0.0), ("u", 2.0 * s)):
+        density = snap._field_density(field, weight_exp)
+        got = oscillatory_integral(density, t, s, cutoff, width=width)
+        want = sum(oscillatory_integral(density, t, s, hi, xi_lo=lo, width=width / 4)
+                   for lo, hi in zip(parts[:-1], parts[1:]))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_unit_gaussian_rule_takes_the_panels_its_data_need():
+    # equal panels of panel_width = 0.976 up to the cutoff 12.88, 13 of
+    # them, and ratio-2 ones from the head's end below: 86 panels
+    data = [Gaussian()]
+    rule = _OscillatoryRule.build(1e3, 0.75, 0.0, frequency_cutoff(data),
+                                  panel_width(data))
+    assert rule.xi.size <= 2200
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
+def test_benchmark_data_rules_do_not_split_from_t_100(s):
+    # the panels are laid out within the data's width less the edges'
+    # moves to w = k*pi, so no moved panel is wider than the width
+    for data in ([Gaussian()], [CompactBump()]):
+        cutoff, width = frequency_cutoff(data), panel_width(data)
+        for t in np.geomspace(1e2, 1e6, 13):
+            rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+            assert not rule.splits and not np.any(rule.pieces > 1)
 
 
 def assert_after_fresh_import(check):
