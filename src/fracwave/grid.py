@@ -20,6 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 
+#: most points a grid may have, refused before anything is allocated: a
+#: 2-sample solve on 2^24 points peaks at 522 MB, and each doubling doubles
+#: that; criterion 10's largest grid is 2^20 (2^40 ended in a MemoryError)
+MAX_POINTS = 1 << 24
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -34,9 +40,10 @@ class GridSpec:
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        if self.points < 2 or not _is_power_of_two(self.points):
+        if not 2 <= self.points <= MAX_POINTS or not _is_power_of_two(self.points):
             # one point has no zero bin: xi_k = pi*k/L needs k = -N/2..N/2-1
-            raise ValueError(f"points must be a power of two >= 2, got {self.points}")
+            raise ValueError(f"points must be a power of two from 2 to MAX_POINTS = "
+                             f"{MAX_POINTS}, got {self.points}")
 
     @property
     def dx(self) -> float:

@@ -36,22 +36,23 @@ w the body integrand is A0(w) + A1(w) cos 2w + A2(w) sin 2w, whose
 amplitudes do not oscillate.  Its panels are the graded layout from the
 head's end, narrowed by the moves of their edges to w = k*pi, so their
 number does not grow with the number of turns of w, and the last, partial
-half-period is a panel of its own.  A panel at most one half-period wide
-gets the head's Gauss rule.  On each wider one A0 gets a Gauss sum, and A1
-and A2 are replaced by their Legendre interpolant at the same FILON_ORDER
-nodes, whose products with e^(2iw) have exact moments (the Filon idea of
-Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of
-Bakhvalov & Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  The
-moments are spherical Bessel functions j_k(omega) of the panel's width
-omega, a whole number m of half-periods, whose phase e^(i(a+b)) is (-1)^m,
-so the weights depend on m alone (``_whole_filon``): rows of a signed table
-below FILON_TABLE half-periods, built once per process, and the cosine half
-of Hankel's terminating form (DLMF 10.49.2) above.  Only the parts of a
-split panel, at small t, take a phase of their own and ``_filon_weights``.
-Each panel's weights are a product of its own (``_by_rows``), the same bits
-whichever panels share its call.  One pass writes a rule's head and body
-rows into one node and weight set.  These settings are module constants,
-the same for every norm.
+half-period is a panel of its own.  Every panel is one of two kinds.  On a
+panel of m >= 2 whole half-periods A0 gets a Gauss sum, and A1 and A2 are
+replaced by their Legendre interpolant at the same FILON_ORDER nodes, whose
+products with e^(2iw) have exact moments (the Filon idea of Iserles &
+Norsett, Proc. R. Soc. A 461 (2005) 1383, in the Legendre form of Bakhvalov
+& Vasil'eva, USSR Comput. Math. Math. Phys. 8 (1968)).  The moments are
+spherical Bessel functions j_k(omega) of the panel's width omega = m*pi,
+whose phase e^(i(a+b)) is (-1)^m, so the weights depend on m alone
+(``_whole_filon``): rows of a signed table below FILON_TABLE half-periods,
+built once per process, and the cosine half of Hankel's terminating form
+(DLMF 10.49.2) above.  Every other panel, at most one half-period wide, gets
+the head's Gauss rule: the head's, the body's last, and the parts of a
+panel wider than the data's ``panel_width``, which at small t is split on
+``_graded_panels`` too.  Each panel's weights are a product of its own
+(``_by_rows``), the same bits whichever panels share its call.  One pass
+writes a rule's head and body rows into one node and weight set.  These
+settings are module constants, the same for every norm.
 """
 
 from __future__ import annotations
@@ -281,6 +282,9 @@ def _graded_panels(lo: float, hi: float, width: float) -> np.ndarray:
     octave = math.log2(lo)
     ratio = max(0, math.floor(min(math.ceil(math.log2(hi) - octave) - 1,
                                   math.log2(width) - octave + 1)))
+    if ratio and math.ldexp(lo, ratio) >= hi:
+        # hi/lo a power of 2 (a split dyadic head panel) rounds the ceil up
+        ratio -= 1
     start = math.ldexp(lo, ratio)
     n = (hi - start) / width
     _check_panel_count(n + ratio, "[{:g}, {:g}] in panels of width {:.3g}", lo, hi, width)
@@ -303,26 +307,21 @@ def static_integral(f, xi_hi: float, *, xi_lo: float = 0.0,
                     width: float = np.inf) -> float:
     """Integrate a non-oscillatory f over [xi_lo, xi_hi].
 
-    The part in (0, 1] goes to ``singular_origin_integral``, which resolves a
-    power-law kink or singularity at the origin and raises DivergenceError
-    for a non-integrable one.  [1, xi_hi] gets Gauss-16 panels on
-    ``_graded_panels`` from 1: ratio-2 panels while they are no wider than
-    ``width`` (``panel_width``), then equal ones within it.
-    An interval starting at xi_lo > 0 never reaches the origin, so its part
-    below 1 uses geometric panels toward xi_lo instead.
+    An interval from the origin has its part in (0, 1] taken by
+    ``singular_origin_integral``, which resolves a power-law kink or
+    singularity at the origin and raises DivergenceError for a
+    non-integrable one, and the rest from 1.  The rest, or an interval from
+    xi_lo > 0, gets Gauss-16 panels on ``_graded_panels``: ratio-2 panels
+    while they are no wider than ``width`` (``panel_width``), then equal ones
+    within it.
     """
     if xi_hi <= xi_lo:
         return 0.0
-    split = min(1.0, xi_hi)
+    lo, head = xi_lo, 0.0
     if xi_lo == 0.0:
-        head = singular_origin_integral(f, split)
-    elif xi_lo < split:
-        head = gauss_panels(f, log_spaced_panels(xi_lo, split), order=16)
-    else:
-        head = 0.0
-    lo = max(xi_lo, 1.0)
-    if xi_hi <= lo:
-        return head
+        lo, head = 1.0, singular_origin_integral(f, min(1.0, xi_hi))
+        if xi_hi <= lo:
+            return head
     return head + gauss_panels(f, _graded_panels(lo, xi_hi, width), order=16)
 
 
@@ -393,24 +392,25 @@ class _OscillatoryRule:
     ``_scaled_head``, the per-s table scaled to t, unless a scaled value
     leaves the normal doubles; split parts are always formed directly.
 
-    A panel that spans more than ``width`` in xi is split into equal
-    xi-parts unless its share of the integral is below SPLIT_TOL, where no
-    error of it can show.  That share depends on the form, so ``integrate``
-    splits; the rule on the parts is kept for the next form that splits the
-    same panels.  A rule with no panel wider than ``width`` (``splits``
-    False) sums its panels without that test.
+    A panel that spans more than ``width`` in xi (``pieces``) is split unless
+    its share of the integral is below SPLIT_TOL, where no error of it can
+    show.  Its parts are laid out on ``_graded_panels`` within ``width``,
+    like the body, and are Gauss panels.  That share depends on the form, so
+    ``integrate`` splits; the rule on the parts is kept for the next form
+    that splits the same panels.  A rule with no panel wider than ``width``
+    (``splits`` False) sums its panels without that test.
     """
 
     def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False,
                  head=None):
-        self.t, self.s = t, s
+        self.t, self.s, self.width = t, s, width
         self.edges = (ka, da, kb, db)
         self.from_origin = from_origin
         self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
         self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
-        self.pieces = np.ceil((self.xb - self.xa) / width)
-        # whether any panel is wider than width, so that a form can split it
-        self.splits = bool((self.pieces > 1).any())
+        # the panels wider than width, which a form can split
+        self.pieces = self.xb - self.xa > width
+        self.splits = bool(self.pieces.any())
         self.xi, self.xi_s, self.weights, self.faint = _form_weights(
             t, s, *self.edges, head=head)
         self._splits: dict[tuple, _OscillatoryRule] = {}
@@ -455,7 +455,7 @@ class _OscillatoryRule:
         if not self.splits:
             total += float(np.sum(parts))
         else:
-            split = (self.pieces > 1) & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
+            split = self.pieces & (np.abs(parts) > SPLIT_TOL * np.sum(np.abs(parts)))
             total += float(np.sum(parts[~split]))
             if np.any(split):
                 which = tuple(np.nonzero(split)[0].tolist())
@@ -470,14 +470,16 @@ class _OscillatoryRule:
         return total
 
     def _split(self, which) -> "_OscillatoryRule":
-        """The rule on the equal xi-parts of the panels ``which``."""
+        """The rule on the parts of the panels ``which``, each laid out on
+        ``_graded_panels`` within ``width``."""
         t, s = self.t, self.s
         ka, da, kb, db = self.edges
-        _check_panel_count(float(np.sum(self.pieces[list(which)])),
-                           "splitting the rule at t = {:g}", t)
-        sub = []
+        sub, parts = [], 0
         for i in which:
-            w = t * np.linspace(self.xa[i], self.xb[i], int(self.pieces[i]) + 1)[1:-1] ** s
+            xi = _graded_panels(self.xa[i], self.xb[i], self.width)
+            parts += xi.size - 1
+            _check_panel_count(parts, "splitting the rule at t = {:g}", t)
+            w = t * xi[1:-1] ** s
             k = np.concatenate([[ka[i]], np.floor(w / np.pi), [kb[i]]])
             d = np.concatenate([[da[i]], w - k[1:-1] * np.pi, [db[i]]])
             sub.append((k[:-1], d[:-1], k[1:], d[1:]))
@@ -629,15 +631,18 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     weights of (alpha, beta, gamma) there, stacked on a first axis of 3.
     ``head``, from ``_scaled_head``, gives the first panels' rows instead.
     The integrand is the form times the Jacobian jac = d xi/dw = xi/(s*w).
-    On a panel at most one half-period wide (the head's, and the body's last
-    and single half-periods) the Gauss rule takes the form itself, with
-    sin w and cos w from the offset w - ka*pi (the form is unchanged by the
-    sign (-1)^ka): node j of a panel of half-width h has the weights
-    h w_j jac (sin^2 w, cos^2 w, sin w cos w).  In the head the amplitudes
-    can be as singular as xi^(-2s) while the form stays bounded, so they are
-    never integrated apart.
+    A panel is one of two kinds.  One that spans m >= 2 whole half-periods
+    (da = db = 0) takes Filon weights; every other, which in the rules built
+    here is at most one half-period wide (the head's, the body's last and
+    single half-periods, and the parts of split panels), takes the Gauss
+    rule on the form itself, with sin w and cos w from the offset
+    w - ka*pi (the form is unchanged by the sign (-1)^ka): node j of a panel
+    of half-width h has the weights h w_j jac (sin^2 w, cos^2 w,
+    sin w cos w).  In the head the amplitudes can be as singular as
+    xi^(-2s) while the form stays bounded, so they are never integrated
+    apart.
 
-    On a wider panel the form is A0 + Re((A1 - i A2) e^(2iw)) with
+    On a Filon panel the form is A0 + Re((A1 - i A2) e^(2iw)) with
     A0 = (alpha + beta)/2, A1 = (beta - alpha)/2 and A2 = gamma/2.  On a
     panel [a, b], w = (a + b)/2 + h*x and
 
@@ -647,8 +652,8 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     the moments int_{-1}^{1} P_k(x) e^(i omega x) dx = 2 i^k j_k(omega), with
     j_k the spherical Bessel function and omega = b - a.  With pf_j the
     Filon weight of node j times the phase e^(i(a+b)), the node's weights
-    are h jac/2 times ``_filon_parts``.  An unsplit rule's wide panels span
-    m whole half-periods, whose phase is (-1)^m: they take ``_whole_filon``.
+    are h jac/2 times ``_filon_parts``.  A panel of m whole half-periods has
+    the phase (-1)^m, so its weights depend on m alone: ``_whole_filon``.
 
     At tiny t a head weight gauss*sin^2 w can be subnormal where alpha =
     |u1hat|^2/xi^(2s) is large.  Such weights are set to 0, and ``faint`` =
@@ -676,7 +681,8 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     body = weights[:, first:]
 
     faint = None
-    rows = np.flatnonzero(omega <= np.pi)
+    whole = (da == 0.0) & (db == 0.0) & (kb - ka >= 2.0)
+    rows = np.flatnonzero(~whole)
     if rows.size:
         narrow = _run(rows)
         sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
@@ -691,15 +697,8 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
         body[2, narrow] = gauss * (sin_w * cos_w)
 
     if rows.size < omega.size:
-        wide = _run(np.flatnonzero(omega > np.pi))
-        ka, da, kb, db = ka[wide], da[wide], kb[wide], db[wide]
-        if da.any() or db.any():
-            # the parts of split panels, each with a phase of its own
-            phase = (1.0 - 2.0 * ((ka + kb) % 2.0)) * np.exp(1j * (da + db))
-            parts = _filon_parts(phase[:, None] * _filon_weights(kb - ka, db - da))
-        else:
-            parts = _whole_filon(kb - ka)
-        body[:, wide] = (0.5 * scale[wide]) * parts
+        wide = _run(np.flatnonzero(whole))
+        body[:, wide] = (0.5 * scale[wide]) * _whole_filon(kb[wide] - ka[wide])
     for a in (xi, xi_s, weights):
         a.setflags(write=False)
     return xi, xi_s, weights, faint
@@ -716,15 +715,14 @@ def _run(rows: np.ndarray):
 def _whole_filon(m: np.ndarray) -> np.ndarray:
     """``_filon_parts`` of (-1)^m times the Filon weights of m >= 2 whole
     half-periods: the rows of ``_filon_table`` below FILON_TABLE, and above
-    the cosine half of Hankel's form, as sin(m*pi) = 0 and (-1)^m cos(m*pi)
-    = 1: the powers (1/(m*pi))^(p+1) times the second of ``_hankel_maps``."""
+    Hankel's form: the powers (1/(m*pi))^(p+1) times ``_hankel_map``."""
     # a row from FILON_TABLE up reads the table's last, then is replaced
     out = _filon_table().take(np.minimum(m, FILON_TABLE - 1).astype(int) - 2, 1)
     far = m >= FILON_TABLE
     if far.any():
         u = 1.0 / (m[far] * np.pi)
         out[:, far] = _filon_parts(_by_rows(u[:, None] * u[:, None] ** np.arange(
-            FILON_ORDER), _hankel_maps(FILON_ORDER)[1]))
+            FILON_ORDER), _hankel_map(FILON_ORDER)))
     return out
 
 
@@ -742,30 +740,6 @@ def _filon_parts(pf: np.ndarray) -> np.ndarray:
     return np.stack([wts - pf.real, wts + pf.real, pf.imag])
 
 
-def _filon_weights(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The Filon weights j_k(omega) @ ``_moment_map`` of panels of width
-    omega = m*pi + d > pi, shape omega.shape + (FILON_ORDER,): from
-    FILON_TABLE*pi up the closed Hankel form of ``_hankel_maps``, two matrix
-    products with the powers of 1/omega, where sin omega = (-1)^m sin d and
-    cos omega = (-1)^m cos d are exact however large m is, and below it
-    ``_spherical_jn``.  Only ``_filon_table`` and split parts take them.
-    """
-    omega = m * np.pi + d
-    out = np.empty(omega.shape + (FILON_ORDER,), dtype=complex)
-    far = omega >= FILON_TABLE * np.pi
-    if np.any(far):
-        u = 1.0 / omega[far]
-        sign = 1.0 - 2.0 * (m[far] % 2.0)
-        powers = (sign * u)[:, None] * u[:, None] ** np.arange(FILON_ORDER)
-        by_sin, by_cos = _hankel_maps(FILON_ORDER)
-        out[far] = (_by_rows(powers * np.sin(d[far])[:, None], by_sin)
-                    + _by_rows(powers * np.cos(d[far])[:, None], by_cos))
-    if not np.all(far):
-        out[~far] = _by_rows(_spherical_jn(FILON_ORDER, omega[~far]),
-                             _moment_map(FILON_ORDER))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _filon_table() -> np.ndarray:
     """[:, m - 2] holds ``_filon_parts`` of (-1)^m times the Filon weights
@@ -773,15 +747,16 @@ def _filon_table() -> np.ndarray:
     process, so that importing the module stays cheap."""
     m = np.arange(2.0, FILON_TABLE)
     sign = 1.0 - 2.0 * (m % 2.0)
-    table = _filon_parts(sign[:, None] * _filon_weights(m, np.zeros_like(m)))
+    table = _filon_parts(sign[:, None] * _by_rows(
+        _spherical_jn(FILON_ORDER, m * np.pi), _moment_map(FILON_ORDER)))
     table.setflags(write=False)
     return table
 
 
 @functools.lru_cache(maxsize=None)
-def _hankel_maps(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices taking the powers (1/omega)^(p+1), p < order, to the Filon
-    weights' parts in sin omega and in cos omega.
+def _hankel_map(order: int) -> np.ndarray:
+    """Matrix taking the powers (1/omega)^(p+1), p < order, to (-1)^m times
+    the Filon weights of omega = m*pi.
 
     Hankel's expansion terminates for half-integer orders (DLMF 10.49.2):
 
@@ -790,23 +765,21 @@ def _hankel_maps(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     with u = 1/omega and a_k = (n + k)!/(2^k k! (n - k)!), k <= n.  Expanding
     the shifted sine and cosine gives omega j_n = S_n(u) sin omega +
-    C_n(u) cos omega; the coefficient matrices S and C, each folded into
-    ``_moment_map``, are the two maps.  From omega = 32 pi up it is
-    within 7e-18 of j_n; at omega = 16 pi it is 1.4e-16 off, as its terms
-    for n = 23 grow to about 40 there (4 at 32 pi) before they cancel.
+    C_n(u) cos omega, and at omega = m*pi, where sin omega = 0 and
+    cos omega = (-1)^m, (-1)^m omega j_n is C_n(u): the map is the
+    coefficient matrix C folded into ``_moment_map``.  From omega = 32 pi up
+    it is within 7e-18 of j_n; at omega = 16 pi it is 1.4e-16 off, as its
+    terms for n = 23 grow to about 40 there (4 at 32 pi) before they cancel.
     """
-    by_sin, by_cos = np.zeros((order, order)), np.zeros((order, order))
+    by_cos = np.zeros((order, order))
     for n in range(order):
         c, s = (1, 0, -1, 0)[n % 4], (0, 1, 0, -1)[n % 4]
         for k in range(n + 1):
             a = math.factorial(n + k) // (
                 2 ** k * math.factorial(k) * math.factorial(n - k))
-            coeff = float((-1) ** (k // 2) * a)
             # the even powers carry sin(omega - n pi/2), the odd ones cos
-            sin_part, cos_part = (c, -s) if k % 2 == 0 else (s, c)
-            by_sin[k, n], by_cos[k, n] = sin_part * coeff, cos_part * coeff
-    moments = _moment_map(order)
-    return by_sin @ moments, by_cos @ moments
+            by_cos[k, n] = (-s if k % 2 == 0 else c) * float((-1) ** (k // 2) * a)
+    return by_cos @ _moment_map(order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -836,9 +809,8 @@ def _spherical_jn(order: int, omega: np.ndarray) -> np.ndarray:
       above the highest, scaled to the closed forms of j_0 and j_1 by least
       squares (j_0 alone has zeros).
 
-    Only the Filon weights of ``_filon_table`` and of split panels narrower
-    than FILON_TABLE half-periods come from here; a panel of omega <= pi
-    takes the Gauss rule instead.
+    Only ``_filon_table``, at omega = m*pi for 2 <= m < FILON_TABLE, is
+    built from here.
     """
     omega = np.asarray(omega, dtype=float)
     out = np.empty(omega.shape + (order,))

@@ -445,6 +445,19 @@ class TestCli:
         assert err.startswith("config error") and key in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "energy", "rates", "sandwich"])
+    def test_a_grid_past_max_points_exits_two_naming_the_key(self, tmp_path, capsys,
+                                                              command):
+        # 2^40 points ended in a numpy MemoryError and a traceback
+        cfg = "backend = grid\ngrid_points = 1099511627776\nt_grid = log 1 10 2\n"
+        rc = main([command, "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "grid_points" in err
+        assert "MAX_POINTS" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("command, cfg, message", [
         ("solve", "u1 = gaussian a=1e308\nt_grid = list 1 10\n",

@@ -17,6 +17,15 @@ def test_grid_validation():
         GridSpec(half_width=0.0)
 
 
+def test_a_grid_above_max_points_is_refused():
+    # 2^40 points would need terabytes; only the spec is made, no axis
+    from fracwave import grid
+    assert GridSpec(points=grid.MAX_POINTS).points == grid.MAX_POINTS
+    for points in (2 * grid.MAX_POINTS, 1 << 40):
+        with pytest.raises(ValueError, match=f"to MAX_POINTS = {grid.MAX_POINTS}, got {points}"):
+            GridSpec(points=points)
+
+
 def test_axes():
     x = GRID.x()
     xi = GRID.xi()

@@ -18,7 +18,7 @@ from fracwave.profiles import (ZERO, CompactBump, Gaussian,
                                GaussianDerivative, combine, weighted_l1_norm)
 from fracwave.quadrature import (CUTOFF_TOL, FILON_ORDER, HEAD_DYADIC,
                                  LEAD_HALFPERIODS, MAX_PANELS,
-                                 _filon_parts, _filon_weights, _form_weights,
+                                 _filon_parts, _form_weights, _graded_panels,
                                  _head_edges, _moment_map, _OscillatoryRule,
                                  _scaled_head, _spherical_jn, _whole_filon,
                                  adaptive, check_time, frequency_cutoff,
@@ -369,22 +369,18 @@ def test_spherical_jn_matches_mpmath():
 
 
 def test_filon_weights_match_mpmath():
-    # the table (whole half-periods below FILON_TABLE), the closed Hankel
-    # form (from FILON_TABLE half-periods up, whole or not) and the
-    # recurrence of split parts, against j_k(m*pi + d) at 40 digits taken
-    # through the same moment map; pi is exact in the panel widths
+    # the rows of _whole_filon, from the table below FILON_TABLE
+    # half-periods and the closed Hankel form above, against (-1)^m
+    # j_k(m*pi) at 40 digits taken through the same moment map; pi is exact
+    # in the panel widths
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    whole = np.concatenate([np.arange(2.0, 41.0),
-                            np.round(np.geomspace(41.0, 1e6, 12))])
-    m = np.concatenate([whole, [32.0, 32.0, 40.0, 317.0, 1e4, 1e6, 3.0, 20.0]])
-    d = np.concatenate([np.zeros(whole.size),
-                        [1e-9, 0.3, -0.9, 2.5, -3.0, 1.0, 0.5, -1.2]])
-    got = _filon_weights(m, d)
+    m = np.concatenate([np.arange(2.0, 41.0), np.round(np.geomspace(41.0, 1e6, 12))])
+    got = _whole_filon(m)
     moments = _moment_map(FILON_ORDER)
-    for mk, dk, row in zip(m, d, got):
-        exact = mpmath_jn(mpmath, int(mk) * mpmath.pi + mpmath.mpf(dk))
-        np.testing.assert_allclose(row, np.array(exact) @ moments,
+    for k, mk in enumerate(m):
+        exact = (-1) ** int(mk) * np.array(mpmath_jn(mpmath, int(mk) * mpmath.pi))
+        np.testing.assert_allclose(got[:, k], _filon_parts(exact @ moments),
                                    rtol=0.0, atol=1e-15)
 
 
@@ -400,23 +396,48 @@ def largest_accepted_time(s):
             t = np.nextafter(t, 0.0)
 
 
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.75, 0.9, 1.0])
+def assert_two_panel_kinds(rule):
+    """Every panel of the rule is at most one half-period wide in w, or
+    spans m >= 2 whole half-periods: ``_form_weights`` gives the first kind
+    the Gauss rule and the second ``_whole_filon``, and has no third."""
+    ka, da, kb, db = rule.edges
+    wide = (kb - ka) * np.pi + (db - da) > np.pi
+    assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
+    assert np.all(kb[wide] - ka[wide] >= 2.0)
+    assert np.all(np.diff(ka * np.pi + da) > 0.0)
+
+
+INVARIANT_DATA = {
+    "gaussian": [Gaussian()],
+    "narrow": [Gaussian(width=0.05)],
+    "wide": [Gaussian(width=20.0)],
+    "off-centre pair": [Gaussian(0.7, 1.3, 0.8), Gaussian()],
+    "derivative": [GaussianDerivative(0.7, 1.0, 0.7)],
+    "bump": [CompactBump()],
+    "bump r=3": [CompactBump(1.0, 3.0)],
+    "gaussian+bump": [combine((1.0, Gaussian()), (0.5, CompactBump()))],
+}
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.75, 0.9, 1.0])
 def test_unsplit_filon_panels_span_whole_halfperiods(s):
     # every panel wider than pi is m*pi, m >= 2, so its weights are a row of
-    # _whole_filon; only the last, partial half-period is not whole
-    times = list(np.geomspace(1e-2, 1e6, 17))
+    # _whole_filon, and so is every panel of the rule on the parts of all the
+    # panels a form can split: those parts are at most pi wide
+    times = sorted({*np.geomspace(1e-3, 1e3), *np.geomspace(1e-2, 1e6, 17)})
     if s == 0.3:
         times.append(largest_accepted_time(s))
-    for data in ([Gaussian(0.7, 1.3, 0.8), Gaussian()], [CompactBump()],
-                 [GaussianDerivative(0.7, 1.0, 0.7)]):
+    splits = 0
+    for data in INVARIANT_DATA.values():
+        cutoff, width = frequency_cutoff(data), panel_width(data)
         for t in times:
-            rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data),
-                                          panel_width(data))
-            ka, da, kb, db = rule.edges
-            wide = (kb - ka) * np.pi + (db - da) > np.pi
-            assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
-            assert np.all(kb[wide] - ka[wide] >= 2.0)
-            assert np.all(np.diff(ka * np.pi + da) > 0.0)
+            rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
+            assert_two_panel_kinds(rule)
+            if rule.splits:
+                splits += 1
+                assert_two_panel_kinds(
+                    rule._split(tuple(np.nonzero(rule.pieces)[0].tolist())))
+    assert splits > 0
 
 
 def same_bits(got, want):
@@ -424,28 +445,12 @@ def same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_whole_filon_rows_are_the_phased_filon_weights():
-    # a panel of m whole half-periods has the phase (-1)^m: its rows, from
-    # the signed table below FILON_TABLE and the cosine half of Hankel's
-    # form above, are that phase times _filon_weights(m, 0), to the bit
-    m = np.concatenate([np.arange(2.0, 41.0),
-                        np.round(np.geomspace(41.0, 1e6, 12))])
-    sign = 1.0 - 2.0 * (m % 2.0)
-    want = _filon_parts(sign[:, None] * _filon_weights(m, np.zeros_like(m)))
-    assert same_bits(_whole_filon(m), want)
-
-
-@pytest.mark.parametrize("d", [0.0, 0.4])
-def test_a_panels_filon_weights_do_not_depend_on_its_call(d):
+def test_a_panels_filon_weights_do_not_depend_on_its_call():
     # a one-row matrix product rounds otherwise than a batch's rows; a
     # panel's weights are the same bits alone and next to any other panel,
-    # below FILON_TABLE half-periods (the recurrence) and above (Hankel's
-    # form), and so are the rows _whole_filon reads from the table
+    # below FILON_TABLE half-periods (the table's rows) and above (Hankel's
+    # form)
     for m in range(3, 41):
-        for first in (2.0, 35.0):
-            alone = _filon_weights(np.array([first]), np.array([d]))
-            pair = _filon_weights(np.array([first, m]), np.array([d, d]))
-            assert same_bits(alone[0], pair[0])
         assert same_bits(_whole_filon(np.array([2.0, m]))[:, :1],
                          _whole_filon(np.array([2.0])))
         assert same_bits(_whole_filon(np.array([40.0, m]))[:, :1],
@@ -453,9 +458,9 @@ def test_a_panels_filon_weights_do_not_depend_on_its_call(d):
 
 
 def reference_form_weights(t, s, ka, da, kb, db):
-    """``_form_weights`` with one formula for every wide panel: the phase
-    (-1)^(ka+kb) e^(i(da+db)) times ``_filon_weights``, with no table of
-    whole half-periods."""
+    """``_form_weights`` written out: the Gauss rule on every panel at most
+    one half-period wide, and the rows of ``_whole_filon`` on every wider
+    one, which must span whole half-periods."""
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
     x, wts = gauss_rule(FILON_ORDER)
@@ -477,15 +482,9 @@ def reference_form_weights(t, s, ka, da, kb, db):
     weights[1, narrow] = gauss * cos_w ** 2
     weights[2, narrow] = gauss * (sin_w * cos_w)
     wide = ~narrow
+    assert np.all(da[wide] == 0.0) and np.all(db[wide] == 0.0)
     if np.any(wide):
-        sign = 1.0 - 2.0 * ((ka[wide] + kb[wide]) % 2.0)
-        phase = sign * np.exp(1j * (da[wide] + db[wide]))
-        filon = phase[:, None] * _filon_weights(kb[wide] - ka[wide],
-                                                db[wide] - da[wide])
-        scale = 0.5 * scale[wide]
-        weights[0, wide] = scale * (wts - filon.real)
-        weights[1, wide] = scale * (wts + filon.real)
-        weights[2, wide] = scale * filon.imag
+        weights[:, wide] = 0.5 * scale[wide] * _whole_filon(kb[wide] - ka[wide])
     return xi, xi_s, weights, faint
 
 
@@ -602,7 +601,7 @@ def test_split_offset_and_faint_rules_are_the_one_formula_to_the_bit():
     rule = _OscillatoryRule.build(0.05, 0.75, 0.0, cutoff, width)
     assert rule.splits
     assert_rule_bits(rule, 0.0, cutoff, width)
-    parts = rule._split(tuple(np.nonzero(rule.pieces > 1)[0].tolist()))
+    parts = rule._split(tuple(np.nonzero(rule.pieces)[0].tolist()))
     xi, xi_s, weights, faint = reference_form_weights(parts.t, parts.s,
                                                       *parts.edges)
     assert np.any(parts.edges[1] != 0.0)
@@ -624,7 +623,7 @@ def test_second_unsplit_build_takes_no_recurrence(monkeypatch):
     monkeypatch.setattr(quadrature, "_spherical_jn", counted)
     for t in (3e2, 1e4, 1e6):
         rule = _OscillatoryRule.build(t, 0.75, 0.0, cutoff, width)
-        assert not np.any(rule.pieces > 1)
+        assert not np.any(rule.pieces)
     assert calls == []
 
 
@@ -635,7 +634,7 @@ def test_unsplittable_rule_sums_as_the_split_test_does(s, t):
     # test; with the test forced on, every mass is the same to the bit
     data = [Gaussian(0.5, 1.0, 0.3), Gaussian()]
     rule = _OscillatoryRule.build(t, s, 0.0, frequency_cutoff(data), panel_width(data))
-    assert not rule.splits and not np.any(rule.pieces > 1)
+    assert not rule.splits and not np.any(rule.pieces)
     snap = QuadratureSnapshot(t, Parameters(s), *data)
     for field, weight_exp in (("u", 0.0), ("ut", 0.0), ("u", 2.0 * s)):
         density = snap._field_density(field, weight_exp)
@@ -667,6 +666,29 @@ def test_narrow_data_norms_match_a_rule_with_four_times_the_panels(t):
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(7.802262884384914, 31.209051537539658),
+                                   (3.3, 6.6), (1.0, 8.0)])
+def test_graded_layout_of_a_power_of_two_ratio_has_no_empty_panel(lo, hi):
+    # a split dyadic head panel spans a xi-ratio 2^(1/s): log2(hi) - log2(lo)
+    # rounds above 2 in the first case and above 1 in the second
+    edges = _graded_panels(lo, hi, 19.5)
+    assert edges[0] == lo and edges[-1] == hi
+    assert np.all(np.diff(edges) > 0.0)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0 ** 0.25, 10.0 ** 0.75])
+@pytest.mark.parametrize("s", [0.01, 0.02, 0.03])
+def test_small_order_energy_is_conserved(s, t):
+    # at small s the head's half-periods are wider than the data's width and
+    # are split; on the graded layout their parts resolve the power of xi at
+    # the origin.  Open: at t = 10^0.5 and s = 0.01 the top dyadic head panel,
+    # [4.4e-31, 0.56] in xi, is narrower than the width and is not split, but
+    # spans a xi-ratio of 1e30; the energy there is 2e-7 off (5e-10 at
+    # s = 0.02, 6e-12 at s = 0.03)
+    energy = QuadratureSnapshot(t, Parameters(s), ZERO, Gaussian()).energy()
+    assert energy == pytest.approx(0.5 * np.sqrt(np.pi / 2.0), rel=0.0, abs=1e-14)
+
+
 def test_unit_gaussian_rule_takes_the_panels_its_data_need():
     # equal panels of panel_width = 0.976 up to the cutoff 12.88, 13 of
     # them, and ratio-2 ones from the head's end below: 86 panels
@@ -684,7 +706,7 @@ def test_benchmark_data_rules_do_not_split_from_t_100(s):
         cutoff, width = frequency_cutoff(data), panel_width(data)
         for t in np.geomspace(1e2, 1e6, 13):
             rule = _OscillatoryRule.build(t, s, 0.0, cutoff, width)
-            assert not rule.splits and not np.any(rule.pieces > 1)
+            assert not rule.splits and not np.any(rule.pieces)
 
 
 def assert_after_fresh_import(check):
