@@ -46,6 +46,11 @@ EXPONENT_TOL = 0.02
 #: fewest grid points at which two threads beat one on a grid sweep: the
 #: smallest size where they won 3 runs of 3 (README, FRACWAVE_THREADS)
 THREAD_MIN_POINTS = 1 << 15
+#: time samples of a quadrature sweep whose rules are built together: on
+#: the benchmark's sweeps (10 and 20 samples) blocks of 5 to 20 ran within
+#: 2 % of each other, and a block's transient memory grows by about 60 kB
+#: a sample
+SWEEP_BLOCK = 6
 
 
 @dataclass(frozen=True)
@@ -324,10 +329,11 @@ def _thread_count() -> int:
 
 
 def map_times(fn, ts, backend):
-    """Evaluate fn over time samples on ``backend``: FRACWAVE_THREADS at a
-    time on a grid of at least THREAD_MIN_POINTS points, whose FFTs release
-    the interpreter lock, and serially otherwise (a quadrature sample is
-    small numpy calls that hold it, so threads only add lock hand-offs)."""
+    """Evaluate fn over the time samples ts, or their indices, on
+    ``backend``: FRACWAVE_THREADS at a time on a grid of at least
+    THREAD_MIN_POINTS points, whose FFTs release the interpreter lock, and
+    serially otherwise (a quadrature sample is small numpy calls that hold
+    it, so threads only add lock hand-offs)."""
     ts = list(ts)
     workers = 1
     if (isinstance(backend, GridBackend)
@@ -337,6 +343,30 @@ def map_times(fn, ts, backend):
         return [fn(t) for t in ts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ts))
+
+
+def map_snapshots(fn, data, params: Parameters, ts, backend) -> list:
+    """fn of the snapshot of ``data`` at each t of ``ts``, in order, through
+    ``map_times``.  On the quadrature backend the snapshots come
+    SWEEP_BLOCK at a time from ``evolve_many``, which builds their rules
+    together, and each is dropped once fn has read it, so a sweep holds one
+    block's rules and the nodes of one; on the grid backend each t is
+    evolved in ``map_times``, under its thread policy."""
+    if not isinstance(backend, QuadratureBackend):
+        return map_times(lambda t: fn(evolve_state(data, params, float(t), backend)),
+                         ts, backend)
+
+    def block(lo):
+        snaps = backend.evolve_many(data, params, ts[lo:lo + SWEEP_BLOCK])
+
+        def one(i):
+            # the block keeps no snapshot once read, nor the head it scaled
+            snap, snaps[i] = snaps[i], None
+            return fn(snap)
+
+        return map_times(one, range(len(snaps)), backend)
+
+    return [value for lo in range(0, len(ts), SWEEP_BLOCK) for value in block(lo)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +417,26 @@ def _require_finite(header: list[str], columns: list) -> None:
                 f"{name} is not finite at t = {columns[0][np.argmax(bad)]:g}")
 
 
-def _evolver(cfg: ExperimentConfig):
-    """The time grid, checked against the backend's cap before any sample is
-    solved, the map from t to the snapshot of the configured data, and the
-    backend."""
-    backend, params, ts = cfg.make_backend(), cfg.params(), cfg.times()
+def _sweep(cfg: ExperimentConfig, fn, ts) -> list:
+    """fn of the snapshot of the configured data at each time of ``ts``
+    (``map_snapshots``), once ``ts`` has passed the backend's cap."""
+    backend, params = cfg.make_backend(), cfg.params()
     check_time_cap(backend, ts, params.s)
-    return (ts, lambda t: evolve_state((cfg.u0, cfg.u1), params, float(t), backend),
-            backend)
+    return map_snapshots(fn, (cfg.u0, cfg.u1), params, ts, backend)
 
 
 def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Evolve the data over the grid and tabulate every norm functional."""
     out = _prepare(cfg, out_dir)
-    ts, at, backend = _evolver(cfg)
 
-    def one(t):
-        snap = at(t)
+    def one(snap):
         # energy first: a grid snapshot then builds u and u_t from one phase
         energy = snap.energy()
         return (snap.spectral_l2(), snap.physical_l2(), snap.ut_l2(),
                 snap.hs_seminorm(cfg.s), energy)
 
-    cols = list(zip(*map_times(one, ts, backend)))
+    ts = cfg.times()
+    cols = list(zip(*_sweep(cfg, one, ts)))
     header = ["t", "u_hat_l2", "u_l2", "ut_l2", "hs_seminorm", "energy"]
     _require_finite(header, [ts, *cols])
     return _finish(cfg, out, header, [ts, *cols],
@@ -420,9 +447,9 @@ def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:
 def run_energy(cfg: ExperimentConfig, out_dir=None) -> RunResult:
     """Energy conservation sweep: max relative drift over the time grid."""
     out = _prepare(cfg, out_dir)
-    ts, at, backend = _evolver(cfg)
-    e0 = at(0.0).energy()
-    energies = np.array(map_times(lambda t: at(t).energy(), ts, backend))
+    ts = cfg.times()
+    e0, *energies = _sweep(cfg, lambda snap: snap.energy(), [0.0, *ts])
+    energies = np.array(energies)
     header = ["t", "energy", "relative_drift"]
     columns = [ts, energies, np.abs(energies - e0) / (e0 or 1.0)]
     _require_finite(header, columns)
@@ -437,7 +464,6 @@ def _growth_bounds(cfg: ExperimentConfig):
     P = profiles.moment0(cfg.u1)
     u0_l2 = profiles.l2_norm(cfg.u0)
     u1_l1 = profiles.l1_norm(cfg.u1)
-    u1_l2 = profiles.l2_norm(cfg.u1)
     theta0 = estimates.select_theta0()
     mode = cfg.bounds
     if mode == "auto":
@@ -449,7 +475,7 @@ def _growth_bounds(cfg: ExperimentConfig):
         if cfg.s != 0.5:
             raise WrongRegimeError("log bounds describe the order s = 1/2")
         lower = estimates.log_lower_bound(P)
-        upper = estimates.log_upper_bound(u0_l2 + u1_l2 + u1_l1)
+        upper = estimates.log_upper_bound(u0_l2 + profiles.l2_norm(cfg.u1) + u1_l1)
     else:
         return None, None, theta0, P
     return lower, upper, theta0, P

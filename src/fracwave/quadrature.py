@@ -17,9 +17,11 @@ It is evaluated by one of two rules, chosen by whether m oscillates:
   [pi*2^-(j+1), pi*2^-j], on which the integrand is a power of w times a
   smooth function, and each panel gets one Gauss rule of FILON_ORDER nodes.
   The rest, the body, goes to a Legendre-Filon rule in w.  A rule is its
-  nodes plus the weights of the density's form there, built once per
-  interval and applied to each density on it as a dot product.  In both
-  rules ``_below_head`` adds the origin's tail, or raises DivergenceError.
+  nodes plus the weights of the density's form there, kept per interval and
+  applied to each density on it as a dot product; the rules of many t on
+  one interval are built together (``oscillatory_rules``), with the bits of
+  each rule's own build.  In both rules ``_below_head`` adds the origin's
+  tail, or raises DivergenceError.
   A rule from the origin that reaches past the head has the same 64 head
   panels in w at every t and s, so their nodes, sines, cosines and weights
   are a table per order s, built on first use (``_head_table``); at t,
@@ -356,7 +358,8 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     The density is a quadratic form in (sin w, cos w), and the routine owns
     the phase: ``f(xi, xi_s)`` takes arrays of the abscissae xi > 0 and of
     xi_s = xi^s and returns the coefficients (alpha, beta, gamma) of the
-    integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w.
+    integrand alpha sin^2 w + beta cos^2 w + gamma sin w cos w, None for a
+    coefficient that is zero, which is then not multiplied out.
 
     At t <= 0 nothing oscillates and the integral is ``static_integral`` of
     beta, with panels no wider than ``width``.  Otherwise it is an
@@ -367,8 +370,11 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
     if xi_hi <= xi_lo:
         return 0.0
     if t <= 0:
-        return static_integral(lambda xi: f(xi, xi ** s)[1], xi_hi,
-                               xi_lo=xi_lo, width=width)
+        def beta(xi):
+            value = f(xi, xi ** s)[1]
+            return np.zeros(xi.shape) if value is None else value
+
+        return static_integral(beta, xi_hi, xi_lo=xi_lo, width=width)
     key = (t, s, xi_lo, xi_hi, width)
     rule = None if rules is None else rules.get(key)
     if rule is None:
@@ -376,6 +382,17 @@ def oscillatory_integral(f, t: float, s: float, xi_hi: float, *,
         if rules is not None:
             rules[key] = rule
     return rule.integrate(f)
+
+
+def oscillatory_rules(ts, s: float, xi_hi: float, *, xi_lo: float = 0.0,
+                      width: float = np.inf) -> list[dict]:
+    """For each t > 0 of ``ts``, a ``rules`` dict that holds the rule
+    ``oscillatory_integral`` takes at t on [xi_lo, xi_hi] with panels no
+    wider than ``width``.  The rules are built together
+    (``_OscillatoryRule.build_many``), each the bits of a build of its own.
+    """
+    rules = _OscillatoryRule.build_many(ts, s, xi_lo, xi_hi, width)
+    return [{(t, s, xi_lo, xi_hi, width): rule} for t, rule in zip(ts, rules)]
 
 
 class _OscillatoryRule:
@@ -390,7 +407,8 @@ class _OscillatoryRule:
     panel's integral is a dot product with the form at its nodes.  A rule
     from the origin that reaches past the head takes the head's rows from
     ``_scaled_head``, the per-s table scaled to t, unless a scaled value
-    leaves the normal doubles; split parts are always formed directly.
+    leaves the normal doubles.  ``build_many`` builds the rules of many t
+    on one interval together, and ``build`` is a block of one.
 
     A panel that spans more than ``width`` in xi (``pieces``) is split unless
     its share of the integral is below SPLIT_TOL, where no error of it can
@@ -401,49 +419,106 @@ class _OscillatoryRule:
     (``splits`` False) sums its panels without that test.
     """
 
-    def __init__(self, t, s, ka, da, kb, db, width=np.inf, from_origin=False,
-                 head=None):
+    def __init__(self, t, s, edges, bounds, formed, head=None, width=np.inf,
+                 from_origin=False):
         self.t, self.s, self.width = t, s, width
-        self.edges = (ka, da, kb, db)
+        self.edges = edges
         self.from_origin = from_origin
-        self.xa = ((ka * np.pi + da) / t) ** (1.0 / s)
-        self.xb = ((kb * np.pi + db) / t) ** (1.0 / s)
-        # the panels wider than width, which a form can split
+        # each panel's ends in xi, and the panels wider than width, which a
+        # form can split
+        self.xa, self.xb = bounds
         self.pieces = self.xb - self.xa > width
         self.splits = bool(self.pieces.any())
-        self.xi, self.xi_s, self.weights, self.faint = _form_weights(
-            t, s, *self.edges, head=head)
+        # _form_weights' rows, and those of _scaled_head above them, or None
+        self._formed, self._head = formed, head
         self._splits: dict[tuple, _OscillatoryRule] = {}
+
+    @functools.cached_property
+    def _nodes(self):
+        """(xi, xi_s, weights, faint) of every panel: the table head's rows,
+        scaled by c on first use, above the formed rows, so that the rules
+        of a block hold no head until they are used."""
+        if self._head is None:
+            return self._formed
+        xi, xi_s, weights, faint = self._formed
+        c, root, w, table = self._head
+        first = root.shape[0]
+        nodes = np.empty((5, first + xi.shape[0], FILON_ORDER))
+        np.multiply(c, root, out=nodes[0, :first])
+        np.divide(w, self.t, out=nodes[1, :first])
+        np.multiply(c, table, out=nodes[2:, :first])
+        nodes[0, first:], nodes[1, first:], nodes[2:, first:] = xi, xi_s, weights
+        nodes.setflags(write=False)
+        return (nodes[0], nodes[1], nodes[2:],
+                None if faint is None else (faint[0] + first, *faint[1:]))
+
+    xi = property(lambda self: self._nodes[0])
+    xi_s = property(lambda self: self._nodes[1])
+    weights = property(lambda self: self._nodes[2])
+    faint = property(lambda self: self._nodes[3])
 
     @classmethod
     def build(cls, t: float, s: float, xi_lo: float, xi_hi: float,
               width: float = np.inf) -> "_OscillatoryRule":
         """The rule on [xi_lo, xi_hi] at t > 0, panels no wider than width,
         refused by ``check_time`` before it allocates."""
-        w_lo = t * xi_lo ** s
-        w_hi = t * xi_hi ** s
-        k_lead = int(np.floor(w_lo / np.pi)) + LEAD_HALFPERIODS
-        if w_lo > 0 or w_hi >= np.pi:
-            check_time(t, s, w_lo or np.pi * 0.5 ** HEAD_DYADIC, k_lead)
-        else:
-            check_time(t, s, w_hi * 0.5 ** HEAD_DYADIC, k_lead, cutoff=xi_hi)
-        head = _scaled_head(t, s) if w_lo == 0 and w_hi > k_lead * np.pi else None
-        k, d = _head_edges(w_lo, w_hi, k_lead) if head is None else head[0]
-        if w_hi > k_lead * np.pi:
-            k_body, d_body = _body_edges(t, s, k_lead, w_hi, xi_hi, width)
-            k, d = np.concatenate([k, k_body]), np.concatenate([d, d_body])
-        return cls(t, s, k[:-1], d[:-1], k[1:], d[1:], width,
-                   from_origin=w_lo == 0, head=None if head is None else head[1])
+        return cls.build_many([t], s, xi_lo, xi_hi, width)[0]
+
+    @classmethod
+    def build_many(cls, ts, s: float, xi_lo: float, xi_hi: float,
+                   width: float = np.inf) -> list["_OscillatoryRule"]:
+        """The rules on [xi_lo, xi_hi] at each t > 0 of ``ts``, every one
+        the bits ``build`` gives it alone.
+
+        ``_rule_edges`` lays out the edges of every rule.  The rows of every
+        rule but its table head are formed in one ``_form_weights`` call,
+        with t a per-row column; each row's weights are a product of its own
+        (``_by_rows``), whichever rows share the call.  A table head is
+        scaled by its rule's own c = t^(-1/s), a scalar power (an array
+        power of the ts rounds otherwise), when the rule is first used.
+        """
+        edges, heads, origins = _rule_edges(ts, s, xi_lo, xi_hi, width)
+        t_col = np.array(ts, dtype=float)
+        sizes = [k.size for k, _ in edges]
+        # each rule forms every row but its table head's
+        firsts = [0 if head is None else head[1].shape[0] for head in heads]
+        rows = [size - 1 - first for size, first in zip(sizes, firsts)]
+        xi, xi_s, weights, faint = _form_weights(t_col.repeat(rows), s, *(
+            np.concatenate(e) for e in zip(*[
+                (k[first:-1], d[first:-1], k[first + 1:], d[first + 1:])
+                for (k, d), first in zip(edges, firsts)])))
+        # every edge in xi, ((k*pi + d)/t)^(1/s)
+        k_all, d_all = (np.concatenate(e) for e in zip(*edges))
+        x = ((k_all * np.pi + d_all) / t_col.repeat(sizes)) ** (1.0 / s)
+        rules, lo, a = [], 0, 0
+        for t, (k, d), head, origin, hi, size in zip(
+                ts, edges, heads, origins, np.cumsum(rows).tolist(), sizes):
+            mine = None
+            if faint is not None:
+                inside = (faint[0] >= lo) & (faint[0] < hi)
+                if inside.any():
+                    mine = (faint[0][inside] - lo, *(f[inside] for f in faint[1:]))
+            rules.append(cls(t, s, (k[:-1], d[:-1], k[1:], d[1:]),
+                             (x[a:a + size - 1], x[a + 1:a + size]),
+                             (xi[lo:hi], xi_s[lo:hi], weights[:, lo:hi], mine),
+                             head, width, origin))
+            lo, a = hi, a + size
+        return rules
 
     def panels(self, f) -> np.ndarray:
         """The integral of the form f over each panel."""
-        alpha, beta, gamma = f(self.xi, self.xi_s)
-        weights = self.weights
-        parts = np.sum(alpha * weights[0] + beta * weights[1]
-                       + gamma * weights[2], axis=1)
-        if self.faint is not None:
+        form, terms = f(self.xi, self.xi_s), None
+        for c, weights in zip(form, self.weights):
+            if c is not None:
+                if terms is None:
+                    terms = c * weights
+                else:
+                    terms += c * weights
+        parts = (np.zeros(self.xi.shape[0]) if terms is None
+                 else np.sum(terms, axis=1))
+        if self.faint is not None and form[0] is not None:
             rows, cols, gauss, sin_w = self.faint
-            alpha = np.broadcast_to(alpha, self.xi.shape)[rows, cols]
+            alpha = np.broadcast_to(form[0], self.xi.shape)[rows, cols]
             parts += np.bincount(rows, ((alpha * gauss) * sin_w) * sin_w,
                                  minlength=parts.size)
         return parts
@@ -482,8 +557,73 @@ class _OscillatoryRule:
             w = t * xi[1:-1] ** s
             k = np.concatenate([[ka[i]], np.floor(w / np.pi), [kb[i]]])
             d = np.concatenate([[da[i]], w - k[1:-1] * np.pi, [db[i]]])
-            sub.append((k[:-1], d[:-1], k[1:], d[1:]))
-        return _OscillatoryRule(t, s, *(np.concatenate(e) for e in zip(*sub)))
+            sub.append((k[:-1], d[:-1], k[1:], d[1:], xi[:-1], xi[1:]))
+        *edges, xa, xb = (np.concatenate(e) for e in zip(*sub))
+        return _OscillatoryRule(t, s, tuple(edges), (xa, xb), _form_weights(t, s, *edges))
+
+
+def _rule_edges(ts, s, xi_lo, xi_hi, width):
+    """(edges, heads, origins) of the rules on [xi_lo, xi_hi] at each t of
+    ts: edges[i] is (k, d) of rule i's edges k*pi + d, heads[i]
+    ``_scaled_head``'s rows of its head, or None where the head is formed
+    like the body (``_head_edges``), and origins[i] whether its w starts at
+    0.  Each t is refused by ``check_time`` before anything is allocated.
+
+    The head runs to k_lead*pi, LEAD_HALFPERIODS half-periods above w_lo;
+    the body's edges are then ``_graded_panels`` in xi from the head's end
+    xi_lead to the cutoff xi_hi, as in the static rule, with each inner one
+    moved to the nearest k*pi (d = 0), so that every panel spans whole
+    half-periods, but the partial half-period [floor(w_hi/pi)*pi, w_hi] at
+    the end, which is a panel of its own.  A move is at most half a
+    half-period, in xi (pi/2)*xi^(1-s)/(s*t) to first order, which for
+    s <= 1 grows with xi: taken half a half-period above the cutoff, it
+    bounds every move.  The panels are laid out within ``width`` less two
+    such moves, so that a moved panel stays within ``width`` and is not
+    split.  At small t, where that would leave less than half of ``width``,
+    they take half of it, and half-periods wider than ``width`` are split
+    by ``integrate``.  The xi-edges of all the bodies are moved in one pass
+    of elementwise operations, which give each edge the bits of its own.
+    """
+    lo_s, hi_s = xi_lo ** s, xi_hi ** s
+    edges, heads, origins, bodies = [], [], [], []
+    for t in ts:
+        w_lo, w_hi = t * lo_s, t * hi_s
+        k_lead = math.floor(w_lo / math.pi) + LEAD_HALFPERIODS
+        if w_lo > 0 or w_hi >= math.pi:
+            check_time(t, s, w_lo or math.pi * 0.5 ** HEAD_DYADIC, k_lead)
+        else:
+            check_time(t, s, w_hi * 0.5 ** HEAD_DYADIC, k_lead, cutoff=xi_hi)
+        head = _scaled_head(t, s) if w_lo == 0 and w_hi > k_lead * math.pi else None
+        edges.append(_head_edges(w_lo, w_hi, k_lead) if head is None else head[0])
+        heads.append(None if head is None else head[1])
+        origins.append(w_lo == 0)
+        if w_hi > k_lead * math.pi:
+            xi_lead = (k_lead * math.pi / t) ** (1.0 / s)
+            top = ((w_hi + 0.5 * math.pi) / t) ** (1.0 / s)
+            moved = math.pi * top ** (1.0 - s) / (s * t)
+            bodies.append((len(edges) - 1, t / math.pi, float(math.floor(w_hi / math.pi)),
+                           w_hi, _graded_panels(xi_lead, xi_hi,
+                                                width - min(moved, 0.5 * width))))
+    if bodies:
+        where, t_pi, k_end, w_hi, xi = zip(*bodies)
+        counts = [x.size for x in xi]
+        # each xi-edge's nearest k, and each beyond the last whole
+        # half-period k_end that one
+        ks = np.minimum(np.round(np.concatenate(xi) ** s * np.array(t_pi).repeat(counts)),
+                        np.array(k_end).repeat(counts))
+        start = 0
+        for i, count, last, end in zip(where, counts, k_end, w_hi):
+            # the k ascend from the head's end k_lead; of each run of equal
+            # k the first is kept, then the partial half-period past the
+            # last whole one, if any
+            k = ks[start:start + count]
+            k = k[1:][k[1:] > k[:-1]]
+            start += count
+            k_tail, d_tail = (([last], [end - last * math.pi]) if end > last * math.pi
+                              else ([], []))
+            edges[i] = (np.concatenate([edges[i][0], k, k_tail]),
+                        np.concatenate([edges[i][1], np.zeros(k.size), d_tail]))
+    return edges, heads, origins
 
 
 def check_time(t: float, s: float, w_lowest: float = np.pi * 0.5 ** HEAD_DYADIC,
@@ -558,37 +698,6 @@ def _head_edges(w_lo: float, w_hi: float, k_lead: int):
     return ks, ds
 
 
-def _body_edges(t, s, k_lead, w_hi, xi_hi, width):
-    """(k, d) of the Filon panels' edges k*pi + d on (k_lead*pi, w_hi].
-
-    The xi-edges are ``_graded_panels`` from the head's end xi_lead to the
-    cutoff xi_hi, as in the static rule.  Each inner one is moved to the
-    nearest k*pi (d = 0), so that every panel spans whole half-periods, but
-    the partial half-period [floor(w_hi/pi)*pi, w_hi] at the end, which is
-    a panel of its own.  A move is at most half a half-period, in xi
-    (pi/2)*xi^(1-s)/(s*t) to first order, which for s <= 1 grows with xi:
-    taken half a half-period above the cutoff, it bounds every move.  The
-    panels are laid out within ``width`` less two such moves, so that a
-    moved panel stays within ``width`` and is not split.  At small t, where
-    that would leave less than half of ``width``, they take half of it, and
-    half-periods wider than ``width`` are split by ``integrate``.
-    """
-    xi_lead = (k_lead * np.pi / t) ** (1.0 / s)
-    top = ((w_hi + 0.5 * np.pi) / t) ** (1.0 / s)
-    moved = np.pi * top ** (1.0 - s) / (s * t)
-    xi = _graded_panels(xi_lead, xi_hi, width - min(moved, 0.5 * width))
-    k_end = math.floor(w_hi / np.pi)
-    # the xi-edges ascend, so the k do, from the head's end k_lead; each
-    # beyond the last whole half-period k_end is that one, and of each run
-    # of equal k the first is kept
-    k = np.minimum(np.round(xi ** s * (t / np.pi)), k_end)
-    k = k[1:][k[1:] > k[:-1]]
-    d = np.zeros(k.size)
-    if w_hi > k_end * np.pi:
-        k, d = np.append(k, k_end), np.append(d, w_hi - k_end * np.pi)
-    return k, d
-
-
 @functools.lru_cache(maxsize=HEAD_TABLES)
 def _head_table(s: float):
     """The head of every rule from the origin at order s, as
@@ -624,12 +733,12 @@ def _scaled_head(t: float, s: float):
     return edges, (c, root, w, weights)
 
 
-def _form_weights(t, s, ka, da, kb, db, head=None):
+def _form_weights(t, s, ka, da, kb, db):
     """Nodes and form weights on the w-panels [ka*pi + da, kb*pi + db].
 
     Returns xi and xi^s at FILON_ORDER Gauss nodes per panel, and the
     weights of (alpha, beta, gamma) there, stacked on a first axis of 3.
-    ``head``, from ``_scaled_head``, gives the first panels' rows instead.
+    t is one time, or a time per panel: panels of several rules share a call.
     The integrand is the form times the Jacobian jac = d xi/dw = xi/(s*w).
     A panel is one of two kinds.  One that spans m >= 2 whole half-periods
     (da = db = 0) takes Filon weights; every other, which in the rules built
@@ -662,23 +771,14 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
     """
     xi, xi_s = np.empty((2, ka.size, FILON_ORDER))
     weights = np.empty((3,) + xi.shape)
-    first = 0
-    if head is not None:
-        c, root, w_head, table = head
-        first = root.shape[0]
-        np.multiply(c, root, out=xi[:first])
-        np.divide(w_head, t, out=xi_s[:first])
-        np.multiply(c, table, out=weights[:, :first])
-        ka, da, kb, db = ka[first:], da[first:], kb[first:], db[first:]
     omega = (kb - ka) * np.pi + (db - da)
     half = 0.5 * omega
     x, wts = gauss_rule(FILON_ORDER)
     offset = da[:, None] + half[:, None] * (1.0 + x)
     w = ka[:, None] * np.pi + offset
-    body_s = np.divide(w, t, out=xi_s[first:])
-    body_xi = np.power(body_s, 1.0 / s, out=xi[first:])
-    scale = half[:, None] * (body_xi / (s * w))
-    body = weights[:, first:]
+    np.divide(w, np.reshape(t, (-1, 1)), out=xi_s)
+    np.power(xi_s, 1.0 / s, out=xi)
+    scale = half[:, None] * (xi / (s * w))
 
     faint = None
     whole = (da == 0.0) & (db == 0.0) & (kb - ka >= 2.0)
@@ -687,18 +787,20 @@ def _form_weights(t, s, ka, da, kb, db, head=None):
         narrow = _run(rows)
         sin_w, cos_w = np.sin(offset[narrow]), np.cos(offset[narrow])
         gauss = scale[narrow] * wts
-        body[0, narrow] = sin2 = gauss * sin_w ** 2
+        weights[0, narrow] = sin2 = gauss * sin_w ** 2
         tiny = np.finfo(float).tiny
         if sin2.min() < tiny:
             r, cols = np.nonzero(sin2 < tiny)
-            body[0, rows[r], cols] = 0.0
-            faint = (rows[r] + first, cols, gauss[r, cols], sin_w[r, cols])
-        body[1, narrow] = gauss * cos_w ** 2
-        body[2, narrow] = gauss * (sin_w * cos_w)
+            weights[0, rows[r], cols] = 0.0
+            faint = (rows[r], cols, gauss[r, cols], sin_w[r, cols])
+        weights[1, narrow] = gauss * cos_w ** 2
+        weights[2, narrow] = gauss * (sin_w * cos_w)
 
     if rows.size < omega.size:
         wide = _run(np.flatnonzero(whole))
-        body[:, wide] = (0.5 * scale[wide]) * _whole_filon(kb[wide] - ka[wide])
+        # scaled in place: a block's rows make this the largest array here
+        filon = _whole_filon(kb[wide] - ka[wide])
+        weights[:, wide] = np.multiply(filon, 0.5 * scale[wide], out=filon)
     for a in (xi, xi_s, weights):
         a.setflags(write=False)
     return xi, xi_s, weights, faint

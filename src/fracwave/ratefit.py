@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConventionError, SeriesError
 from .estimates import BoundSpec
-from .spectral import (Parameters, QuadratureBackend, check_time_cap,
-                       evolve_state)
+from .spectral import Parameters, QuadratureBackend, check_time_cap
 
 __all__ = ["NormSeries", "RateReport", "sample_norm_curve",
            "fit_power_exponent", "fit_log_rate", "sandwich_check",
@@ -109,13 +108,14 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
                       level: str = "u_hat") -> NormSeries:
     """Evaluate the norm of the evolved solution over a time grid.
 
-    Every sample is one ``evolve_state`` call, mapped over the grid by
-    ``experiments.map_times`` with the backend (so its thread policy
-    applies: FRACWAVE_THREADS on a large grid, serial otherwise), once the
-    grid has passed ``_check_time_grid`` and ``check_time_cap``.  Zero data
-    yields the explicit zero-series variant.
+    Every sample is the norm of one snapshot, mapped over the grid by
+    ``experiments.map_snapshots`` with the backend (so a quadrature sweep
+    builds its rules a block at a time, and a grid sweep takes
+    FRACWAVE_THREADS on a large grid, serial otherwise), once the grid has
+    passed ``_check_time_grid`` and ``check_time_cap``.  Zero data yields
+    the explicit zero-series variant.
     """
-    from .experiments import map_times   # experiments imports this module
+    from .experiments import map_snapshots   # experiments imports this module
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise SeriesError("empty time grid")
@@ -130,12 +130,11 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
         return NormSeries(t_grid, np.zeros_like(t_grid), level, provenance,
                           zero=True)
 
-    def norm(t):
-        snap = evolve_state(data, params, float(t), backend)
+    def norm(snap):
         return snap.spectral_l2() if level == "u_hat" else snap.physical_l2()
 
-    return NormSeries(t_grid, np.array(map_times(norm, t_grid, backend)), level,
-                      provenance)
+    return NormSeries(t_grid, np.array(map_snapshots(norm, data, params, t_grid,
+                                                     backend)), level, provenance)
 
 
 def default_window(series: NormSeries, t0: float | None = None) -> tuple:

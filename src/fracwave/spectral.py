@@ -48,7 +48,8 @@ from .grid import GridSpec
 from .lemmas import gagliardo_constant
 from .profiles import ZERO, Profile, SampledProfile, TruncationWarning
 from .quadrature import (MASS_FLOOR, check_time, frequency_cutoff,
-                         oscillatory_integral, panel_width, support_hull)
+                         oscillatory_integral, oscillatory_rules, panel_width,
+                         support_hull)
 
 TWO_PI = 2.0 * np.pi
 
@@ -321,8 +322,9 @@ class QuadratureSnapshot(Snapshot):
     """Solution state as closed-form spectral functions, valid at any t.
 
     Every norm is a ``spectral_mass``, an ``oscillatory_integral`` over an
-    interval of |xi|.  A rule = nodes + form weights, built once per
-    snapshot interval, and the snapshot keeps it.  At the rule's nodes it
+    interval of |xi|.  A rule = nodes + form weights, kept per snapshot
+    interval: built on first use, or with the rules of a block of snapshots
+    by ``QuadratureBackend.evolve_many``.  At the rule's nodes it
     keeps one squared form of the data, P = |u1hat|^2, Q = |u0hat|^2 and
     R = 2 Re(u1hat conj(u0hat)), taken once per rule: the densities of u,
     u_t and (-Lap)^(s/2) u, which all run to the data's one
@@ -402,7 +404,8 @@ class QuadratureSnapshot(Snapshot):
         coefficients (|a|^2, |b|^2, 2 Re(a conj(b))), which are
         (P/xi^2s, Q, R/xi^s) for u and (Q xi^2s, P, -R xi^s) for u_t in the
         data's form (P, Q, R).  The weight |xi|^(2s) of the H^s seminorm is
-        xi^s xi^s.  A zero datum's terms are zero and are not computed.
+        xi^s xi^s.  A zero datum's terms are zero, and are None: neither
+        computed nor multiplied out.
         """
         s = self.params.s
 
@@ -419,8 +422,7 @@ class QuadratureSnapshot(Snapshot):
             if weight_exp != 0.0:
                 weight = xi_2s if weight_exp == 2.0 * s else np.abs(xi) ** weight_exp
                 coeffs = tuple(None if c is None else c * weight for c in coeffs)
-            zero = np.zeros(xi.shape)
-            return tuple(zero if c is None else c for c in coeffs)
+            return coeffs
 
         return density
 
@@ -432,8 +434,8 @@ class QuadratureSnapshot(Snapshot):
 
         Real initial data make the density even in xi, so the line integral
         is twice the half-line one.  ``hi`` None is the data's
-        ``frequency_cutoff``.  Each call integrates afresh, on the rule its
-        interval builds once per snapshot; ``Snapshot._norm`` keeps norms.
+        ``frequency_cutoff``.  Each call integrates afresh, on the rule the
+        snapshot keeps for its interval; ``Snapshot._norm`` keeps norms.
         """
         if hi is None:
             hi = self._cutoff
@@ -581,6 +583,21 @@ class QuadratureBackend:
                     "quadrature backend requires analytic transforms; "
                     f"{type(p).__name__} has none (use the grid backend)")
         return QuadratureSnapshot(t, params, u0, u1)
+
+    def evolve_many(self, data, params: Parameters, ts) -> list[QuadratureSnapshot]:
+        """``evolve_state`` at each t of ``ts``.  Every norm of a snapshot at
+        t > 0 runs over the data's one interval, so the rules of all of them
+        are built together by ``oscillatory_rules`` and kept in each
+        snapshot's ``_rules``, where its first norm finds its own."""
+        snaps = [evolve_state(data, params, float(t), self) for t in ts]
+        moving = [snap for snap in snaps if snap.t > 0 and snap._data]
+        if moving:
+            first = moving[0]
+            for snap, rules in zip(moving, oscillatory_rules(
+                    [snap.t for snap in moving], params.s, first._cutoff,
+                    width=first._width)):
+                snap._rules.update(rules)
+        return snaps
 
 
 def check_time_cap(backend, times, s: float) -> None:

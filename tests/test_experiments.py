@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,11 +17,12 @@ import pytest
 from fracwave import GridBackend, GridSpec, cli, experiments
 from fracwave.cli import main
 from fracwave.errors import ConfigError
-from fracwave.experiments import (ExperimentConfig, canonical_text, map_times,
-                                  parse_config, run_energy, run_lemmas,
-                                  run_rates, run_sandwich, run_solve,
-                                  write_svg_plot)
-from fracwave.profiles import CompactBump, Gaussian, GaussianDerivative
+from fracwave.experiments import (ExperimentConfig, canonical_text,
+                                  map_snapshots, map_times, parse_config,
+                                  run_energy, run_lemmas, run_rates,
+                                  run_sandwich, run_solve, write_svg_plot)
+from fracwave.profiles import ZERO, CompactBump, Gaussian, GaussianDerivative
+from fracwave.spectral import Parameters, QuadratureBackend, evolve_state
 
 SANDWICH_CFG = """
 # power-law sandwich at desk scale
@@ -316,6 +318,33 @@ class TestRunners:
         large = GridBackend(GridSpec(points=experiments.THREAD_MIN_POINTS))
         assert map_times(lambda t: t * t, [1.0, 2.0, 3.0], large) == [1.0, 4.0, 9.0]
 
+    def test_a_quadrature_sweep_holds_one_block(self, monkeypatch):
+        # when fn reads a snapshot, the block's earlier ones are gone and no
+        # later block is built yet
+        made = []
+        evolve_many = QuadratureBackend.evolve_many
+
+        def recording(self, *args):
+            snaps = evolve_many(self, *args)
+            made.extend(weakref.ref(snap) for snap in snaps)
+            return snaps
+
+        monkeypatch.setattr(QuadratureBackend, "evolve_many", recording)
+        alive = []
+
+        def norm(snap):
+            alive.append(sum(ref() is not None for ref in made))
+            return snap.spectral_l2()
+
+        ts = np.geomspace(1e2, 1e4, 2 * experiments.SWEEP_BLOCK + 3)
+        norms = map_snapshots(norm, (ZERO, Gaussian()), Parameters(0.75), ts,
+                              QuadratureBackend())
+        block = experiments.SWEEP_BLOCK
+        assert alive == [min(block, ts.size - i // block * block) - i % block
+                         for i in range(ts.size)]
+        assert norms == [evolve_state((ZERO, Gaussian()), Parameters(0.75), t,
+                                      QuadratureBackend()).spectral_l2() for t in ts]
+
     def test_csv_uses_17_significant_digits(self, tmp_path):
         cfg = parse_config(ENERGY_CFG)
         run_energy(cfg, out_dir=tmp_path)
@@ -593,6 +622,32 @@ class TestCli:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())
 
+    # quadrature sweeps longer than SWEEP_BLOCK; energy from t = 0 on the
+    # split rules of a wide Gaussian, and u's norm at t = 1e-150, whose head
+    # weights are subnormal
+    @pytest.mark.parametrize("command, cfg", [
+        ("sandwich", "s = 0.75\nu0 = none\nu1 = gaussian\n"
+                     "t_grid = log 1e2 1e4 40\nbounds = auto\n"),
+        ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e1 1e6 40\n"),
+        ("solve", "s = 0.75\nu0 = gaussian a=0.5 sigma=1 c=0.3\n"
+                  "u1 = gaussian_derivative a=0.7 sigma=1 c=0.7\n"
+                  "t_grid = log 1e-2 1e6 40\n"),
+        ("energy", "s = 0.3\nu0 = gaussian\nu1 = gaussian a=1 sigma=20 c=0\n"
+                   "t_grid = lin 0 10 20\n"),
+        ("solve", "s = 0.3\nu0 = none\nu1 = gaussian\n"
+                  "t_grid = list 1e-150 1e-120 1e-100 1e-60 1e-30 1e-3 1 1e3\n"),
+    ], ids=["sandwich", "rates", "solve", "energy-split", "solve-faint"])
+    def test_sweep_blocks_do_not_change_outputs(self, tmp_path, monkeypatch,
+                                                command, cfg):
+        path, default = self._write(tmp_path, cfg), tmp_path / "default"
+        assert main([command, "--config", path, "--out", str(default)]) == 0
+        for block in (1, 40):
+            monkeypatch.setattr(experiments, "SWEEP_BLOCK", block)
+            out = tmp_path / str(block)
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            for name in ("norms.csv", "report.json"):
+                assert (out / name).read_bytes() == (default / name).read_bytes()
+
     @pytest.mark.parametrize("command", ["solve", "energy", "rates", "sandwich",
                                          "lemmas"])
     def test_dimension_two_exits_two(self, tmp_path, capsys, command):
@@ -625,9 +680,10 @@ class TestCli:
 
     def test_decreasing_grid_exits_before_solving(self, tmp_path, capsys,
                                                   monkeypatch):
-        from fracwave import ratefit
+        from fracwave import spectral
         solved = []
-        monkeypatch.setattr(ratefit, "evolve_state",
+        # a quadrature sweep evolves each sample in QuadratureBackend.evolve_many
+        monkeypatch.setattr(spectral, "evolve_state",
                             lambda *args: solved.append(args[2]))
         cfg = "s = 0.9\nu0 = none\nu1 = gaussian\nt_grid = list 1e6 1e5\n"
         rc = main(["sandwich", "--config", self._write(tmp_path, cfg),
@@ -641,11 +697,10 @@ class TestCli:
     @pytest.mark.parametrize("command", ["solve", "energy", "sandwich"])
     def test_grid_time_past_cap_exits_before_solving(self, tmp_path, capsys,
                                                      monkeypatch, command):
-        from fracwave import ratefit
         solved = []
-        for module in (experiments, ratefit):
-            monkeypatch.setattr(module, "evolve_state",
-                                lambda *args: solved.append(args[2]))
+        # every runner's grid sweep evolves each sample in map_snapshots
+        monkeypatch.setattr(experiments, "evolve_state",
+                            lambda *args: solved.append(args[2]))
         cfg = "backend = grid\nu0 = gaussian\nt_grid = list 1 10 50 99 150\n"
         rc = main([command, "--config", self._write(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])

@@ -761,16 +761,46 @@ def test_head_table_matches_the_direct_build(s):
         assert rule.faint is None and faint is None
 
 
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.75, 1.0])
+def test_a_block_of_rules_is_each_rule_built_alone(s):
+    # one _form_weights call forms the rows of every rule in a block; each
+    # rule keeps the bits of the one formula and of its own build, a block
+    # of one: subnormal head weights at 1e-150, split rules at 1e-2, table
+    # heads from 1e2 (none at s = 0.05), and intervals from xi_lo > 0.  At
+    # some of the large times, one at each s >= 0.3 on AVX-512 numpy, an
+    # array power t^(-1/s) rounds otherwise than the scalar one that scales
+    # a table head.
+    times = [1e-150, 1e-30, 1e-2, 0.3, 3.16, *np.geomspace(1e2, 1e6, 9) * 1.0222]
+    faint = splits = 0
+    for data in ([Gaussian()], [Gaussian(0.7, 1.3, 0.8), Gaussian()],
+                 [GaussianDerivative(0.7, 1.0, 0.7)], [CompactBump()],
+                 [combine((1.0, Gaussian()), (0.5, CompactBump()))]):
+        cutoff, width = frequency_cutoff(data), panel_width(data)
+        for xi_lo in (0.0, 0.5):
+            block = _OscillatoryRule.build_many(times, s, xi_lo, cutoff, width)
+            for t, rule in zip(times, block):
+                assert_rule_bits(rule, xi_lo, cutoff, width)
+                alone = _OscillatoryRule.build(t, s, xi_lo, cutoff, width)
+                for name in ("xi", "xi_s", "weights", "pieces"):
+                    assert same_bits(getattr(rule, name), getattr(alone, name))
+                assert all(same_bits(a, b) for a, b in zip(rule.edges, alone.edges))
+                assert (rule.faint is None) == (alone.faint is None)
+                if rule.faint is not None:
+                    faint += 1
+                    assert all(same_bits(a, b) for a, b in zip(rule.faint, alone.faint))
+                splits += rule.splits
+    assert splits > 0 and faint > 0
+
+
 def test_sweep_forms_the_head_once(monkeypatch):
     from fracwave import quadrature
     quadrature._head_table.cache_clear()
     head_rows = []
 
-    def counted(t, s, ka, *edges, head=None):
+    def counted(t, s, ka, *edges):
         # the head rows formed here, not scaled from the table
-        given = 0 if head is None else head[1].shape[0]
-        head_rows.append(int(np.sum(ka[given:] < LEAD_HALFPERIODS)))
-        return _form_weights(t, s, ka, *edges, head=head)
+        head_rows.append(int(np.sum(ka < LEAD_HALFPERIODS)))
+        return _form_weights(t, s, ka, *edges)
 
     monkeypatch.setattr(quadrature, "_form_weights", counted)
     for t in np.geomspace(1e2, 1e6, 10):

@@ -60,14 +60,15 @@ class TestSampling:
                               np.array([10.0, 1e4]), GridBackend())
 
     def test_bad_grid_rejected_before_any_sample(self, monkeypatch):
-        from fracwave import ratefit
+        from fracwave import spectral
         calls = []
 
         def counting(*args):
             calls.append(args[2])
             return evolve_state(*args)
 
-        monkeypatch.setattr(ratefit, "evolve_state", counting)
+        # a quadrature sweep evolves each sample in QuadratureBackend.evolve_many
+        monkeypatch.setattr(spectral, "evolve_state", counting)
         data, params = (ZERO, Gaussian()), Parameters(0.9)
         for bad in ([1e6, 1e5], [0.0, 1.0], [1.0, 1.0]):
             with pytest.raises(SeriesError, match="strictly increasing"):
@@ -77,9 +78,9 @@ class TestSampling:
         assert calls == [1.0, 2.0]
 
     def test_grid_time_past_cap_rejected_before_any_sample(self, monkeypatch):
-        from fracwave import ratefit
         calls = []
-        monkeypatch.setattr(ratefit, "evolve_state",
+        # a grid sweep evolves each sample in experiments.map_snapshots
+        monkeypatch.setattr(experiments, "evolve_state",
                             lambda *args: calls.append(args[2]))
         with pytest.raises(BackendCapError, match="requested t=150"):
             sample_norm_curve((ZERO, Gaussian()), Parameters(0.75),

@@ -720,8 +720,9 @@ class TestNormsAndEnergy:
             u1 = ZERO if zero == "u1" else random_profile(rng)
             xi = 10.0 ** rng.uniform(-3.0, 1.0, size=200)
             xi_s = xi ** s
-            alpha, beta, gamma = QuadratureSnapshot(t, Parameters(s), u0, u1)._field_density(
-                field, 0.0)(xi, xi_s)
+            # a zero datum's terms are None
+            alpha, beta, gamma = (0.0 if c is None else c for c in QuadratureSnapshot(
+                t, Parameters(s), u0, u1)._field_density(field, 0.0)(xi, xi_s))
             sin_w, cos_w = np.sin(t * xi_s), np.cos(t * xi_s)
             field_hat = propagate(s, t, xi, None if u0.is_zero else u0.fourier(xi),
                                   None if u1.is_zero else u1.fourier(xi), field)
