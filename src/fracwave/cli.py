@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every non-finite result is refused as a one-line error; a warnings
-        # filter, unlike np.errstate, also holds in map_times' threads
+        # every non-finite result is refused as a one-line error, so numpy's
+        # overflow warnings are not printed
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cfg = load_config(args.config)

@@ -12,19 +12,14 @@ round-trips through its canonical text form.  Each runner writes
 
 Identical config and seed produce byte-identical outputs.  Every runner that
 evaluates the solution over the time grid (``solve``, ``energy``, ``rates``,
-``sandwich``) goes through ``map_times`` with its backend.  It starts
-threads only on a grid of at least ``THREAD_MIN_POINTS`` points, whose FFTs
-release Python's interpreter lock, and there the environment variable
-FRACWAVE_THREADS caps how many time samples run concurrently (default:
-serial).
+``sandwich``) goes through ``map_times``, one serial loop over its
+backend's ``evolve_many`` sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -35,23 +30,13 @@ from .errors import ConfigError, NumericalFailureError, WrongRegimeError
 from .grid import GridSpec
 from .profiles import (CompactBump, Gaussian, GaussianDerivative, Profile,
                        ZERO)
-from .spectral import (GridBackend, Parameters, QuadratureBackend,
-                       check_time_cap, evolve_state)
+from .spectral import GridBackend, Parameters, QuadratureBackend
 
 SCHEMA_VERSION = 1
 #: largest relative energy drift ``run_energy`` passes
 ENERGY_DRIFT_TOL = 1e-9
 #: largest gap between fitted and theory exponents ``run_rates`` passes
 EXPONENT_TOL = 0.02
-#: fewest grid points at which two threads beat one on a grid sweep: the
-#: smallest size where they won 3 runs of 3 (README, FRACWAVE_THREADS)
-THREAD_MIN_POINTS = 1 << 15
-#: time samples of a quadrature sweep whose rules are built together: on
-#: the benchmark's sweeps (10 and 20 samples) blocks of 5 to 20 ran within
-#: 2 % of each other, and a block's transient memory grows by about 60 kB
-#: a sample
-SWEEP_BLOCK = 6
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -320,53 +305,12 @@ def write_svg_plot(path: Path, curves, title: str) -> None:
     _write_new(path, "\n".join(parts) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FRACWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_times(fn, ts, backend):
-    """Evaluate fn over the time samples ts, or their indices, on
-    ``backend``: FRACWAVE_THREADS at a time on a grid of at least
-    THREAD_MIN_POINTS points, whose FFTs release the interpreter lock, and
-    serially otherwise (a quadrature sample is small numpy calls that hold
-    it, so threads only add lock hand-offs)."""
-    ts = list(ts)
-    workers = 1
-    if (isinstance(backend, GridBackend)
-            and backend.grid.points >= THREAD_MIN_POINTS):
-        workers = min(_thread_count(), len(ts))
-    if workers <= 1:
-        return [fn(t) for t in ts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ts))
-
-
-def map_snapshots(fn, data, params: Parameters, ts, backend) -> list:
-    """fn of the snapshot of ``data`` at each t of ``ts``, in order, through
-    ``map_times``.  On the quadrature backend the snapshots come
-    SWEEP_BLOCK at a time from ``evolve_many``, which builds their rules
-    together, and each is dropped once fn has read it, so a sweep holds one
-    block's rules and the nodes of one; on the grid backend each t is
-    evolved in ``map_times``, under its thread policy."""
-    if not isinstance(backend, QuadratureBackend):
-        return map_times(lambda t: fn(evolve_state(data, params, float(t), backend)),
-                         ts, backend)
-
-    def block(lo):
-        snaps = backend.evolve_many(data, params, ts[lo:lo + SWEEP_BLOCK])
-
-        def one(i):
-            # the block keeps no snapshot once read, nor the head it scaled
-            snap, snaps[i] = snaps[i], None
-            return fn(snap)
-
-        return map_times(one, range(len(snaps)), backend)
-
-    return [value for lo in range(0, len(ts), SWEEP_BLOCK) for value in block(lo)]
+def map_times(fn, data, params: Parameters, ts, backend) -> list:
+    """fn of the snapshot of ``data`` at each t of ``ts``, in order: one
+    serial loop over the backend's ``evolve_many`` sweep, which refuses a
+    time past the backend's cap before any sample is solved.  Each
+    snapshot is dropped as soon as fn has read it."""
+    return list(map(fn, backend.evolve_many(data, params, ts)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +362,8 @@ def _require_finite(header: list[str], columns: list) -> None:
 
 
 def _sweep(cfg: ExperimentConfig, fn, ts) -> list:
-    """fn of the snapshot of the configured data at each time of ``ts``
-    (``map_snapshots``), once ``ts`` has passed the backend's cap."""
-    backend, params = cfg.make_backend(), cfg.params()
-    check_time_cap(backend, ts, params.s)
-    return map_snapshots(fn, (cfg.u0, cfg.u1), params, ts, backend)
+    """fn of the snapshot of the configured data at each time of ``ts``."""
+    return map_times(fn, (cfg.u0, cfg.u1), cfg.params(), ts, cfg.make_backend())
 
 
 def run_solve(cfg: ExperimentConfig, out_dir=None) -> RunResult:

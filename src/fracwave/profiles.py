@@ -177,7 +177,7 @@ class CompactBump(Profile):
         if cached is None:
             cached = self._fourier_uncached(xi)
             if len(self._fourier_cache) >= BUMP_CACHE_ENTRIES:
-                # whole-dict operations stay safe under map_times threads
+                # whole-dict operations stay safe under callers' threads
                 self._fourier_cache.clear()
             self._fourier_cache[key] = cached
         return cached.copy()

@@ -78,8 +78,8 @@ CUTOFF_TOL = 1e-18
 #: of |fhat|^2 per panel); 24 leave under 1e-13 of both.
 FILON_ORDER = 24
 #: most panels a rule may take above its head or in one split, refused before
-#: allocating: at about 4 kB a panel, a rule and its splits stay near 0.5 GB,
-#: two threads of them under 2 GiB.  Data 1e12 apart would need 1e12
+#: allocating: at about 4 kB a panel, a rule and its splits stay near
+#: 0.5 GB.  Data 1e12 apart would need 1e12
 MAX_PANELS = 1 << 16
 #: an oscillatory integral below this, taken on subnormal head weights at
 #: tiny t, has lost digits to underflow and is refused (u(t) from u1 alone

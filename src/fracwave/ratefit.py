@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConventionError, SeriesError
 from .estimates import BoundSpec
-from .spectral import Parameters, QuadratureBackend, check_time_cap
+from .spectral import Parameters, QuadratureBackend
 
 __all__ = ["NormSeries", "RateReport", "sample_norm_curve",
            "fit_power_exponent", "fit_log_rate", "sandwich_check",
@@ -108,33 +108,29 @@ def sample_norm_curve(data, params: Parameters, t_grid, backend=None,
                       level: str = "u_hat") -> NormSeries:
     """Evaluate the norm of the evolved solution over a time grid.
 
-    Every sample is the norm of one snapshot, mapped over the grid by
-    ``experiments.map_snapshots`` with the backend (so a quadrature sweep
-    builds its rules a block at a time, and a grid sweep takes
-    FRACWAVE_THREADS on a large grid, serial otherwise), once the grid has
-    passed ``_check_time_grid`` and ``check_time_cap``.  Zero data yields
-    the explicit zero-series variant.
+    Every sample is the norm of one snapshot of the backend's sweep, in
+    ``experiments.map_times``, once the grid has passed
+    ``_check_time_grid``; the sweep refuses a time past the backend's cap
+    before any sample.  Zero data, whose norms are 0, yield the explicit
+    zero-series variant.
     """
-    from .experiments import map_snapshots   # experiments imports this module
+    from .experiments import map_times   # experiments imports this module
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise SeriesError("empty time grid")
     _check_time_grid(t_grid)
     if backend is None:
         backend = QuadratureBackend()
-    check_time_cap(backend, t_grid, params.s)
     u0, u1 = data
     provenance = {"backend": backend.name, "s": params.s,
                   "u0": repr(u0), "u1": repr(u1)}
-    if u0.is_zero and u1.is_zero:
-        return NormSeries(t_grid, np.zeros_like(t_grid), level, provenance,
-                          zero=True)
 
     def norm(snap):
         return snap.spectral_l2() if level == "u_hat" else snap.physical_l2()
 
-    return NormSeries(t_grid, np.array(map_snapshots(norm, data, params, t_grid,
-                                                     backend)), level, provenance)
+    values = map_times(norm, data, params, t_grid, backend)
+    return NormSeries(t_grid, np.array(values), level, provenance,
+                      zero=u0.is_zero and u1.is_zero)
 
 
 def default_window(series: NormSeries, t0: float | None = None) -> tuple:

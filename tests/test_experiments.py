@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracwave import GridBackend, GridSpec, cli, experiments
+from fracwave import GridSpec, cli, experiments
 from fracwave.cli import main
 from fracwave.errors import ConfigError
-from fracwave.experiments import (ExperimentConfig, canonical_text,
-                                  map_snapshots, map_times, parse_config,
-                                  run_energy, run_lemmas, run_rates,
+from fracwave.experiments import (ExperimentConfig, canonical_text, map_times,
+                                  parse_config, run_energy, run_lemmas, run_rates,
                                   run_sandwich, run_solve, write_svg_plot)
 from fracwave.profiles import ZERO, CompactBump, Gaussian, GaussianDerivative
 from fracwave.spectral import Parameters, QuadratureBackend, evolve_state
@@ -198,7 +197,6 @@ class TestRunners:
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.delenv("FRACWAVE_THREADS", raising=False)
         monkeypatch.setattr(spectral, "propagate", counting)
         cfg = parse_config("s = 0.6\nu0 = gaussian c=0.3\nt_grid = list 0.5 2 7\n"
                            "backend = grid\n")
@@ -304,42 +302,29 @@ class TestRunners:
         assert result.verdicts["energy_conserved"] is True
         assert result.report["max_relative_drift"] <= 1e-9
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = parse_config(ENERGY_CFG)
-        serial = tmp_path / "serial"
-        threaded = tmp_path / "threaded"
-        run_energy(cfg, out_dir=serial)
-        monkeypatch.setenv("FRACWAVE_THREADS", "4")
-        run_energy(cfg, out_dir=threaded)
-        assert (serial / "norms.csv").read_bytes() == (threaded / "norms.csv").read_bytes()
-
-    def test_map_times_parallel_order(self, monkeypatch):
-        monkeypatch.setenv("FRACWAVE_THREADS", "3")
-        large = GridBackend(GridSpec(points=experiments.THREAD_MIN_POINTS))
-        assert map_times(lambda t: t * t, [1.0, 2.0, 3.0], large) == [1.0, 4.0, 9.0]
-
     def test_a_quadrature_sweep_holds_one_block(self, monkeypatch):
         # when fn reads a snapshot, the block's earlier ones are gone and no
         # later block is built yet
+        from fracwave import spectral
         made = []
-        evolve_many = QuadratureBackend.evolve_many
+        evolve = QuadratureBackend.evolve
 
         def recording(self, *args):
-            snaps = evolve_many(self, *args)
-            made.extend(weakref.ref(snap) for snap in snaps)
-            return snaps
+            snap = evolve(self, *args)
+            made.append(weakref.ref(snap))
+            return snap
 
-        monkeypatch.setattr(QuadratureBackend, "evolve_many", recording)
+        monkeypatch.setattr(QuadratureBackend, "evolve", recording)
         alive = []
 
         def norm(snap):
             alive.append(sum(ref() is not None for ref in made))
             return snap.spectral_l2()
 
-        ts = np.geomspace(1e2, 1e4, 2 * experiments.SWEEP_BLOCK + 3)
-        norms = map_snapshots(norm, (ZERO, Gaussian()), Parameters(0.75), ts,
-                              QuadratureBackend())
-        block = experiments.SWEEP_BLOCK
+        block = spectral.SWEEP_BLOCK
+        ts = np.geomspace(1e2, 1e4, 2 * block + 3)
+        norms = map_times(norm, (ZERO, Gaussian()), Parameters(0.75), ts,
+                          QuadratureBackend())
         assert alive == [min(block, ts.size - i // block * block) - i % block
                          for i in range(ts.size)]
         assert norms == [evolve_state((ZERO, Gaussian()), Parameters(0.75), t,
@@ -487,7 +472,7 @@ class TestCli:
         assert "MAX_POINTS" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("block", ["1", "2"])
     @pytest.mark.parametrize("command, cfg, message", [
         ("solve", "u1 = gaussian a=1e308\nt_grid = list 1 10\n",
          "u_hat_l2 is not finite at t = 1"),
@@ -497,14 +482,17 @@ class TestCli:
          "the integrand is not finite on (0, 1]"),
     ], ids=["solve-overflow", "solve-narrow", "energy-overflow"])
     def test_overflow_prints_only_the_diagnostic(self, tmp_path, command, cfg,
-                                                 message, threads):
-        # a subprocess, so that numpy's warnings would reach its stderr
+                                                 message, block):
+        # a subprocess, so that numpy's warnings would reach its stderr; a
+        # sweep block of 2 forms the rules of t = 1 and t = 10 in one build
         src = str(Path(experiments.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = ("import sys\nfrom fracwave import cli, spectral\n"
+               f"spectral.SWEEP_BLOCK = {block}\nsys.exit(cli.main(sys.argv[1:]))")
         proc = subprocess.run(
-            [sys.executable, "-m", "fracwave.cli", command,
+            [sys.executable, "-c", run, command,
              "--config", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": path, "FRACWAVE_THREADS": threads},
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         lines = proc.stderr.strip().splitlines()
@@ -587,44 +575,9 @@ class TestCli:
         texts = [el.text for el in svg.iter() if el.tag.endswith("text")]
         assert texts[0] == "a<b&c"
 
-    # a pool of 2 only for a grid at or above THREAD_MIN_POINTS (2^15)
-    @pytest.mark.parametrize("command, cfg, expected", [
-        ("sandwich", SANDWICH_CFG, []),
-        ("rates", "s = 0.5\nu0 = none\nu1 = gaussian\nt_grid = log 1e2 1e4 12\n",
-         []),
-        ("solve", "s = 0.75\nu0 = gaussian a=0.5 sigma=1 c=0.3\nu1 = gaussian\n"
-                  "t_grid = log 1e2 1e4 12\nbackend = quadrature\n", []),
-        ("energy", "s = 0.6\nu0 = gaussian\nu1 = gaussian\n"
-                   "t_grid = log 1 1e5 12\nbackend = quadrature\n", []),
-        ("solve", "s = 0.75\nu0 = gaussian\nu1 = gaussian\nt_grid = lin 0 100 4\n"
-                  "backend = grid\ngrid_points = 32768\n", [2]),
-        ("solve", "s = 0.75\nu0 = gaussian\nu1 = gaussian\nt_grid = lin 0 100 4\n"
-                  "backend = grid\n", []),
-    ], ids=["sandwich", "rates", "solve", "energy", "grid-solve-large",
-            "grid-solve-small"])
-    def test_threads_do_not_change_outputs(self, tmp_path, monkeypatch,
-                                           command, cfg, expected):
-        pools = []
-        pool = experiments.ThreadPoolExecutor
-
-        def counting_pool(**kwargs):
-            pools.append(kwargs["max_workers"])
-            return pool(**kwargs)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool)
-        path = self._write(tmp_path, cfg)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FRACWAVE_THREADS", threads)
-            assert main([command, "--config", path,
-                         "--out", str(tmp_path / threads)]) == 0
-        assert pools == expected
-        for name in ("norms.csv", "report.json"):
-            assert ((tmp_path / "1" / name).read_bytes()
-                    == (tmp_path / "2" / name).read_bytes())
-
     # quadrature sweeps longer than SWEEP_BLOCK; energy from t = 0 on the
     # split rules of a wide Gaussian, and u's norm at t = 1e-150, whose head
-    # weights are subnormal
+    # weights are subnormal; equal data, and 12 samples, two blocks
     @pytest.mark.parametrize("command, cfg", [
         ("sandwich", "s = 0.75\nu0 = none\nu1 = gaussian\n"
                      "t_grid = log 1e2 1e4 40\nbounds = auto\n"),
@@ -636,13 +589,19 @@ class TestCli:
                    "t_grid = lin 0 10 20\n"),
         ("solve", "s = 0.3\nu0 = none\nu1 = gaussian\n"
                   "t_grid = list 1e-150 1e-120 1e-100 1e-60 1e-30 1e-3 1 1e3\n"),
-    ], ids=["sandwich", "rates", "solve", "energy-split", "solve-faint"])
+        ("energy", "s = 0.6\nu0 = gaussian\nu1 = gaussian\n"
+                   "t_grid = log 1 1e5 12\n"),
+        ("solve", "s = 0.75\nu0 = gaussian a=0.5 sigma=1 c=0.3\nu1 = gaussian\n"
+                  "t_grid = log 1e2 1e4 12\n"),
+    ], ids=["sandwich", "rates", "solve", "energy-split", "solve-faint",
+            "energy-equal", "solve-two-blocks"])
     def test_sweep_blocks_do_not_change_outputs(self, tmp_path, monkeypatch,
                                                 command, cfg):
+        from fracwave import spectral
         path, default = self._write(tmp_path, cfg), tmp_path / "default"
         assert main([command, "--config", path, "--out", str(default)]) == 0
         for block in (1, 40):
-            monkeypatch.setattr(experiments, "SWEEP_BLOCK", block)
+            monkeypatch.setattr(spectral, "SWEEP_BLOCK", block)
             out = tmp_path / str(block)
             assert main([command, "--config", path, "--out", str(out)]) == 0
             for name in ("norms.csv", "report.json"):
@@ -698,9 +657,14 @@ class TestCli:
     def test_grid_time_past_cap_exits_before_solving(self, tmp_path, capsys,
                                                      monkeypatch, command):
         solved = []
-        # every runner's grid sweep evolves each sample in map_snapshots
-        monkeypatch.setattr(experiments, "evolve_state",
-                            lambda *args: solved.append(args[2]))
+        half_forward = GridSpec.half_forward
+
+        def counting(grid, values):
+            # a grid sweep first transforms the data
+            solved.append(values)
+            return half_forward(grid, values)
+
+        monkeypatch.setattr(GridSpec, "half_forward", counting)
         cfg = "backend = grid\nu0 = gaussian\nt_grid = list 1 10 50 99 150\n"
         rc = main([command, "--config", self._write(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])

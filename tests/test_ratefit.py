@@ -1,16 +1,15 @@
 """Norm series, growth-law fits, sandwich scanning."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
 
-from fracwave import (BoundSpec, CompactBump, Gaussian, GridBackend, GridSpec,
-                      NormSeries, Parameters, QuadratureBackend, ZERO, combine,
-                      evolve_state, fit_log_rate, fit_power_exponent,
-                      log_lower_bound, power_lower_bound, power_upper_bound,
-                      sample_norm_curve, sandwich_check)
+from fracwave import (BoundSpec, Gaussian, GridBackend, GridSpec, NormSeries,
+                      Parameters, QuadratureBackend, ZERO, evolve_state,
+                      fit_log_rate, fit_power_exponent, log_lower_bound,
+                      power_lower_bound, power_upper_bound, sample_norm_curve,
+                      sandwich_check)
 from fracwave import experiments
 from fracwave.errors import (BackendCapError, ConventionError, FracwaveError,
                              SeriesError)
@@ -79,21 +78,27 @@ class TestSampling:
 
     def test_grid_time_past_cap_rejected_before_any_sample(self, monkeypatch):
         calls = []
-        # a grid sweep evolves each sample in experiments.map_snapshots
-        monkeypatch.setattr(experiments, "evolve_state",
-                            lambda *args: calls.append(args[2]))
-        with pytest.raises(BackendCapError, match="requested t=150"):
-            sample_norm_curve((ZERO, Gaussian()), Parameters(0.75),
-                              np.array([1.0, 10.0, 99.0, 150.0]), GridBackend())
+        half_forward = GridSpec.half_forward
+
+        def counting(grid, values):
+            # a grid sweep first transforms the data
+            calls.append(values)
+            return half_forward(grid, values)
+
+        monkeypatch.setattr(GridSpec, "half_forward", counting)
+        for data in ((ZERO, Gaussian()), (ZERO, ZERO)):
+            with pytest.raises(BackendCapError, match="requested t=150"):
+                sample_norm_curve(data, Parameters(0.75),
+                                  np.array([1.0, 10.0, 99.0, 150.0]), GridBackend())
         assert calls == []
 
     def test_samples_go_through_map_times(self, monkeypatch):
         calls = []
         mapper = experiments.map_times
 
-        def counting(fn, ts, backend):
+        def counting(fn, data, params, ts, backend):
             calls.append((len(ts), backend))
-            return mapper(fn, ts, backend)
+            return mapper(fn, data, params, ts, backend)
 
         monkeypatch.setattr(experiments, "map_times", counting)
         t = np.array([1.0, 4.0, 9.0])
@@ -103,31 +108,6 @@ class TestSampling:
         direct = [evolve_state(data, params, ti, QuadratureBackend()).spectral_l2()
                   for ti in t]
         assert series.values.tolist() == direct
-
-    def test_threaded_samples_equal_serial(self, monkeypatch):
-        # more workers than cores and a short switch interval on a grid large
-        # enough to be threaded; the threads share the backend
-        data = (ZERO, combine((1.0, Gaussian()), (0.5, CompactBump())))
-        t = np.linspace(0.05, 0.4, 8)
-        backend = GridBackend(GridSpec(points=experiments.THREAD_MIN_POINTS))
-        serial = sample_norm_curve(data, Parameters(0.75), t, backend)
-        pools = []
-        pool = experiments.ThreadPoolExecutor
-
-        def counting_pool(**kwargs):
-            pools.append(kwargs["max_workers"])
-            return pool(**kwargs)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool)
-        monkeypatch.setenv("FRACWAVE_THREADS", "6")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = sample_norm_curve(data, Parameters(0.75), t, backend)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools == [6]
-        assert threaded.values.tolist() == serial.values.tolist()
 
     def test_levels_differ_by_plancherel(self):
         t = np.array([1.0, 4.0, 9.0])

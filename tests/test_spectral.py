@@ -108,6 +108,10 @@ class TestEvolution:
     def test_negative_time_guard(self):
         with pytest.raises(ValueError):
             evolve_state((ZERO, Gaussian()), Parameters(0.5), -0.5, BACKEND)
+        for backend in (BACKEND, QuadratureBackend()):
+            sweep = backend.evolve_many((ZERO, Gaussian()), Parameters(0.5), [1.0, -0.5])
+            with pytest.raises(ValueError, match="nonnegative"):
+                next(sweep)
 
     def test_grid_time_cap(self):
         with pytest.raises(BackendCapError):
@@ -191,6 +195,31 @@ class TestEvolution:
         assert np.array_equal(shared.u_hat.values, separate.u_hat.values)
         assert np.array_equal(shared.ut_hat.values, separate.ut_hat.values)
         assert shared.energy() == separate.energy()
+
+    @pytest.mark.parametrize("data", [
+        (Gaussian(0.5, 1.0, 0.3), GaussianDerivative(0.7, 1.0, 0.7)),
+        (Gaussian(), Gaussian()),
+        (ZERO, combine((1.0, Gaussian()), (0.5, CompactBump()))),
+    ], ids=["distinct", "equal", "zero-u0"])
+    def test_a_sweep_transforms_each_datum_once(self, forward_calls, data):
+        # t is a plain parameter of the multipliers: a sweep takes one
+        # transform per distinct datum for the norms and one for the fields,
+        # and each snapshot has the bits of its own evolve_state
+        backend = GridBackend(GridSpec(40.0, 1 << 15))
+        params, ts = Parameters(0.75), [0.0, 0.05, 0.4, 33.3, 100.0]
+
+        def outputs(snap):
+            return ([snap.energy(), snap.spectral_l2(), snap.physical_l2(),
+                     snap.ut_l2(), snap.hs_seminorm(0.75)],
+                    snap.u_hat.values, snap.ut_hat.values, snap.u, snap.ut)
+
+        swept = [outputs(snap) for snap in backend.evolve_many(data, params, ts)]
+        distinct = 1 if data[0].is_zero or data[0] == data[1] else 2
+        assert len(forward_calls) == 2 * distinct
+        for t, got in zip(ts, swept):
+            alone = outputs(evolve_state(data, params, t, backend))
+            assert got[0] == alone[0]
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], alone[1:]))
 
     def test_fields_are_built_on_first_read(self):
         snap = evolve_state((Gaussian(0.5, 1.0, 0.3), Gaussian()), Parameters(0.6),
